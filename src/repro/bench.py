@@ -578,7 +578,7 @@ def _read_write_workload() -> _Workload:
     insert/delete/move writes, each write published as one epoch) and then
     applies the compensating batch that restores the initial dataset, so
     repeats are identical.  Wall time covers reads, epoch publication
-    (copy-on-write shard rebuilds) and the restore batch.
+    (in-place shard applies) and the restore batch.
     """
 
     def setup(cfg: dict[str, Any]) -> Any:

@@ -6,8 +6,10 @@ deletes and moves while queries keep running.  A mutation describes *what*
 changes; :meth:`SpatialEngine.apply` / :meth:`apply_many` and
 :meth:`ShardedEngine.apply_many` decide *how* — page-level FLAT
 maintenance, R-tree insert/delete, buffer-pool and kernel-pack
-invalidation, and (in the sharded service) an epoch-versioned
-copy-on-write view swap so in-flight readers never observe a torn state.
+invalidation, and (in the sharded service) an in-place apply on each
+touched shard's warm engine under the exclusive side of an epoch gate, so
+in-flight readers never observe a torn state.  Shards are rebuilt only
+when a batch re-tiles the service.
 
 Like queries, mutations are immutable values: they can be built once,
 logged, replayed, batched and routed.  A batch applied via ``apply_many``
@@ -142,7 +144,10 @@ class MutationStats:
     elapsed_ms: float = 0.0  # wall-clock application time
     epoch: int = 0  # service epoch the batch published (0 on a single engine)
     rebalanced: bool = False  # did the service re-tile its shards afterwards
-    shards_touched: int = 0  # service shards rebuilt by the batch
+    # Service shards the batch wrote to: applied in place under the epoch
+    # gate, or every shard of the new tiling when the batch re-tiled
+    # (the only time shards are rebuilt).
+    shards_touched: int = 0
 
     @property
     def applied(self) -> int:

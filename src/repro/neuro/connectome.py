@@ -11,13 +11,14 @@ measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Sequence
 
 from repro.neuro.circuit import Circuit
 from repro.neuro.synapses import Synapse
 from repro.utils.tables import Table
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "build_connectome",
@@ -29,6 +30,10 @@ __all__ = [
 
 def build_connectome(synapses: Sequence[Synapse]) -> "nx.DiGraph":
     """Weighted digraph: neurons as nodes, touch counts as edge weights."""
+    # Imported here, not at module level: networkx costs ~18 MB of
+    # resident memory, and every ``import repro`` reaches this module.
+    import networkx as nx
+
     graph = nx.DiGraph()
     for synapse in synapses:
         pre, post = synapse.pre_neuron, synapse.post_neuron

@@ -21,11 +21,13 @@ hatch — a :class:`ProcessShardExecutor` that
 Safe publication and teardown
 -----------------------------
 Mutation batches republish only the touched shards' segments; untouched
-shards carry their segment into the next publication.  A publication is
-reference-counted: every in-flight query acquires it for the whole
-fan-out, and a superseded publication's segments are unlinked only once
-its last reader releases it — a reader can never observe a segment
-disappearing under a running query.  The *publishing* process owns every
+shards carry their segment into the next publication.  The service swaps
+publications under the exclusive side of its epoch gate, which every
+query holds (shared) for its whole fan-out, so a superseded publication
+has no reader left and is retired at once: its segments are unlinked as
+soon as no live publication carries them.  A subtask abandoned by a
+missed deadline that attaches after the unlink fails cleanly, and its
+result was already discarded.  The *publishing* process owns every
 segment's lifecycle.  Workers attach and immediately close their mapping
 — they never unlink and never touch the resource tracker: the tracker
 process (and its name cache, a set) is shared by the whole process tree
@@ -98,20 +100,18 @@ class _Segment:
 
 
 class _Publication:
-    """One epoch's segment set plus its reader refcount."""
+    """One epoch's segment set."""
 
-    __slots__ = ("generation", "segments", "readers", "retired", "dropped")
+    __slots__ = ("generation", "segments", "retired")
 
     def __init__(self, generation: int, segments: dict[int, _Segment]) -> None:
         self.generation = generation
         self.segments = segments  # shard_id -> _Segment
-        self.readers = 0
         self.retired = False
-        self.dropped = False
 
 
 class ProcessShardExecutor:
-    """Owns the worker pool, the segment registry and publication refcounts.
+    """Owns the worker pool, the segment registry and segment ownership counts.
 
     ``mp_start`` picks the multiprocessing start method: ``fork`` (the
     Linux default — workers inherit the imported modules, so the first
@@ -200,33 +200,16 @@ class ProcessShardExecutor:
         self._segments[name] = segment
         return segment
 
-    def acquire(self, publication: _Publication) -> bool:
-        """Pin a publication for one query's fan-out; False once dropped."""
-        with self._lock:
-            if publication.dropped or self._closed:
-                return False
-            publication.readers += 1
-            return True
-
-    def release(self, publication: _Publication) -> None:
-        with self._lock:
-            publication.readers -= 1
-            self._maybe_drop(publication)
-
     def retire(self, publication: _Publication) -> None:
-        """Mark a superseded publication; unlinks once its readers drain."""
+        """Drop a superseded publication; unlinks segments nothing carries."""
         with self._lock:
+            if publication.retired:
+                return
             publication.retired = True
-            self._maybe_drop(publication)
-
-    def _maybe_drop(self, publication: _Publication) -> None:
-        if publication.dropped or not publication.retired or publication.readers:
-            return
-        publication.dropped = True
-        for segment in publication.segments.values():
-            segment.owners -= 1
-            if segment.owners == 0:
-                self._unlink(segment)
+            for segment in publication.segments.values():
+                segment.owners -= 1
+                if segment.owners == 0:
+                    self._unlink(segment)
 
     def _unlink(self, segment: _Segment) -> None:
         if segment.unlinked:

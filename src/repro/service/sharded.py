@@ -26,27 +26,41 @@ Every answer is *exactly* the single-engine answer, canonically ordered:
 
 Concurrency contract
 --------------------
-A shard is a single-threaded engine (its lazily built indexes and buffer
-pool are guarded by a per-shard lock); parallelism comes from having many
-shards, exactly like shard-per-core designs.  Client threads may call
-:meth:`execute` / :meth:`query_many` freely — admission control bounds the
-in-flight work and rejects (never deadlocks) beyond the configured queue.
+A shard is a single-threaded engine (its lazily built indexes, buffer
+pool and pending index deltas are guarded by a per-shard lock);
+parallelism comes from having many shards, exactly like shard-per-core
+designs.  Client threads may call :meth:`execute` / :meth:`query_many`
+freely — admission control bounds the in-flight work and rejects (never
+deadlocks) beyond the configured queue.
+
+One writer-preferring *epoch gate* orders queries against writes.  A
+query holds the gate's shared side for its whole fan-out (every window of
+a walkthrough included); a mutation batch holds the exclusive side while
+it applies.  A writer waits for the queries already in flight, and
+queries that arrive while it waits queue behind it, so a steady read
+stream cannot starve writes.  The apply also takes each touched shard's
+lock, so a subtask left running by a query that missed its deadline (and
+released the gate) finishes before the shard changes under it.
 
 Live-data contract (epoch snapshots)
 ------------------------------------
 Mutations (:class:`~repro.engine.Insert` / ``Delete`` / ``Move``) flow
-through :meth:`apply_many`, which routes each one to its owning shard —
-deletes and moves by the uid-ownership map, inserts by the Hilbert key
-interval each shard owns — and publishes the batch as a new *epoch*: an
-immutable shard view built copy-on-write (only touched shards are rebuilt;
-untouched shards keep their warm engines).  Every query captures exactly
-one view for its whole fan-out, so in-flight readers always observe a
-consistent whole-epoch snapshot — never a torn mix of pre- and
-post-mutation shards — and ``result.stats.epoch`` names which one.
-Writers never block readers; concurrent writers serialise on a single
-mutation lock.  When a batch drains a shard empty, or drifts shard sizes
-past ``rebalance_threshold`` times the balanced share, the whole dataset
-is re-tiled into fresh Hilbert shards before the epoch is published.
+through :meth:`apply_many`, which validates the whole batch and routes
+each mutation to its owning shard — deletes and moves by the
+uid-ownership map, inserts by the Hilbert key interval each shard owns —
+logs it to the WAL, and then, under the exclusive side of the epoch gate,
+applies each shard's sub-batch *in place* on that shard's long-lived
+engine (arena column operations plus deferred index deltas, see
+:meth:`SpatialEngine.apply_many`) and publishes the batch as a new
+*epoch*.  Engines stay warm across writes: built indexes absorb the
+deltas on their next read instead of being rebuilt.  Since no query spans
+an apply, every reader observes a consistent whole-epoch snapshot — never
+a torn mix of pre- and post-mutation shards — and ``result.stats.epoch``
+names which one.  Concurrent writers serialise on a single mutation lock.
+Shards are rebuilt only on re-tile: when a batch would drain a shard
+empty, or drift shard sizes past ``rebalance_threshold`` times the
+balanced share, the whole dataset is re-tiled into fresh Hilbert shards
+(built off to the side, then swapped in under the gate) as the new epoch.
 
 >>> service = ShardedEngine.generate(n_neurons=30, num_shards=4)
 >>> hits = service.execute(RangeQuery(window))
@@ -61,11 +75,12 @@ from __future__ import annotations
 import contextvars
 import heapq
 import time
+from contextlib import contextmanager
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Condition, Lock
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 from repro import kernels
 from repro.core.touch.parallel import build_touch_tree, probe_shard
@@ -119,30 +134,78 @@ class _EngineShard:
             return self.engine.execute(query)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _ShardView:
-    """One epoch's immutable shard set — what a query runs against.
+    """The live shard set and the routing state that goes with it.
 
-    A view is published atomically (one reference assignment) and never
-    mutated afterwards; readers that captured it keep a consistent
-    whole-epoch snapshot no matter how many epochs writers publish while
-    the query is in flight.  ``owner`` maps every live uid to its shard
-    and ``encoder`` quantises insert positions onto the Hilbert curve the
-    shard key intervals were cut from (``None`` for a single shard).
+    Changed only under the exclusive side of the epoch gate: an in-place
+    apply bumps ``epoch``, edits ``owner`` and the touched shards, and
+    swaps ``publication``; a re-tile replaces the whole view.  ``owner``
+    maps every live uid to its shard and ``encoder`` quantises insert
+    positions onto the Hilbert curve the shard key intervals were cut from
+    (``None`` for a single shard).
     """
 
     epoch: int
     shards: tuple[_EngineShard, ...]
     owner: dict[int, int]
     encoder: HilbertEncoder3D | None
-    #: Process-mode only: the shared-memory publication backing this view
-    #: (``None`` on thread-mode services).  Bound to the view so a reader
-    #: capturing the view atomically captures the matching segment set.
+    #: Process-mode only: the shared-memory publication of the shards'
+    #: columns (``None`` on thread-mode services).
     publication: Any = None
 
     @property
     def num_objects(self) -> int:
         return len(self.owner)
+
+
+class _EpochGate:
+    """A writer-preferring shared/exclusive gate (see "Concurrency contract").
+
+    Not reentrant: a thread holding the shared side must not take it
+    again, since a writer waiting in between would queue the nested
+    acquire behind itself.
+    """
+
+    def __init__(self) -> None:
+        self._cond = Condition()
+        self._readers = 0
+        self._writing = False
+        self._writers_waiting = 0
+
+    @contextmanager
+    def shared(self) -> Iterator[None]:
+        with self._cond:
+            while self._writing or self._writers_waiting:
+                self._cond.wait()
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                if not self._readers:
+                    self._cond.notify_all()
+
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
+        with self._cond:
+            self._writers_waiting += 1
+            try:
+                while self._writing or self._readers:
+                    self._cond.wait()
+            except BaseException:
+                self._writers_waiting -= 1
+                self._cond.notify_all()  # readers queued behind us may go
+                raise
+            self._writers_waiting -= 1
+            self._writing = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writing = False
+                self._cond.notify_all()
 
 
 class ShardedEngine:
@@ -238,6 +301,7 @@ class ShardedEngine:
         self.wal = wal
         self.executor = executor
         self._mutation_lock = Lock()
+        self._gate = _EpochGate()
         self._procpool: ProcessShardExecutor | None = None
         view = self._build_view(list(objects), epoch=initial_epoch)
         if executor == "process":
@@ -247,14 +311,14 @@ class ShardedEngine:
                 engine_kwargs=self._engine_kwargs,
             )
             try:
-                view = self._publish_view(view, previous=None)
+                self._publish(view)
             except BaseException:
                 self._procpool.close()
                 raise
         self._view = view
-        page_capacity = self._view.shards[0].engine.page_capacity
-        self.profile = DatasetProfile.from_objects(self.objects, page_capacity)
-        self.planner = Planner(self.profile)
+        # Built on first use: only joins and the public ``profile`` /
+        # ``planner`` read it, and every epoch drops it.
+        self._planner: Planner | None = None
         # Size the pool and admission defaults by the *requested* shard
         # count, not the (possibly dataset-clamped) initial one: a small
         # dataset that grows under inserts and rebalances up to the
@@ -280,75 +344,57 @@ class ShardedEngine:
 
     def _build_view(self, objects: Sequence[SpatialObject], epoch: int) -> _ShardView:
         """Tile ``objects`` into fresh Hilbert shards as epoch ``epoch``."""
-        specs = hilbert_shards(objects, self._shards_requested, order=self._hilbert_order)
+        parts = hilbert_shards(objects, self._shards_requested, order=self._hilbert_order)
         shards = tuple(
-            _EngineShard(
-                spec=spec, engine=SpatialEngine(spec.objects, **self._engine_kwargs)
-            )
-            for spec in specs
+            _EngineShard(spec=spec, engine=SpatialEngine(members, **self._engine_kwargs))
+            for spec, members in parts
         )
-        owner = {o.uid: spec.shard_id for spec in specs for o in spec.objects}
+        owner = {o.uid: spec.shard_id for spec, members in parts for o in members}
         if len(owner) != len(objects):
             raise ServiceError("dataset contains duplicate object uids")
         encoder = None
-        if len(specs) > 1:
-            world = AABB.union_all(o.aabb for o in objects)
+        if len(parts) > 1:
+            world = AABB.union_all(spec.mbr for spec, _ in parts)
             encoder = HilbertEncoder3D(world, order=self._hilbert_order)
         return _ShardView(epoch=epoch, shards=shards, owner=owner, encoder=encoder)
 
-    def _publish_view(
-        self, view: _ShardView, previous: _ShardView | None
-    ) -> _ShardView:
-        """Attach a shared-memory publication to ``view`` (process mode).
+    def _publish(self, view: _ShardView, touched: Collection[int] | None = None) -> None:
+        """Publish ``view``'s shard columns into shared memory (process mode).
 
-        Shards carried over from ``previous`` unchanged (same
-        :class:`_EngineShard` instance — the copy-on-write fast path for
-        untouched shards) reuse the previous publication's segment; every
-        other shard packs a fresh one.  Thread-mode services return the
-        view untouched.
+        ``touched`` names the shards whose arenas changed since the view's
+        current publication; every other shard carries its published
+        segment over.  ``None`` packs every shard (a new view).  A
+        superseded publication is retired at once: republishing a live
+        view happens under the exclusive side of the epoch gate, and every
+        reader of the old columns held its shared side.  Thread-mode
+        services publish nothing.
         """
         if self._procpool is None:
-            return view
-        prev_shards: dict[int, _EngineShard] = {}
-        if previous is not None and previous.publication is not None:
-            prev_shards = {s.spec.shard_id: s for s in previous.shards}
+            return
+        previous = view.publication
         arenas: dict[int, Any] = {}
         for shard in view.shards:
             shard_id = shard.spec.shard_id
-            if prev_shards.get(shard_id) is shard:
-                arenas[shard_id] = None  # carry the published segment
-            else:
-                arenas[shard_id] = shard.engine.arena
-        previous_pub = previous.publication if previous is not None else None
-        publication = self._procpool.publish(arenas, previous_pub)
-        return replace(view, publication=publication)
+            fresh = touched is None or shard_id in touched
+            arenas[shard_id] = shard.engine.arena if fresh else None
+        view.publication = self._procpool.publish(arenas, previous)
+        if previous is not None:
+            self._procpool.retire(previous)
 
-    def _pin_view(self) -> _ShardView:
-        """Capture the current view, pinned for one query's whole fan-out.
+    def _live_objects(self, view: _ShardView) -> list[SpatialObject]:
+        """Every live object, shard by shard (caller holds the gate)."""
+        return [o for shard in view.shards for o in shard.engine.objects]
 
-        Thread mode just reads the reference.  Process mode additionally
-        acquires the view's publication so a concurrent mutation cannot
-        unlink its segments mid-query; if the publication was already
-        dropped (we lost the race to a writer), re-read and retry — the
-        newer view's publication is live.
-        """
-        view = self._view
-        if self._procpool is None:
-            return view
-        while True:
-            publication = view.publication
-            if publication is None or self._procpool.acquire(publication):
-                return view
-            current = self._view
-            if current is view:
-                # Not superseded yet still unacquirable: the executor is
-                # closing underneath us.
-                raise ServiceError("service is closed")
-            view = current
-
-    def _unpin_view(self, view: _ShardView) -> None:
-        if self._procpool is not None and view.publication is not None:
-            self._procpool.release(view.publication)
+    def _current_planner(self) -> Planner:
+        """The planner over the live profile (caller holds the gate)."""
+        planner = self._planner
+        if planner is None:
+            view = self._view
+            profile = DatasetProfile.from_objects(
+                self._live_objects(view), view.shards[0].engine.page_capacity
+            )
+            planner = self._planner = Planner(profile)
+        return planner
 
     # -- constructors ----------------------------------------------------------
     @classmethod
@@ -390,18 +436,19 @@ class ShardedEngine:
     # -- lifecycle -------------------------------------------------------------
     @property
     def shards(self) -> tuple[_EngineShard, ...]:
-        """The current epoch's shards (an immutable, consistent snapshot)."""
+        """The live shards (changed in place by writes, replaced by a re-tile)."""
         return self._view.shards
 
     @property
     def epoch(self) -> int:
-        """The epoch of the currently published view (0 until first write)."""
+        """The epoch of the last published batch (0 until first write)."""
         return self._view.epoch
 
     @property
     def objects(self) -> list[SpatialObject]:
         """The live dataset, concatenated shard by shard (one epoch's view)."""
-        return [o for shard in self._view.shards for o in shard.spec.objects]
+        with self._gate.shared():
+            return self._live_objects(self._view)
 
     @property
     def num_shards(self) -> int:
@@ -411,6 +458,17 @@ class ShardedEngine:
     def num_objects(self) -> int:
         return self._view.num_objects
 
+    @property
+    def planner(self) -> Planner:
+        """The planner over the live dataset profile (rebuilt lazily per epoch)."""
+        with self._gate.shared():
+            return self._current_planner()
+
+    @property
+    def profile(self) -> DatasetProfile:
+        """The live dataset profile (rebuilt lazily per epoch)."""
+        return self.planner.profile
+
     def warm(self) -> "ShardedEngine":
         """Build every shard's indexes up front (benchmarks, latency SLOs).
 
@@ -419,9 +477,9 @@ class ShardedEngine:
         queries will actually run, by executing one full-shard range per
         shard.  Thread mode warms the in-process shard engines.
         """
-        if self._procpool is not None:
-            view = self._pin_view()
-            try:
+        with self._gate.shared():
+            view = self._view
+            if self._procpool is not None:
                 backend = kernels.active_backend()
                 futures = [
                     self._procpool.submit_query(
@@ -434,14 +492,12 @@ class ShardedEngine:
                 ]
                 for future in futures:
                     future.result()
-            finally:
-                self._unpin_view(view)
-            return self
-        for shard in self._view.shards:
-            with shard.lock:
-                shard.engine.flat_index()
-                shard.engine.object_rtree()
-                shard.engine.buffer_pool()
+                return self
+            for shard in view.shards:
+                with shard.lock:
+                    shard.engine.flat_index()
+                    shard.engine.object_rtree()
+                    shard.engine.buffer_pool()
         return self
 
     def _begin_work(self) -> None:
@@ -492,27 +548,29 @@ class ShardedEngine:
         self.close()
 
     def describe(self) -> str:
-        view = self._view
         bound = f"circuit ({self.circuit.num_neurons} neurons)" if self.circuit else "objects"
-        sizes = ", ".join(str(len(s.spec)) for s in view.shards)
-        return (
-            f"ShardedEngine over {view.num_objects:,} objects from {bound}; "
-            f"{len(view.shards)} Hilbert shards ({sizes} objects) at epoch "
-            f"{view.epoch}, admission {self.admission.max_in_flight} in flight / "
-            f"{self.admission.max_queued} queued"
-        )
+        with self._gate.shared():
+            view = self._view
+            sizes = ", ".join(str(s.engine.num_objects) for s in view.shards)
+            return (
+                f"ShardedEngine over {view.num_objects:,} objects from {bound}; "
+                f"{len(view.shards)} Hilbert shards ({sizes} objects) at epoch "
+                f"{view.epoch}, admission {self.admission.max_in_flight} in flight / "
+                f"{self.admission.max_queued} queued"
+            )
 
     # -- epoch observation (WAL shipping, replication) -------------------------
     def snapshot_objects(self) -> tuple[int, list[SpatialObject]]:
         """One epoch's ``(epoch, objects)`` — a consistent bootstrap snapshot.
 
-        Both values come from a single captured view, so the object list
-        is exactly the dataset at that epoch no matter how many writers
-        publish while the list is being built.  This is what a replica
+        Both values are read under the shared side of the epoch gate, so
+        the object list is exactly the dataset at that epoch — no write
+        can land while the list is being built.  This is what a replica
         bootstraps from before tailing the mutation stream.
         """
-        view = self._view
-        return view.epoch, [o for shard in view.shards for o in shard.spec.objects]
+        with self._gate.shared():
+            view = self._view
+            return view.epoch, self._live_objects(view)
 
     def add_epoch_listener(
         self, listener: Callable[[int, Sequence[Mutation]], None]
@@ -542,25 +600,25 @@ class ShardedEngine:
         """Route, apply and publish a mutation batch as one new epoch.
 
         Deletes and moves go to the shard that owns the uid; inserts go to
-        the shard owning the object's Hilbert key interval.  Touched
-        shards are rebuilt copy-on-write over their new membership
-        (untouched shards keep their warm engines), and the whole batch
-        becomes visible atomically when the new view is published — a
+        the shard owning the object's Hilbert key interval.  Each touched
+        shard's sub-batch is applied in place on its warm engine under the
+        exclusive side of the epoch gate (untouched shards are not
+        visited), and the whole batch becomes visible atomically — a
         reader either sees every mutation of the batch or none of them.
 
         The batch is all-or-nothing: every mutation is validated against
         the pre-batch state (plus earlier mutations of the same batch)
-        before anything is rebuilt, so a duplicate insert or unknown uid
-        raises :class:`ServiceError` and leaves the published view
-        untouched.  A move keeps its uid on the owning shard (the shard
-        MBR stretches to cover the new geometry, so pruning stays exact);
-        sustained drift is what the rebalance hook is for: when a shard
-        drains empty or outgrows ``rebalance_threshold`` times the
-        balanced share, the dataset is re-tiled into fresh Hilbert shards
-        before the epoch is published.
+        before anything is applied, so a duplicate insert or unknown uid
+        raises :class:`ServiceError` and leaves the service untouched.  A
+        move keeps its uid on the owning shard (the shard MBR stretches to
+        cover the new geometry, so pruning stays exact); sustained drift
+        is what the rebalance hook is for: when a shard would drain empty
+        or outgrow ``rebalance_threshold`` times the balanced share, the
+        dataset is re-tiled into fresh Hilbert shards — the only path that
+        rebuilds shards — and swapped in as the new epoch.
 
-        Writers serialise on one mutation lock; readers are never blocked
-        and keep whatever epoch view they captured at admission.
+        Writers serialise on one mutation lock, and each waits for the
+        queries in flight to finish their fan-out before it applies.
         """
         self._begin_work()
         try:
@@ -581,95 +639,104 @@ class ShardedEngine:
             view = self._view
             stats = MutationStats()
             per_shard: dict[int, list[Mutation]] = {}
-            owner = dict(view.owner)
+            # Validation overlay on view.owner: uid -> new shard (None once
+            # deleted).  Committed only after the whole batch validates.
+            changes: dict[int, int | None] = {}
+            growth = [0] * len(view.shards)
             for mutation in mutations:
-                shard_id = self._route(view, owner, mutation)
+                shard_id = self._route(view, changes, mutation)
                 per_shard.setdefault(shard_id, []).append(mutation)
                 stats.count(mutation)
-            if not owner:
+                if isinstance(mutation, Insert):
+                    growth[shard_id] += 1
+                elif isinstance(mutation, Delete):
+                    growth[shard_id] -= 1
+            sizes = [s.engine.num_objects + g for s, g in zip(view.shards, growth)]
+            total = sum(sizes)
+            if not total:
                 raise ServiceError(
                     "cannot delete every object; the service needs a non-empty dataset"
                 )
             if self.wal is not None:
                 # Write-ahead: the batch is validated above and logged here,
-                # before any shard is rebuilt or the epoch becomes visible —
-                # a crash at any later point replays it on recovery.
+                # before any shard changes or the epoch becomes visible — a
+                # crash at any later point replays it on recovery.
                 self.wal.append(mutations)
-            # Copy-on-write: recompute membership for touched shards only.
-            memberships: dict[int, tuple[SpatialObject, ...]] = {}
-            for shard_id, batch in per_shard.items():
-                members = {o.uid: o for o in view.shards[shard_id].spec.objects}
-                for mutation in batch:
-                    if isinstance(mutation, Insert):
-                        members[mutation.obj.uid] = mutation.obj
-                    elif isinstance(mutation, Delete):
-                        members.pop(mutation.uid, None)
-                    else:
-                        members[mutation.uid] = mutation.obj
-                memberships[shard_id] = tuple(members.values())
-            stats.shards_touched = len(per_shard)
-
-            sizes = [
-                len(memberships.get(shard.spec.shard_id, shard.spec.objects))
-                for shard in view.shards
-            ]
-            total = sum(sizes)
             balanced_share = max(1, total // max(1, min(self._shards_requested, total)))
-            rebalance = (
-                min(sizes) == 0
-                or max(sizes) > self.rebalance_threshold * balanced_share
-            )
-            if rebalance:
-                live: list[SpatialObject] = []
-                for shard in view.shards:
-                    live.extend(memberships.get(shard.spec.shard_id, shard.spec.objects))
-                new_view = self._build_view(live, epoch=view.epoch + 1)
+            if min(sizes) == 0 or max(sizes) > self.rebalance_threshold * balanced_share:
+                new_view = self._retile(view, mutations)
                 stats.rebalanced = True
                 # A re-tile rebuilds every shard of the new view, not just
                 # the ones the batch routed to.
                 stats.shards_touched = len(new_view.shards)
             else:
-                new_shards = list(view.shards)
-                for shard_id, members in memberships.items():
-                    spec = ShardSpec(
-                        shard_id, members, key_range=view.shards[shard_id].spec.key_range
-                    )
-                    new_shards[shard_id] = _EngineShard(
-                        spec=spec,
-                        engine=SpatialEngine(spec.objects, **self._engine_kwargs),
-                    )
-                new_view = _ShardView(
-                    epoch=view.epoch + 1,
-                    shards=tuple(new_shards),
-                    owner=owner,
-                    encoder=view.encoder,
-                )
-            new_view = self._publish_view(new_view, view)
+                new_view = view
+                stats.shards_touched = len(per_shard)
+                with self._gate.exclusive():
+                    self._apply_in_place(view, per_shard, changes)
             stats.epoch = new_view.epoch
-            self._view = new_view
-            if self._procpool is not None and view.publication is not None:
-                # Supersede the old epoch's segments; they unlink once the
-                # last in-flight reader that pinned them releases.
-                self._procpool.retire(view.publication)
-            page_capacity = new_view.shards[0].engine.page_capacity
-            self.profile = DatasetProfile.from_objects(self.objects, page_capacity)
-            self.planner = Planner(self.profile)
             stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
             self.telemetry.record_mutations(stats)
-            # Epoch hooks fire after the publish, still under the mutation
-            # lock: exactly once per published epoch, in epoch order —
-            # what WAL shipping and replication streams rely on.  Batches
-            # that never publish (empty, or failed validation) never fire.
+            # Epoch hooks fire after the publish (and outside the gate, so
+            # a hook may read the service), still under the mutation lock:
+            # exactly once per published epoch, in epoch order — what WAL
+            # shipping and replication streams rely on.  Batches that
+            # never publish (empty, or failed validation) never fire.
             for listener in list(self._epoch_listeners):
                 listener(new_view.epoch, mutations)
             return MutationResult(
                 stats=stats, num_objects=new_view.num_objects, applied=list(mutations)
             )
 
-    def _route(
-        self, view: _ShardView, owner: dict[int, int], mutation: Mutation
-    ) -> int:
-        """Owning shard of one mutation (updates the evolving owner map)."""
+    def _apply_in_place(
+        self,
+        view: _ShardView,
+        per_shard: dict[int, list[Mutation]],
+        changes: dict[int, int | None],
+    ) -> None:
+        """Apply routed sub-batches on the live shards (gate held exclusively)."""
+        for shard_id, batch in per_shard.items():
+            shard = view.shards[shard_id]
+            # A subtask abandoned by a query that missed its deadline may
+            # still be running on this engine; its lock makes us wait.
+            with shard.lock:
+                shard.engine.apply_many(batch)
+            for mutation in batch:
+                if not isinstance(mutation, Delete):
+                    shard.spec.stretch(mutation.obj.aabb)
+        owner = view.owner
+        for uid, shard_id in changes.items():
+            if shard_id is None:
+                owner.pop(uid, None)  # absent when inserted and deleted here
+            else:
+                owner[uid] = shard_id
+        view.epoch += 1
+        self._planner = None
+        self._publish(view, touched=per_shard)
+
+    def _retile(self, view: _ShardView, mutations: Sequence[Mutation]) -> _ShardView:
+        """Rebuild the post-batch dataset as fresh Hilbert shards and swap it in.
+
+        The new shards are built beside the live ones (readers keep
+        querying the old epoch meanwhile); only the swap takes the gate.
+        """
+        live = {o.uid: o for o in self._live_objects(view)}
+        for mutation in mutations:
+            if isinstance(mutation, Delete):
+                del live[mutation.uid]
+            else:
+                live[mutation.obj.uid] = mutation.obj
+        new_view = self._build_view(list(live.values()), epoch=view.epoch + 1)
+        self._publish(new_view)
+        with self._gate.exclusive():
+            self._view = new_view
+            self._planner = None
+            if view.publication is not None:
+                self._procpool.retire(view.publication)
+        return new_view
+
+    def _route(self, view: _ShardView, changes: dict[int, int | None], mutation: Mutation) -> int:
+        """Owning shard of one mutation (records it in the ``changes`` overlay)."""
         if isinstance(mutation, (Insert, Move)):
             # Ingress validation, before the WAL sees the batch: non-finite
             # geometry would survive the binary checkpoint packer but is
@@ -687,18 +754,19 @@ class ShardedEngine:
                 )
         if isinstance(mutation, Insert):
             uid = mutation.obj.uid
-            if uid in owner:
+            if _owner_of(view, changes, uid) is not None:
                 raise ServiceError(f"cannot insert duplicate uid {uid}")
             shard_id = self._route_insert(view, mutation.obj)
-            owner[uid] = shard_id
+            changes[uid] = shard_id
             return shard_id
         if isinstance(mutation, Delete):
-            shard_id = owner.pop(mutation.uid, None)
+            shard_id = _owner_of(view, changes, mutation.uid)
             if shard_id is None:
                 raise ServiceError(f"cannot delete unknown uid {mutation.uid}")
+            changes[mutation.uid] = None
             return shard_id
         if isinstance(mutation, Move):
-            shard_id = owner.get(mutation.uid)
+            shard_id = _owner_of(view, changes, mutation.uid)
             if shard_id is None:
                 raise ServiceError(f"cannot move unknown uid {mutation.uid}")
             return shard_id
@@ -789,13 +857,13 @@ class ShardedEngine:
         start = time.perf_counter()
         effective = timeout_s if timeout_s is not None else self.default_timeout_s
         deadline = None if effective is None else start + effective
-        # One view for the whole fan-out: every subtask of this query (and
-        # every window of a walkthrough) runs against the same epoch, so
-        # concurrent writers can never tear the answer.  Pinning also
-        # holds the view's shared-memory publication (process mode) so a
-        # writer cannot unlink its segments while subtasks map them.
-        view = self._pin_view()
-        try:
+        # One epoch for the whole fan-out: the shared side of the gate is
+        # held until every subtask of this query (and every window of a
+        # walkthrough) has answered, so no write can tear the answer.
+        with self._gate.shared():
+            view = self._view
+            epoch = view.epoch
+            shards_total = len(view.shards)
             if isinstance(query, RangeQuery):
                 payload, work, merge_ms = self._execute_range(query, deadline, view)
                 kind = "range"
@@ -812,13 +880,11 @@ class ShardedEngine:
                 raise ServiceError(
                     f"cannot execute query of type {type(query).__name__}"
                 )
-        finally:
-            self._unpin_view(view)
         stats = ServiceStats(
             kind=kind,
-            shards_total=len(view.shards),
+            shards_total=shards_total,
             shards_used=len({w.shard_id for w in work}),
-            epoch=view.epoch,
+            epoch=epoch,
             num_results=_payload_size(kind, payload),
             admission_wait_ms=wait_ms,
             elapsed_ms=(time.perf_counter() - start) * 1000.0,
@@ -980,7 +1046,7 @@ class ShardedEngine:
             (
                 shard.spec.shard_id,
                 KNNQuery(
-                    query.point, min(query.k, len(shard.spec)), strategy=query.strategy
+                    query.point, min(query.k, shard.engine.num_objects), strategy=query.strategy
                 ),
             )
             for shard in view.shards
@@ -1014,7 +1080,7 @@ class ShardedEngine:
         self, query: SpatialJoin, deadline: float | None, view: _ShardView
     ) -> tuple[list[tuple[int, int]], list[ShardWork], float]:
         side_a, side_b = self._join_sides(query)
-        plan = self.planner.plan(query, join_sizes=(len(side_a), len(side_b)))
+        plan = self._current_planner().plan(query, join_sizes=(len(side_a), len(side_b)))
         chunks = round_robin_split(side_b, len(view.shards))
         if self._procpool is not None:
             # Joins travel by pickle, not by shared memory: each worker
@@ -1123,6 +1189,13 @@ class ShardedEngine:
             for shard_id, items in sorted(per_shard.items())
         ]
         return steps, combined, merge_ms
+
+
+def _owner_of(view: _ShardView, changes: dict[int, int | None], uid: int) -> int | None:
+    """``uid``'s shard as of the batch prefix routed so far (``None``: absent)."""
+    if uid in changes:
+        return changes[uid]
+    return view.owner.get(uid)
 
 
 def _traced_thunk(shard_id: int, thunk: Callable[[], Any]) -> Any:

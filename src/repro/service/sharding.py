@@ -15,7 +15,7 @@ reproducible across runs, thread schedules and kernel backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ServiceError
@@ -26,48 +26,52 @@ from repro.objects import SpatialObject
 __all__ = ["ShardSpec", "hilbert_shards", "round_robin_split"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ShardSpec:
-    """One shard of a spatially partitioned dataset.
+    """Routing and pruning metadata of one live shard.
 
-    ``mbr`` is the union of the member objects' AABBs (not the tile of
-    space): a query window that misses every member's box misses the whole
-    shard, so the service can skip it without consulting the shard's index.
+    ``mbr`` covers every member object's AABB (not the tile of space): a
+    query window that misses it misses the whole shard, so the service can
+    skip the shard without consulting its index.  It starts as the tight
+    union at partition time and only ever *stretches* as writes land
+    (:meth:`stretch` on insert and move); deletes leave it as it is, so it
+    stays a conservative cover and pruning stays exact until the next
+    re-tile recomputes it tightly.
 
     ``key_range`` is the shard's span ``(lo, hi)`` on the Hilbert curve the
     partitioner sorted by — the shard *owns* that contiguous key interval,
     which is what lets the live-data write path route an inserted object to
     a shard without consulting any index (``None`` when the partitioner did
     not sort, e.g. the single-shard fast path).
+
+    The members themselves live only in the shard's engine; a spec holds
+    no copy of them.
     """
 
     shard_id: int
-    objects: tuple[SpatialObject, ...]
+    mbr: AABB
     key_range: tuple[int, int] | None = None
-    mbr: AABB = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not self.objects:
-            raise ServiceError("a shard cannot be empty", shard_id=self.shard_id)
-        object.__setattr__(self, "mbr", AABB.union_all(o.aabb for o in self.objects))
-
-    def __len__(self) -> int:
-        return len(self.objects)
+    def stretch(self, box: AABB) -> None:
+        """Grow ``mbr`` to cover ``box`` (a written object's new geometry)."""
+        if not self.mbr.contains_box(box):
+            self.mbr = self.mbr.union(box)
 
 
 def hilbert_shards(
     objects: Sequence[SpatialObject],
     num_shards: int,
     order: int = 10,
-) -> list[ShardSpec]:
+) -> list[tuple[ShardSpec, tuple[SpatialObject, ...]]]:
     """Partition ``objects`` into up to ``num_shards`` Hilbert-order tiles.
 
-    Every object lands in exactly one shard (the invariant every merge in
+    Returns one ``(spec, members)`` pair per shard.  Every object lands in
+    exactly one shard (the invariant every merge in
     :class:`~repro.service.ShardedEngine` relies on).  When the dataset is
     smaller than ``num_shards`` the count is clamped so no shard is empty.
 
-    >>> shards = hilbert_shards(circuit.segments(), 4)
-    >>> sum(len(s) for s in shards) == len(circuit.segments())
+    >>> parts = hilbert_shards(circuit.segments(), 4)
+    >>> sum(len(members) for _, members in parts) == len(circuit.segments())
     True
     """
     if num_shards < 1:
@@ -76,7 +80,8 @@ def hilbert_shards(
         raise ServiceError("cannot shard an empty dataset")
     num_shards = min(num_shards, len(objects))
     if num_shards == 1:
-        return [ShardSpec(0, tuple(objects))]
+        members = tuple(objects)
+        return [(ShardSpec(0, _cover(members)), members)]
 
     world = AABB.union_all(o.aabb for o in objects)
     encoder = HilbertEncoder3D(world, order=order)
@@ -84,16 +89,20 @@ def hilbert_shards(
     ranked = sorted(range(len(objects)), key=lambda i: (keys[i], objects[i].uid))
 
     base, extra = divmod(len(ranked), num_shards)
-    shards: list[ShardSpec] = []
+    parts: list[tuple[ShardSpec, tuple[SpatialObject, ...]]] = []
     cursor = 0
     for shard_id in range(num_shards):
         take = base + (1 if shard_id < extra else 0)
         picked = ranked[cursor : cursor + take]
         members = tuple(objects[i] for i in picked)
         key_range = (keys[picked[0]], keys[picked[-1]])
-        shards.append(ShardSpec(shard_id, members, key_range=key_range))
+        parts.append((ShardSpec(shard_id, _cover(members), key_range=key_range), members))
         cursor += take
-    return shards
+    return parts
+
+
+def _cover(members: Sequence[SpatialObject]) -> AABB:
+    return AABB.union_all(o.aabb for o in members)
 
 
 def round_robin_split(

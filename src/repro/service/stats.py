@@ -336,8 +336,10 @@ class ServiceTelemetry:
         self._deletes.inc(stats.deletes)
         self._moves.inc(stats.moves)
         self._mutation_ms.inc(stats.elapsed_ms)
-        self._shards_rebuilt.inc(stats.shards_touched)
         if stats.rebalanced:
+            # Only a re-tile rebuilds shards; every other batch applies in
+            # place on the touched shards' warm engines.
+            self._shards_rebuilt.inc(stats.shards_touched)
             self._rebalances.inc()
         _S_MUTATIONS.labels(op="insert").inc(stats.inserts)
         _S_MUTATIONS.labels(op="delete").inc(stats.deletes)

@@ -422,12 +422,12 @@ class TestMetamorphicRelations:
             objects, num_shards=4, page_capacity=12, rebalance_threshold=1.5
         ) as service:
             # Drain one shard completely: its uids all get deleted.
-            victim_uids = [o.uid for o in service.shards[0].spec.objects]
+            victim_uids = [o.uid for o in service.shards[0].engine.objects]
             service.apply_many([Delete(uid) for uid in victim_uids])
             snap = service.telemetry.snapshot()
             assert snap["rebalances"] >= 1
             # Every remaining object is still owned by exactly one shard.
-            sizes = [len(s.spec) for s in service.shards]
+            sizes = [s.engine.num_objects for s in service.shards]
             assert sum(sizes) == len(objects) - len(victim_uids)
             assert min(sizes) > 0
             whole = AABB.from_center_extent((WORLD / 2,) * 3, WORLD * 3)
@@ -466,7 +466,7 @@ class TestServiceGrowthAndAccounting:
         with ShardedEngine.from_objects(
             objects, num_shards=4, page_capacity=12, rebalance_threshold=1.5
         ) as service:
-            victim_uids = [o.uid for o in service.shards[0].spec.objects]
+            victim_uids = [o.uid for o in service.shards[0].engine.objects]
             result = service.apply_many([Delete(uid) for uid in victim_uids])
             assert result.stats.rebalanced
             assert result.stats.shards_touched == service.num_shards

@@ -187,12 +187,12 @@ def test_sharding_partitions_exactly(circuit):
     segments = circuit.segments()
     all_uids = sorted(o.uid for o in segments)
     for shards in SHARD_COUNTS:
-        specs = hilbert_shards(segments, shards)
-        seen = sorted(o.uid for spec in specs for o in spec.objects)
+        parts = hilbert_shards(segments, shards)
+        seen = sorted(o.uid for _, members in parts for o in members)
         assert seen == all_uids
-        assert len(specs) == min(shards, len(segments))
+        assert len(parts) == min(shards, len(segments))
         # Balanced: shard sizes differ by at most one object.
-        sizes = [len(spec) for spec in specs]
+        sizes = [len(members) for _, members in parts]
         assert max(sizes) - min(sizes) <= 1
 
 
