@@ -454,11 +454,18 @@ class ReproServer:
                     f"server is at epoch {self._current_epoch()}, below the "
                     f"requested min_epoch {min_epoch} after {wait_s:.1f}s",
                 )
-        query = protocol.decode_query(
+        decode = functools.partial(
+            protocol.decode_query,
             frame["query"],
             dataset=lambda: self.service.snapshot_objects()[1],
             catalog=self._catalog_resolver(),
         )
+        if isinstance(frame["query"], dict) and frame["query"].get("k") == "join":
+            # Join sides may resolve the live dataset, which waits on the
+            # service's epoch gate, or a catalog on disk: off the loop.
+            query = await self._run_blocking(decode)
+        else:
+            query = decode()
         timeout_s = frame.get("timeout_s")
         trace_record: dict[str, Any] | None = None
         if frame.get("trace"):

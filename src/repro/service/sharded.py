@@ -75,12 +75,11 @@ from __future__ import annotations
 import contextvars
 import heapq
 import time
-from contextlib import contextmanager
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Condition, Lock
-from typing import Any, Callable, Collection, Iterator, Sequence
+from typing import Any, Callable, Collection, Sequence
 
 from repro import kernels
 from repro.core.touch.parallel import build_touch_tree, probe_shard
@@ -162,33 +161,35 @@ class _ShardView:
 class _EpochGate:
     """A writer-preferring shared/exclusive gate (see "Concurrency contract").
 
-    Not reentrant: a thread holding the shared side must not take it
-    again, since a writer waiting in between would queue the nested
-    acquire behind itself.
+    ``with gate.shared:`` admits any number of readers while no writer
+    holds or waits for the gate; ``with gate.exclusive:`` waits for the
+    readers inside to leave and admits no new one meanwhile.  Not
+    reentrant: a thread holding the shared side must not take it again,
+    since a writer waiting in between would queue the nested acquire
+    behind itself.
     """
 
     def __init__(self) -> None:
-        self._cond = Condition()
+        self._cond = Condition(Lock())
         self._readers = 0
         self._writing = False
         self._writers_waiting = 0
+        self.shared = _GateSide(self._acquire_shared, self._release_shared)
+        self.exclusive = _GateSide(self._acquire_exclusive, self._release_exclusive)
 
-    @contextmanager
-    def shared(self) -> Iterator[None]:
+    def _acquire_shared(self) -> None:
         with self._cond:
             while self._writing or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
 
-    @contextmanager
-    def exclusive(self) -> Iterator[None]:
+    def _release_shared(self) -> None:
+        with self._cond:
+            self._readers -= 1
+            if not self._readers and self._writers_waiting:
+                self._cond.notify_all()
+
+    def _acquire_exclusive(self) -> None:
         with self._cond:
             self._writers_waiting += 1
             try:
@@ -200,12 +201,27 @@ class _EpochGate:
                 raise
             self._writers_waiting -= 1
             self._writing = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writing = False
-                self._cond.notify_all()
+
+    def _release_exclusive(self) -> None:
+        with self._cond:
+            self._writing = False
+            self._cond.notify_all()
+
+
+class _GateSide:
+    """One side of an :class:`_EpochGate`, as a reusable context manager."""
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire: Callable[[], None], release: Callable[[], None]) -> None:
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._release()
 
 
 class ShardedEngine:
@@ -447,7 +463,7 @@ class ShardedEngine:
     @property
     def objects(self) -> list[SpatialObject]:
         """The live dataset, concatenated shard by shard (one epoch's view)."""
-        with self._gate.shared():
+        with self._gate.shared:
             return self._live_objects(self._view)
 
     @property
@@ -461,7 +477,7 @@ class ShardedEngine:
     @property
     def planner(self) -> Planner:
         """The planner over the live dataset profile (rebuilt lazily per epoch)."""
-        with self._gate.shared():
+        with self._gate.shared:
             return self._current_planner()
 
     @property
@@ -477,7 +493,7 @@ class ShardedEngine:
         queries will actually run, by executing one full-shard range per
         shard.  Thread mode warms the in-process shard engines.
         """
-        with self._gate.shared():
+        with self._gate.shared:
             view = self._view
             if self._procpool is not None:
                 backend = kernels.active_backend()
@@ -549,7 +565,7 @@ class ShardedEngine:
 
     def describe(self) -> str:
         bound = f"circuit ({self.circuit.num_neurons} neurons)" if self.circuit else "objects"
-        with self._gate.shared():
+        with self._gate.shared:
             view = self._view
             sizes = ", ".join(str(s.engine.num_objects) for s in view.shards)
             return (
@@ -565,10 +581,11 @@ class ShardedEngine:
 
         Both values are read under the shared side of the epoch gate, so
         the object list is exactly the dataset at that epoch — no write
-        can land while the list is being built.  This is what a replica
-        bootstraps from before tailing the mutation stream.
+        can land while the list is being built (so the call may wait for
+        a write in progress: keep it off event loops).  This is what a
+        replica bootstraps from before tailing the mutation stream.
         """
-        with self._gate.shared():
+        with self._gate.shared:
             view = self._view
             return view.epoch, self._live_objects(view)
 
@@ -672,7 +689,7 @@ class ShardedEngine:
             else:
                 new_view = view
                 stats.shards_touched = len(per_shard)
-                with self._gate.exclusive():
+                with self._gate.exclusive:
                     self._apply_in_place(view, per_shard, changes)
             stats.epoch = new_view.epoch
             stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -728,7 +745,7 @@ class ShardedEngine:
                 live[mutation.obj.uid] = mutation.obj
         new_view = self._build_view(list(live.values()), epoch=view.epoch + 1)
         self._publish(new_view)
-        with self._gate.exclusive():
+        with self._gate.exclusive:
             self._view = new_view
             self._planner = None
             if view.publication is not None:
@@ -860,7 +877,7 @@ class ShardedEngine:
         # One epoch for the whole fan-out: the shared side of the gate is
         # held until every subtask of this query (and every window of a
         # walkthrough) has answered, so no write can tear the answer.
-        with self._gate.shared():
+        with self._gate.shared:
             view = self._view
             epoch = view.epoch
             shards_total = len(view.shards)

@@ -377,6 +377,60 @@ class TestBackpressure:
             svc.close()
 
 
+    def test_self_join_waiting_on_the_epoch_gate_leaves_the_loop_responsive(self):
+        """A dataset self-join resolves its sides under the service's epoch
+        gate, which queues behind a waiting writer; that wait must happen
+        off the event loop, so other connections are still answered."""
+        svc = _fresh_service()
+        held = svc.shards[0].engine
+        original = held.execute
+        entered, release = threading.Event(), threading.Event()
+
+        def holding(query):
+            entered.set()
+            release.wait(10.0)
+            return original(query)
+
+        results: dict[str, object] = {}
+        threads: list[threading.Thread] = []
+
+        def run(name, call):
+            thread = threading.Thread(target=lambda: results.__setitem__(name, call()))
+            thread.start()
+            threads.append(thread)
+
+        victim = held.objects[0].uid
+        with serve_in_background(svc) as handle:
+            with (
+                Client(handle.host, handle.port, timeout_s=10.0) as reader,
+                Client(handle.host, handle.port, timeout_s=10.0) as joiner,
+                Client(handle.host, handle.port, timeout_s=2.0) as prober,
+            ):
+                for c in (reader, joiner, prober):
+                    c.hello()
+                held.execute = holding
+                try:
+                    run("read", lambda: reader.query(RangeQuery(WORLD)))
+                    assert entered.wait(10.0)
+                    run("write", lambda: svc.apply_many([Delete(victim)]))
+                    deadline = time.monotonic() + 10.0
+                    while svc._gate._writers_waiting != 1:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
+                    run("join", lambda: joiner.self_join(2.0))
+                    time.sleep(0.1)
+                    assert prober.stats()["role"] == "primary"
+                    assert "join" not in results
+                finally:
+                    release.set()
+                    for thread in threads:
+                        thread.join(10.0)
+                        assert not thread.is_alive()
+                    held.execute = original
+        assert results["read"].epoch == 0
+        assert results["join"].epoch == 1
+
+
 class TestAdmissionUnderChurn:
     """Satellite: a client that vanishes mid-queue must release its slot."""
 
