@@ -102,12 +102,11 @@ class _Segment:
 class _Publication:
     """One epoch's segment set."""
 
-    __slots__ = ("generation", "segments", "retired")
+    __slots__ = ("generation", "segments")
 
     def __init__(self, generation: int, segments: dict[int, _Segment]) -> None:
         self.generation = generation
         self.segments = segments  # shard_id -> _Segment
-        self.retired = False
 
 
 class ProcessShardExecutor:
@@ -201,11 +200,8 @@ class ProcessShardExecutor:
         return segment
 
     def retire(self, publication: _Publication) -> None:
-        """Drop a superseded publication; unlinks segments nothing carries."""
+        """Drop a superseded publication (once); unlinks segments nothing carries."""
         with self._lock:
-            if publication.retired:
-                return
-            publication.retired = True
             for segment in publication.segments.values():
                 segment.owners -= 1
                 if segment.owners == 0:

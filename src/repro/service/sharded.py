@@ -58,9 +58,10 @@ an apply, every reader observes a consistent whole-epoch snapshot — never
 a torn mix of pre- and post-mutation shards — and ``result.stats.epoch``
 names which one.  Concurrent writers serialise on a single mutation lock.
 Shards are rebuilt only on re-tile: when a batch would drain a shard
-empty, or drift shard sizes past ``rebalance_threshold`` times the
-balanced share, the whole dataset is re-tiled into fresh Hilbert shards
-(built off to the side, then swapped in under the gate) as the new epoch.
+empty (even part way through), or drift shard sizes past
+``rebalance_threshold`` times the balanced share, the whole dataset is
+re-tiled into fresh Hilbert shards (built off to the side, then swapped
+in under the gate) as the new epoch.
 
 >>> service = ShardedEngine.generate(n_neurons=30, num_shards=4)
 >>> hits = service.execute(RangeQuery(window))
@@ -75,6 +76,7 @@ from __future__ import annotations
 import contextvars
 import heapq
 import time
+import warnings
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -246,8 +248,9 @@ class ShardedEngine:
     rebalance_threshold:
         Write-path drift bound: after a mutation batch, if the largest
         shard holds more than this multiple of the balanced per-shard
-        share (or any shard drained empty), the whole dataset is re-tiled
-        into fresh Hilbert shards before the new epoch is published.
+        share (or any shard drains empty, even part way through the
+        batch), the whole dataset is re-tiled into fresh Hilbert shards
+        before the new epoch is published.
     wal:
         Optional :class:`~repro.durability.WriteAheadLog`.  When attached,
         every validated mutation batch is appended to the log *before* its
@@ -379,11 +382,15 @@ class ShardedEngine:
 
         ``touched`` names the shards whose arenas changed since the view's
         current publication; every other shard carries its published
-        segment over.  ``None`` packs every shard (a new view).  A
-        superseded publication is retired at once: republishing a live
-        view happens under the exclusive side of the epoch gate, and every
-        reader of the old columns held its shared side.  Thread-mode
-        services publish nothing.
+        segment over.  ``None`` packs every shard, as does a view without
+        a publication.  A superseded publication is retired at once:
+        republishing a live view happens under the exclusive side of the
+        epoch gate, and every reader of the old columns held its shared
+        side.  Thread-mode services publish nothing.
+
+        If publishing fails, the view is left with no publication (a live
+        view's old columns no longer match its arenas) and the error
+        propagates; the next publish packs every shard afresh.
         """
         if self._procpool is None:
             return
@@ -391,11 +398,32 @@ class ShardedEngine:
         arenas: dict[int, Any] = {}
         for shard in view.shards:
             shard_id = shard.spec.shard_id
-            fresh = touched is None or shard_id in touched
+            fresh = previous is None or touched is None or shard_id in touched
             arenas[shard_id] = shard.engine.arena if fresh else None
-        view.publication = self._procpool.publish(arenas, previous)
-        if previous is not None:
-            self._procpool.retire(previous)
+        view.publication = None
+        try:
+            view.publication = self._procpool.publish(arenas, previous)
+        finally:
+            if previous is not None:
+                self._procpool.retire(previous)
+
+    def _republish(self, view: _ShardView, touched: Collection[int] | None = None) -> None:
+        """:meth:`_publish` a committed batch's view; warns instead of raising.
+
+        The batch is already in the WAL (and, when applied in place, in the
+        shard arenas), so raising would report a committed batch as failed
+        and skip its epoch listeners.  A view left unpublished still
+        answers exactly: queries run on the in-process shard engines until
+        a later batch publishes again.
+        """
+        try:
+            self._publish(view, touched)
+        except Exception as error:
+            warnings.warn(
+                f"shared-memory publish failed ({error!r}); queries run on the "
+                "in-process shard engines until the next batch republishes",
+                RuntimeWarning,
+            )
 
     def _live_objects(self, view: _ShardView) -> list[SpatialObject]:
         """Every live object, shard by shard (caller holds the gate)."""
@@ -495,7 +523,7 @@ class ShardedEngine:
         """
         with self._gate.shared:
             view = self._view
-            if self._procpool is not None:
+            if view.publication is not None:
                 backend = kernels.active_backend()
                 futures = [
                     self._procpool.submit_query(
@@ -630,9 +658,10 @@ class ShardedEngine:
         move keeps its uid on the owning shard (the shard MBR stretches to
         cover the new geometry, so pruning stays exact); sustained drift
         is what the rebalance hook is for: when a shard would drain empty
-        or outgrow ``rebalance_threshold`` times the balanced share, the
-        dataset is re-tiled into fresh Hilbert shards — the only path that
-        rebuilds shards — and swapped in as the new epoch.
+        (at any point of the batch) or outgrow ``rebalance_threshold``
+        times the balanced share, the dataset is re-tiled into fresh
+        Hilbert shards — the only path that rebuilds shards — and swapped
+        in as the new epoch.
 
         Writers serialise on one mutation lock, and each waits for the
         queries in flight to finish their fan-out before it applies.
@@ -659,16 +688,20 @@ class ShardedEngine:
             # Validation overlay on view.owner: uid -> new shard (None once
             # deleted).  Committed only after the whole batch validates.
             changes: dict[int, int | None] = {}
-            growth = [0] * len(view.shards)
+            sizes = [s.engine.num_objects for s in view.shards]
+            # An engine refuses to delete its last object, so a shard that
+            # drains empty at any point of the batch must be re-tiled, even
+            # when later inserts of the same batch refill it.
+            drained = False
             for mutation in mutations:
                 shard_id = self._route(view, changes, mutation)
                 per_shard.setdefault(shard_id, []).append(mutation)
                 stats.count(mutation)
                 if isinstance(mutation, Insert):
-                    growth[shard_id] += 1
+                    sizes[shard_id] += 1
                 elif isinstance(mutation, Delete):
-                    growth[shard_id] -= 1
-            sizes = [s.engine.num_objects + g for s, g in zip(view.shards, growth)]
+                    sizes[shard_id] -= 1
+                    drained = drained or not sizes[shard_id]
             total = sum(sizes)
             if not total:
                 raise ServiceError(
@@ -680,7 +713,7 @@ class ShardedEngine:
                 # crash at any later point replays it on recovery.
                 self.wal.append(mutations)
             balanced_share = max(1, total // max(1, min(self._shards_requested, total)))
-            if min(sizes) == 0 or max(sizes) > self.rebalance_threshold * balanced_share:
+            if drained or max(sizes) > self.rebalance_threshold * balanced_share:
                 new_view = self._retile(view, mutations)
                 stats.rebalanced = True
                 # A re-tile rebuilds every shard of the new view, not just
@@ -729,7 +762,7 @@ class ShardedEngine:
                 owner[uid] = shard_id
         view.epoch += 1
         self._planner = None
-        self._publish(view, touched=per_shard)
+        self._republish(view, touched=per_shard)
 
     def _retile(self, view: _ShardView, mutations: Sequence[Mutation]) -> _ShardView:
         """Rebuild the post-batch dataset as fresh Hilbert shards and swap it in.
@@ -744,7 +777,7 @@ class ShardedEngine:
             else:
                 live[mutation.obj.uid] = mutation.obj
         new_view = self._build_view(list(live.values()), epoch=view.epoch + 1)
-        self._publish(new_view)
+        self._republish(new_view)
         with self._gate.exclusive:
             self._view = new_view
             self._planner = None

@@ -12,7 +12,10 @@ fan-out inside a single epoch.  This file pins:
   subtask abandoned by a missed deadline; a query that raises releases
   the gate;
 * **process mode** — a batch that touches one shard republishes only that
-  shard's shared-memory segment, and answers stay exact.
+  shard's shared-memory segment, and answers stay exact;
+* **committed batches** — a batch that drains a shard part way through
+  (and refills it) applies whole and replays on recovery, and a batch
+  whose shared-memory publish fails still commits, with exact reads.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import time
 
 import pytest
 
+import repro
 from repro.engine import Delete, Insert, Move, RangeQuery
 from repro.engine.engine import SpatialEngine
 from repro.errors import ServiceError, ServiceTimeoutError
@@ -30,7 +34,7 @@ from repro.geometry.aabb import AABB
 from repro.neuro.circuit import generate_circuit
 from repro.objects import BoxObject
 from repro.service import ShardedEngine, active_segment_names
-from repro.service.procpool import SEGMENT_PREFIX
+from repro.service.procpool import SEGMENT_PREFIX, ProcessShardExecutor
 from repro.storage.arena import ColumnarArena
 from repro.utils.rng import derive_seed, make_rng
 
@@ -53,6 +57,12 @@ def live_uids(circuit, deleted=(), inserted=()) -> list[int]:
 
 def fresh_box(uid: int, near: AABB) -> BoxObject:
     return BoxObject(uid=uid, box=AABB.from_center_extent(near.center(), 1.0))
+
+
+def service_segments(service: ShardedEngine) -> set[str]:
+    """The service's live segments (named rpr-<service token>-<shard>-<generation>)."""
+    prefix = f"{SEGMENT_PREFIX}{service._procpool._token}-"
+    return {name for name in active_segment_names() if name.startswith(prefix)}
 
 
 def wait_until(predicate, timeout_s: float = JOIN_S) -> None:
@@ -310,12 +320,9 @@ class TestEpochGate:
 
     def test_process_mode_republishes_only_the_touched_shard(self, circuit):
         with ShardedEngine.from_circuit(circuit, num_shards=3, executor="process") as service:
-            # Segment names are rpr-<service token>-<shard>-<generation>;
-            # count only this service's, not other processes' on the host.
-            prefix = f"{SEGMENT_PREFIX}{service._procpool._token}-"
 
             def segments() -> set[str]:
-                return {name for name in active_segment_names() if name.startswith(prefix)}
+                return service_segments(service)
 
             window = everything(circuit)
             assert service.execute(RangeQuery(window)).payload == live_uids(circuit)
@@ -332,3 +339,68 @@ class TestEpochGate:
             assert result.stats.epoch == 1
             assert result.payload == live_uids(circuit, deleted=[victim])
         assert segments() == set()
+
+
+class TestCommittedBatches:
+    def test_a_batch_that_drains_a_shard_part_way_applies_whole(self, tmp_path):
+        # An engine refuses to delete its last object, so a shard emptied
+        # part way through a batch must re-tile even though the batch's
+        # net sizes ([1, 6]) are balanced.
+        objects = [
+            BoxObject(uid=i, box=AABB.from_center_extent((10.0 * i, 0.0, 0.0), 1.0))
+            for i in range(12)
+        ]
+        world = AABB.union_all(o.aabb for o in objects).expanded(50.0)
+        root = tmp_path / "svc"
+        service = repro.create(objects, root, sharded=True, num_shards=2)
+        try:
+            drained = service.shards[0]
+            doomed = [o.uid for o in drained.engine.objects]
+            # Placed where a deleted object was, so it routes back there.
+            newcomer = fresh_box(100, drained.engine.objects[0].aabb)
+            assert service._route_insert(service._view, newcomer) == drained.spec.shard_id
+            result = service.apply_many([Delete(uid) for uid in doomed] + [Insert(newcomer)])
+            assert result.stats.rebalanced
+            expected = sorted({o.uid for o in objects} - set(doomed) | {100})
+            hits = service.execute(RangeQuery(world))
+            assert hits.stats.epoch == service.epoch == 1
+            assert hits.payload == expected
+        finally:
+            service.close()
+        recovered = repro.open(root, sharded=True)
+        try:
+            assert recovered.epoch == 1
+            assert recovered.execute(RangeQuery(world)).payload == expected
+        finally:
+            recovered.close()
+
+    def test_a_failed_publish_commits_and_reads_stay_exact(self, circuit, monkeypatch):
+        window = everything(circuit)
+        with ShardedEngine.from_circuit(circuit, num_shards=3, executor="process") as service:
+            epochs = []
+            service.add_epoch_listener(lambda epoch, batch: epochs.append(epoch))
+            first = service.shards[1].engine.objects[0].uid
+            second = service.shards[2].engine.objects[0].uid
+
+            def no_space(*args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ProcessShardExecutor, "_pack_segment", no_space)
+                with pytest.warns(RuntimeWarning, match="publish failed"):
+                    result = service.apply_many([Delete(first)])
+            assert result.stats.epoch == 1
+            # The pre-batch columns are stale: retired, not read.
+            assert service_segments(service) == set()
+            hits = service.execute(RangeQuery(window))
+            assert hits.stats.epoch == 1
+            assert hits.payload == live_uids(circuit, deleted=[first])
+
+            # The next batch packs every shard afresh.
+            service.apply_many([Delete(second)])
+            assert len(service_segments(service)) == service.num_shards
+            hits = service.execute(RangeQuery(window))
+            assert hits.stats.epoch == 2
+            assert hits.payload == live_uids(circuit, deleted=[first, second])
+            assert epochs == [1, 2]
+        assert service_segments(service) == set()
