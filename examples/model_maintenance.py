@@ -102,8 +102,8 @@ def main() -> None:
     print("  restart answers match the pre-crash engine exactly")
 
     # Time travel: re-open the model as it was before the fixes.
-    rerun = repro.open_at_epoch(model_dir, 1)
-    print(f"\ntime travel to epoch 1: {rerun.engine.num_objects:,} segments "
+    rerun = repro.open(model_dir, durable=False, at_epoch=1)
+    print(f"\ntime travel to epoch 1: {rerun.num_objects:,} segments "
           f"(the just-grown model, branch still mis-placed)")
     restored.close()
 

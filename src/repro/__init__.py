@@ -83,10 +83,7 @@ from repro.engine import (
 from repro.durability import (
     DurableEngine,
     WriteAheadLog,
-    durable_sharded,
-    open_at_epoch,
     recover_engine,
-    recover_sharded,
 )
 from repro.errors import (
     CatalogError,
@@ -203,20 +200,17 @@ __all__ = [
     "branch_walk",
     "circuit_morphometry",
     "create",
-    "durable_sharded",
     "generate_circuit",
     "hilbert_bulk_load",
     "hilbert_shards",
     "load_circuit",
     "nested_loop_join",
     "open",
-    "open_at_epoch",
     "pbsm_join",
     "plane_sweep_join",
     "random_walk",
     "read_swc",
     "recover_engine",
-    "recover_sharded",
     "render_crawl",
     "render_density",
     "render_walk",

@@ -1,7 +1,6 @@
 """Front-door constructors: :func:`repro.create` and :func:`repro.open`.
 
-One constructor family replaces the four-way maze of ``SpatialEngine(...)``,
-``DurableEngine.create/open``, ``recover_sharded`` and ``durable_sharded``:
+One constructor family is the only way in, for every engine kind:
 
 * :func:`create` builds a **fresh** engine over a dataset — in memory when
   ``root`` is ``None``, durable (WAL + base checkpoint) when a directory is
@@ -10,8 +9,10 @@ One constructor family replaces the four-way maze of ``SpatialEngine(...)``,
   with the WAL reattached by default, read-only (optionally time-travelled
   to ``at_epoch``) with ``durable=False``.
 
-The old entry points remain as thin shims that emit ``DeprecationWarning``
-and delegate here.
+Every writable open goes through one rule
+(:func:`~repro.durability.recovery.open_durable`): the durable tip is
+read before anything else, and an open that cannot recover exactly to it
+is refused instead of truncating acknowledged batches.
 
 >>> engine = repro.create(circuit.segments())                   # in-memory
 >>> durable = repro.create(circuit.segments(), "model_dir")     # + WAL
@@ -52,6 +53,8 @@ def create(
     the underlying engine (``page_capacity=...``, ``circuit=...``, the
     sharded service's pool knobs, ...).
     """
+    if num_shards is not None and not sharded:
+        raise DurabilityError("num_shards requires sharded=True")
     if root is None:
         if wal_kwargs is not None:
             raise DurabilityError("wal_kwargs requires a durability root")
@@ -63,31 +66,20 @@ def create(
                 num_shards=4 if num_shards is None else num_shards,
                 **engine_kwargs,
             )
-        if num_shards is not None:
-            raise DurabilityError("num_shards requires sharded=True")
         from repro.engine.engine import SpatialEngine
 
         return SpatialEngine(objects, **engine_kwargs)
 
-    root = Path(root)
-    if sharded:
-        from repro.durability.checkpoint import list_checkpoints
-        from repro.durability.recovery import _durable_sharded, checkpoints_path
+    from repro.durability.recovery import create_durable
 
-        if list_checkpoints(checkpoints_path(root)):
-            raise DurabilityError(f"{root} already holds checkpoints; use repro.open")
-        return _durable_sharded(
-            root,
-            objects,
-            num_shards=num_shards,
-            wal_kwargs=wal_kwargs,
-            **engine_kwargs,
-        )
-    if num_shards is not None:
-        raise DurabilityError("num_shards requires sharded=True")
-    from repro.durability.engine import _create_durable
-
-    return _create_durable(root, objects, wal_kwargs=wal_kwargs, **engine_kwargs)
+    return create_durable(
+        root,
+        objects,
+        sharded=sharded,
+        num_shards=num_shards,
+        wal_kwargs=wal_kwargs,
+        **engine_kwargs,
+    )
 
 
 def open(
@@ -116,48 +108,33 @@ def open(
     ``num_shards`` (sharded only) re-tiles the recovered dataset; the
     default keeps the checkpoint manifest's shard spec.
     """
-    root = Path(root)
+    if num_shards is not None and not sharded:
+        raise DurabilityError("num_shards requires sharded=True")
     if durable:
-        if at_epoch is not None:
-            if sharded:
-                raise DurabilityError(
-                    "at_epoch opens of a sharded service are read-only; "
-                    "use repro.open(root, sharded=True, durable=False, "
-                    f"at_epoch={at_epoch})"
-                )
-            # The single-engine path accepts at_epoch == durable tip (a
-            # no-op bound) and refuses anything older, inside _open_durable.
-        if sharded:
-            from repro.durability.checkpoint import list_checkpoints
-            from repro.durability.recovery import _durable_sharded, checkpoints_path
-
-            if not list_checkpoints(checkpoints_path(root)):
-                raise DurabilityError(f"{root} holds no checkpoints; use repro.create")
-            return _durable_sharded(
-                root,
-                None,
-                num_shards=num_shards,
-                wal_kwargs=wal_kwargs,
-                **engine_kwargs,
+        if at_epoch is not None and sharded:
+            raise DurabilityError(
+                "at_epoch opens of a sharded service are read-only; "
+                "use repro.open(root, sharded=True, durable=False, "
+                f"at_epoch={at_epoch})"
             )
-        from repro.durability.engine import _open_durable
+        from repro.durability.recovery import open_durable
 
-        return _open_durable(
-            root, at_epoch=at_epoch, wal_kwargs=wal_kwargs, **engine_kwargs
+        return open_durable(
+            root,
+            sharded=sharded,
+            at_epoch=at_epoch,
+            num_shards=num_shards,
+            wal_kwargs=wal_kwargs,
+            **engine_kwargs,
         )
 
     if wal_kwargs is not None:
         raise DurabilityError("wal_kwargs requires durable=True")
-    from repro.durability.recovery import _recover_sharded, recover_engine
+    from repro.durability.recovery import recover_engine
 
-    if sharded:
-        recovery = _recover_sharded(
-            root, at_epoch=at_epoch, num_shards=num_shards, **engine_kwargs
-        )
-    else:
-        if num_shards is not None:
-            raise DurabilityError("num_shards requires sharded=True")
-        recovery = recover_engine(root, at_epoch=at_epoch, **engine_kwargs)
+    recovery = recover_engine(
+        root, at_epoch=at_epoch, sharded=sharded, num_shards=num_shards, **engine_kwargs
+    )
     engine = recovery.engine
     engine.last_recovery = recovery
     return engine

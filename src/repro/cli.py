@@ -541,8 +541,10 @@ def _run_cross_join(args: argparse.Namespace) -> int:
 def _run_query_root(args: argparse.Namespace) -> int:
     """``repro query <kind> --root DIR [--trace]`` — query a durable service.
 
-    Opens the sharded durable root (checkpoint + WAL replay), runs one
-    query through the :class:`~repro.service.ShardedEngine`, and with
+    Opens the sharded durable root read-only (checkpoint + WAL replay; the
+    WAL is never opened for writing, so a one-shot read runs no tail
+    repair), runs one query through the
+    :class:`~repro.service.ShardedEngine`, and with
     ``--trace`` prints the full nested span tree — admission, per-shard
     fan-out and per-shard engine execution, each with its kernel-batch
     count.
@@ -558,7 +560,7 @@ def _run_query_root(args: argparse.Namespace) -> int:
         return _fail("--root supports the range, knn and join kinds")
     service = None
     try:
-        service = repro.open(args.root, sharded=True)
+        service = repro.open(args.root, sharded=True, durable=False)
         print(service.describe())
         print()
         _, objects = service.snapshot_objects()

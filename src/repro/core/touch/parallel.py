@@ -8,25 +8,20 @@ and probes its shard independently, and results concatenate without any
 deduplication (each B object still lands in exactly one bucket of its
 worker's view).
 
-Two execution modes share one worker function:
-
-* **simulated** (default) — workers run sequentially in the caller's
-  thread; per-shard costs are measured and the *makespan* (the slowest
-  shard, i.e. the modelled parallel wall-clock) is reported alongside the
-  total work.  Deterministic, and the mode every committed claim uses.
-* **parallel** (``parallel=True``) — the same workers run on a real
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  Each worker keeps its
-  bucket assignments in a private overlay (``{id(node): [b, ...]}``), so
-  the shared hierarchy is never mutated and no locks are needed.  Results
-  are byte-identical to the simulated mode for any shard count and any
-  thread schedule (property-tested): pairs are concatenated in shard-id
-  order, and each shard's pair order is a pure function of its input.
+Workers run sequentially in the caller's thread; per-shard costs are
+measured and the *makespan* (the slowest shard, i.e. the modelled
+parallel wall-clock) is reported alongside the total work.  Deterministic,
+and the mode every committed claim uses.  The real concurrent path is
+:class:`~repro.service.ShardedEngine`'s thread-mode TOUCH join, which runs
+:func:`probe_shard` on its worker pool: each call keeps its bucket
+assignments in a private overlay (``{id(node): [b, ...]}``), so the shared
+hierarchy is never mutated and no locks are needed, and pairs concatenate
+in shard-id order whatever the thread schedule.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +36,7 @@ __all__ = ["sharded_touch_join", "probe_shard", "ShardedJoinResult", "ShardStats
 
 @dataclass
 class ShardStats:
-    """Work done by one worker (simulated or real)."""
+    """Work done by one (simulated) worker."""
 
     shard_id: int
     n_b: int
@@ -95,8 +90,10 @@ def probe_shard(
 
     The tree is only read: assignments go to a worker-private bucket
     overlay, so any number of these calls may run concurrently on the same
-    ``root``.  Returns ``(pairs, per-shard stats, elapsed_ms)``; the pair
-    order is deterministic (bucket-node order, then assignment order).
+    ``root`` — once every leaf's ``packed_object_bounds()`` is built, so
+    the concurrent probes only read the cached kernel packs.  Returns
+    ``(pairs, per-shard stats, elapsed_ms)``; the pair order is
+    deterministic (bucket-node order, then assignment order).
     """
     counter = JoinStats(algorithm="shard", n_a=n_a, n_b=len(shard_b))
     pairs: list[tuple[int, int]] = []
@@ -122,27 +119,13 @@ def sharded_touch_join(
     refine: RefineFunc | None = None,
     leaf_capacity: int = 32,
     fanout: int = 8,
-    parallel: bool = False,
-    executor: ThreadPoolExecutor | None = None,
-    max_workers: int | None = None,
 ) -> ShardedJoinResult:
     """TOUCH with dataset B split across ``shards`` workers.
 
     Results are identical to :func:`repro.core.touch.join.touch_join` for
-    any shard count and either execution mode (property-tested); only the
-    execution breakdown changes.  B is dealt round-robin, the simplest
-    BlueGene-style static partitioning.
-
-    Parameters
-    ----------
-    parallel:
-        Run the shard workers on a real thread pool instead of simulating
-        them sequentially.  The default stays simulated — deterministic
-        timing for the committed claims.
-    executor:
-        Pool to run on when ``parallel``; a transient pool of
-        ``max_workers`` (default: one thread per shard) is created (and
-        shut down) when omitted.
+    any shard count (property-tested); only the execution breakdown
+    changes.  B is dealt round-robin, the simplest BlueGene-style static
+    partitioning.
     """
     if shards < 1:
         raise JoinError("need at least one shard")
@@ -160,24 +143,10 @@ def sharded_touch_join(
         shard_inputs[position % shards].append(b)
 
     bucket_nodes = list(root.iter_nodes())
-    if parallel:
-        # Pre-build every leaf's kernel pack while still single-threaded so
-        # concurrent probes only read the cached packs.
-        for node in bucket_nodes:
-            if node.is_leaf and node.objects:
-                node.packed_object_bounds()
-
-    def run_worker(shard_b: Sequence[SpatialObject]):
-        return probe_shard(root, bucket_nodes, shard_b, len(objects_a), eps, refine)
-
-    if parallel:
-        if executor is not None:
-            outcomes = list(executor.map(run_worker, shard_inputs))
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers or shards) as pool:
-                outcomes = list(pool.map(run_worker, shard_inputs))
-    else:
-        outcomes = [run_worker(shard_b) for shard_b in shard_inputs]
+    outcomes = [
+        probe_shard(root, bucket_nodes, shard_b, len(objects_a), eps, refine)
+        for shard_b in shard_inputs
+    ]
 
     all_pairs: list[tuple[int, int]] = []
     shard_stats: list[ShardStats] = []

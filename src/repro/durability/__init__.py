@@ -12,10 +12,12 @@ acknowledged mutation batch reconstructible:
 * :mod:`repro.durability.checkpoint` — epoch-stamped, Hilbert-packed
   snapshots of the object set, committed atomically by directory rename;
 * :mod:`repro.durability.recovery` — checkpoint + WAL-suffix replay back
-  to the exact pre-crash epoch (:func:`recover_engine`,
-  :func:`recover_sharded`), time-travel to any checkpointed epoch
-  (:func:`open_at_epoch`), and :func:`durable_sharded`, the create-or-
-  resume entry point for a journaling sharded service;
+  to the exact pre-crash epoch or time-travelled to any checkpointed one
+  (:func:`recover_engine`, read-only, either engine kind), and the only
+  two ways to take a directory's WAL for writing: :func:`create_durable`
+  (fresh directory) and :func:`open_durable` (resume, under one
+  write-open rule).  :func:`repro.create` / :func:`repro.open` are the
+  front door over them;
 * :mod:`repro.durability.engine` — :class:`DurableEngine`, the
   log → apply → ack wrapper over one :class:`~repro.engine.SpatialEngine`.
 
@@ -41,11 +43,10 @@ from repro.durability.recovery import (
     checkpoint_engine,
     checkpoint_sharded,
     checkpoints_path,
-    durable_sharded,
+    create_durable,
     durable_tip,
-    open_at_epoch,
+    open_durable,
     recover_engine,
-    recover_sharded,
     wal_path,
 )
 from repro.durability.wal import WalScan, WalStats, WriteAheadLog, read_wal
@@ -60,17 +61,16 @@ __all__ = [
     "checkpoint_engine",
     "checkpoint_sharded",
     "checkpoints_path",
-    "durable_sharded",
+    "create_durable",
     "durable_tip",
     "latest_checkpoint",
     "latest_manifest",
     "list_checkpoints",
     "load_checkpoint",
-    "open_at_epoch",
+    "open_durable",
     "read_manifest",
     "read_wal",
     "recover_engine",
-    "recover_sharded",
     "wal_path",
     "write_checkpoint",
 ]

@@ -340,7 +340,8 @@ def read_manifest(path: str | Path) -> CheckpointManifest:
     passes here while a full load rejects it.  Use it for guard checks
     that need a checkpoint's position, not its contents, and make the
     caller fail loudly if a later full load lands on a different
-    checkpoint (see ``DurableEngine.open``'s tip cross-check).
+    checkpoint (see :func:`~repro.durability.recovery.open_durable`'s tip
+    cross-check).
     """
     manifest, _data = _validated_manifest(Path(path))
     return manifest

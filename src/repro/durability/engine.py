@@ -14,10 +14,10 @@ an epoch-stamped snapshot so restarts replay only the suffix.
 
 The restart story is one call:
 
->>> durable = DurableEngine.create("model_dir", objects)
+>>> durable = repro.create(objects, "model_dir")
 >>> durable.apply_many(batch)          # logged, applied, acked
 >>> durable.close()                    # or the process dies — same thing
->>> durable = DurableEngine.open("model_dir")
+>>> durable = repro.open("model_dir")
 >>> durable.epoch                      # exactly where it left off
 
 Each ``apply_many`` batch advances the engine's *epoch* by one — the same
@@ -28,21 +28,20 @@ durable :class:`~repro.service.ShardedEngine` speak the same dialect.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.durability.recovery import (
-    checkpoint_engine,
-    checkpoints_path,
-    durable_tip,
-    recover_engine,
-    wal_path,
-)
-from repro.durability.checkpoint import latest_manifest, list_checkpoints
+from repro.durability.recovery import checkpoint_engine
 from repro.durability.wal import WriteAheadLog
 from repro.engine.engine import SpatialEngine
-from repro.engine.mutations import Delete, Insert, Move, Mutation, MutationResult
+from repro.engine.mutations import (
+    Delete,
+    Insert,
+    Move,
+    Mutation,
+    MutationResult,
+    validate_finite_geometry,
+)
 from repro.engine.queries import Query
 from repro.engine.stats import EngineResult
 from repro.errors import DurabilityError, EngineError
@@ -53,11 +52,11 @@ __all__ = ["DurableEngine"]
 class DurableEngine:
     """A :class:`SpatialEngine` whose mutations survive process death.
 
-    Construct via :meth:`create` (fresh directory: writes the epoch-0 base
-    checkpoint) or :meth:`open` (existing directory: recovers checkpoint +
-    WAL suffix to the exact pre-crash epoch).  The wrapper owns the WAL;
-    close it (or use it as a context manager) to flush the group-commit
-    window on the way out.
+    Built by :func:`repro.create` (fresh directory: writes the epoch-0 base
+    checkpoint) or :func:`repro.open` (existing directory: recovers
+    checkpoint + WAL suffix to the exact pre-crash epoch).  The wrapper owns
+    the WAL; close it (or use it as a context manager) to flush the
+    group-commit window on the way out.
     """
 
     def __init__(
@@ -71,39 +70,6 @@ class DurableEngine:
         self.wal = wal
         self.root = Path(root)
         self._epoch = epoch
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def create(
-        cls,
-        root: str | Path,
-        objects: Sequence[Any],
-        wal_kwargs: dict[str, Any] | None = None,
-        **engine_kwargs: Any,
-    ) -> "DurableEngine":
-        """Deprecated shim: use :func:`repro.create` with a ``root``."""
-        warnings.warn(
-            "DurableEngine.create is deprecated; use repro.create(objects, root)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _create_durable(root, objects, wal_kwargs=wal_kwargs, **engine_kwargs)
-
-    @classmethod
-    def open(
-        cls,
-        root: str | Path,
-        at_epoch: int | None = None,
-        wal_kwargs: dict[str, Any] | None = None,
-        **engine_kwargs: Any,
-    ) -> "DurableEngine":
-        """Deprecated shim: use :func:`repro.open`."""
-        warnings.warn(
-            "DurableEngine.open is deprecated; use repro.open(root)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _open_durable(root, at_epoch=at_epoch, wal_kwargs=wal_kwargs, **engine_kwargs)
 
     # -- the durable write path -------------------------------------------
     @property
@@ -144,9 +110,13 @@ class DurableEngine:
         Mirrors the checks of :meth:`SpatialEngine._apply_one` (which
         applies batches prefix-wise, not all-or-nothing) against a scratch
         uid set, so only batches that will replay cleanly become durable.
+        Non-finite geometry is refused here too: the WAL's strict JSON
+        encoder could not log it.
         """
         live = set(self.engine.arena.live_uids())
         for mutation in mutations:
+            if isinstance(mutation, (Insert, Move)):
+                validate_finite_geometry(mutation.obj)
             if isinstance(mutation, Insert):
                 if mutation.obj.uid in live:
                     raise EngineError(f"cannot insert duplicate uid {mutation.obj.uid}")
@@ -221,92 +191,3 @@ class DurableEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _create_durable(
-    root: str | Path,
-    objects: Sequence[Any],
-    wal_kwargs: dict[str, Any] | None = None,
-    **engine_kwargs: Any,
-) -> DurableEngine:
-    """Start a fresh durable engine under ``root`` (must hold no state)."""
-    root = Path(root)
-    if list_checkpoints(checkpoints_path(root)):
-        raise DurabilityError(f"{root} already holds checkpoints; use repro.open")
-    engine = SpatialEngine(objects, **engine_kwargs)
-    durable = DurableEngine(
-        engine=engine,
-        wal=WriteAheadLog(wal_path(root), **(wal_kwargs or {})),
-        root=root,
-        epoch=0,
-    )
-    if durable.wal.last_durable_seq != 0:
-        durable.wal.close()
-        raise DurabilityError(f"{root} already holds WAL batches; use repro.open")
-    checkpoint_engine(root, engine, epoch=0, wal=durable.wal)
-    return durable
-
-
-def _open_durable(
-    root: str | Path,
-    at_epoch: int | None = None,
-    wal_kwargs: dict[str, Any] | None = None,
-    **engine_kwargs: Any,
-) -> DurableEngine:
-    """Recover a durable engine to its pre-crash (or ``at_epoch``) state.
-
-    Opening the WAL for writing repairs any torn tail, so a recovery
-    after a mid-write crash resumes appending right after the last
-    durable batch.  Time-travel opens (``at_epoch`` below the durable
-    tip) refuse to reattach the WAL — appending from the past would
-    fork the history; use them read-only (``repro.open(durable=False)``).
-    """
-    root = Path(root)
-    # The read-only guard must run BEFORE the WAL is opened for
-    # writing: opening runs destructive tail repair, and a repair
-    # anchored at an at_epoch-selected (older) checkpoint would treat
-    # mid-history damage the newest checkpoint covers as an unresolved
-    # torn tail and truncate away acknowledged durable batches.  So
-    # compute the tip read-only, anchored at the newest checkpoint —
-    # in a DurableEngine directory batch seq == epoch (one record per
-    # acknowledged batch, from 1), so the durable tip is an epoch too.
-    # Guarding before the recovery also keeps a refused open cheap: no
-    # checkpoint load or replay happens just to be thrown away.
-    anchor, tip = durable_tip(root)
-    if at_epoch is not None and at_epoch < tip:
-        # Name the escape hatch that matches the directory: a sharded
-        # root (manifest carries a shard spec) needs sharded=True too.
-        try:
-            sharded_root = (
-                latest_manifest(checkpoints_path(root)).num_shards is not None
-            )
-        except DurabilityError:
-            sharded_root = False
-        hatch = (
-            f"repro.open(root, sharded=True, durable=False, at_epoch={at_epoch})"
-            if sharded_root
-            else f"repro.open(root, durable=False, at_epoch={at_epoch})"
-        )
-        raise DurabilityError(
-            f"epoch {at_epoch} is before the durable tip {tip}; "
-            f"time-travel opens are read-only — use {hatch} "
-            "or recover_engine / open_at_epoch instead"
-        )
-    recovery = recover_engine(root, at_epoch=at_epoch, **engine_kwargs)
-    if recovery.epoch != tip:
-        # durable_tip validates checkpoints at manifest+CRC level, the
-        # full recovery at object level — if they disagree (a checkpoint
-        # that reads but will not load, or damage blocking the replay
-        # from an older fallback checkpoint), appending at the recovered
-        # epoch would misalign seq and epoch and silently orphan the
-        # batches between it and the tip.  Fail loudly instead.
-        raise DurabilityError(
-            f"recovered epoch {recovery.epoch} does not reach the durable "
-            f"tip {tip}: the newest checkpoint or the WAL suffix is "
-            "damaged — the directory is still readable via recover_engine, "
-            "but opening it for writing would fork the history"
-        )
-    wal_kwargs = dict(wal_kwargs or {})
-    wal_kwargs.setdefault("anchor_seq", anchor)
-    wal = WriteAheadLog(wal_path(root), **wal_kwargs)
-    return DurableEngine(engine=recovery.engine, wal=wal, root=root, epoch=recovery.epoch)

@@ -13,19 +13,20 @@ A durability directory has one layout::
       wal/           wal-00000001.seg ...   (repro.durability.wal)
       checkpoints/   ckpt-0000000000/ ...   (repro.durability.checkpoint)
 
-:func:`recover_engine` / :func:`recover_sharded` rebuild a
-:class:`~repro.engine.SpatialEngine` / :class:`~repro.service.ShardedEngine`
-at the pre-crash epoch; :func:`open_at_epoch` time-travels to any epoch at
-or after the oldest checkpoint (reproducible reruns of an earlier model
-state); :func:`durable_sharded` is the one-call entry point that creates or
-resumes a durable sharded service.  Torn WAL tails and corrupt records are
+:func:`recover_engine` rebuilds a :class:`~repro.engine.SpatialEngine` or
+a :class:`~repro.service.ShardedEngine` read-only, at the pre-crash epoch
+or time-travelled to any epoch at or after the oldest checkpoint
+(reproducible reruns of an earlier model state).  :func:`create_durable`
+and :func:`open_durable` are the only ways to take a directory's WAL for
+writing — the first on a fresh directory, the second resuming one under a
+single write-open rule for both engine kinds; :func:`repro.create` and
+:func:`repro.open` call them.  Torn WAL tails and corrupt records are
 tolerated — recovery lands on the last *durable* batch instead of raising.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -47,11 +48,10 @@ __all__ = [
     "checkpoints_path",
     "durable_tip",
     "recover_engine",
-    "recover_sharded",
-    "open_at_epoch",
+    "create_durable",
+    "open_durable",
     "checkpoint_engine",
     "checkpoint_sharded",
-    "durable_sharded",
 ]
 
 
@@ -128,26 +128,50 @@ def _replay(
 def recover_engine(
     root: str | Path,
     at_epoch: int | None = None,
+    *,
+    sharded: bool = False,
+    num_shards: int | None = None,
     **engine_kwargs: Any,
 ) -> Recovery:
-    """Rebuild a :class:`SpatialEngine` from a durability directory.
+    """Rebuild an engine from a durability directory, read-only.
 
     Loads the newest valid checkpoint (optionally the newest at or below
     ``at_epoch``), replays the durable WAL suffix batch-by-batch through
-    :meth:`SpatialEngine.apply_many`, and stops either at the pre-crash
-    epoch or — when ``at_epoch`` is given — at exactly that epoch.
+    ``apply_many``, and stops either at the pre-crash epoch or — when
+    ``at_epoch`` is given — at exactly that epoch.  The engine is a
+    :class:`SpatialEngine`, or with ``sharded=True`` a
+    :class:`~repro.service.ShardedEngine` that starts from the
+    checkpoint's epoch (``num_shards`` defaults to the manifest's shard
+    spec) and publishes each replayed batch as one epoch.
     """
     objects, manifest = latest_checkpoint(checkpoints_path(root), at_epoch=at_epoch)
     scan = read_wal(wal_path(root), anchor_seq=manifest.wal_seq)
-    engine = SpatialEngine(objects, **engine_kwargs)
-    budget = None if at_epoch is None else at_epoch - manifest.epoch
-    batches, mutations, replay_ms = _replay(engine, scan, manifest.wal_seq, budget)
-    epoch = manifest.epoch + batches
-    if at_epoch is not None and epoch != at_epoch:
-        raise DurabilityError(
-            f"cannot reach epoch {at_epoch}: checkpoint at epoch {manifest.epoch} "
-            f"plus the durable WAL only reaches epoch {epoch}"
+    if sharded:
+        from repro.service.sharded import ShardedEngine
+
+        if num_shards is None:
+            num_shards = manifest.num_shards if manifest.num_shards is not None else 1
+        engine = ShardedEngine(
+            objects,
+            num_shards=num_shards,
+            initial_epoch=manifest.epoch,
+            **engine_kwargs,
         )
+    else:
+        engine = SpatialEngine(objects, **engine_kwargs)
+    try:
+        budget = None if at_epoch is None else at_epoch - manifest.epoch
+        batches, mutations, replay_ms = _replay(engine, scan, manifest.wal_seq, budget)
+        epoch = manifest.epoch + batches
+        if at_epoch is not None and epoch != at_epoch:
+            raise DurabilityError(
+                f"cannot reach epoch {at_epoch}: checkpoint at epoch {manifest.epoch} "
+                f"plus the durable WAL only reaches epoch {epoch}"
+            )
+    except BaseException:
+        if sharded:
+            engine.close()  # don't leak the worker pool on a failed recovery
+        raise
     return Recovery(
         engine=engine,
         checkpoint_epoch=manifest.epoch,
@@ -160,128 +184,126 @@ def recover_engine(
     )
 
 
-def recover_sharded(
+def create_durable(
     root: str | Path,
-    at_epoch: int | None = None,
+    objects: Sequence[SpatialObject],
+    *,
+    sharded: bool = False,
     num_shards: int | None = None,
-    attach_wal: bool = False,
-    **service_kwargs: Any,
-) -> Recovery:
-    """Deprecated shim: use :func:`repro.open` with ``sharded=True``."""
-    warnings.warn(
-        "recover_sharded is deprecated; use repro.open(root, sharded=True, "
-        "durable=False)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _recover_sharded(
-        root,
-        at_epoch=at_epoch,
-        num_shards=num_shards,
-        attach_wal=attach_wal,
-        **service_kwargs,
-    )
+    wal_kwargs: dict[str, Any] | None = None,
+    **engine_kwargs: Any,
+) -> Any:
+    """Start a fresh journaling engine under ``root`` (must hold no state).
 
-
-def _recover_sharded(
-    root: str | Path,
-    at_epoch: int | None = None,
-    num_shards: int | None = None,
-    attach_wal: bool = False,
-    **service_kwargs: Any,
-) -> Recovery:
-    """Rebuild a :class:`~repro.service.ShardedEngine` at the pre-crash epoch.
-
-    The service starts from the checkpoint's epoch (its manifest also
-    remembers the shard spec, used when ``num_shards`` is not given) and
-    replays each durable WAL batch as one published epoch — so the
-    recovered ``service.epoch`` equals the last durable pre-crash epoch
-    exactly.  ``attach_wal=True`` reopens the log for writing (repairing
-    any torn tail) and re-attaches it, so the recovered service keeps
-    journaling subsequent batches into the same directory.
+    Writes the epoch-0 base checkpoint and opens the WAL.  Returns a
+    :class:`~repro.durability.DurableEngine`, or with ``sharded=True`` a
+    :class:`~repro.service.ShardedEngine` that journals every batch before
+    publishing it (``num_shards`` defaults to 4).
     """
-    from repro.service.sharded import ShardedEngine
+    root = Path(root)
+    if list_checkpoints(checkpoints_path(root)):
+        raise DurabilityError(f"{root} already holds checkpoints; use repro.open")
+    # Checked read-only: opening the WAL for writing would run tail repair
+    # on a log that no checkpoint anchors.
+    if read_wal(wal_path(root), decode=False).last_seq:
+        raise DurabilityError(
+            f"{root} holds WAL batches but no base checkpoint; the log cannot "
+            "be anchored — recover manually or start from a fresh directory"
+        )
+    if sharded:
+        from repro.service.sharded import ShardedEngine
 
-    if attach_wal:
-        # Reattaching opens the WAL for writing, which runs destructive
-        # tail repair — guard first, before the worker pool even spins up:
-        # a time-travel recovery below the durable tip must stay read-only
-        # (appending from the past would fork the history), and repair must
-        # anchor at the NEWEST checkpoint, never the at_epoch-selected one,
-        # so covered mid-history damage is not mistaken for a torn tail.
-        wal_anchor, tip = durable_tip(root)
-        if at_epoch is not None and at_epoch < tip:
+        if not objects:
             raise DurabilityError(
-                f"epoch {at_epoch} is before the durable tip {tip}; "
-                "time-travel recoveries cannot reattach the WAL — use "
-                f"repro.open(root, sharded=True, durable=False, at_epoch={at_epoch}) "
-                "(recover without attach_wal) for a read-only view"
+                f"{root} holds no durable state yet; pass the initial objects"
             )
-    objects, manifest = latest_checkpoint(checkpoints_path(root), at_epoch=at_epoch)
-    scan = read_wal(wal_path(root), anchor_seq=manifest.wal_seq)
-    if num_shards is None:
-        num_shards = manifest.num_shards if manifest.num_shards is not None else 1
-    service = ShardedEngine(
-        objects,
-        num_shards=num_shards,
-        initial_epoch=manifest.epoch,
-        **service_kwargs,
+        num_shards = 4 if num_shards is None else num_shards
+        write_checkpoint(
+            checkpoints_path(root), objects, epoch=0, wal_seq=0, num_shards=num_shards
+        )
+        wal = WriteAheadLog(wal_path(root), **(wal_kwargs or {}))
+        return ShardedEngine(objects, num_shards=num_shards, wal=wal, **engine_kwargs)
+    from repro.durability.engine import DurableEngine
+
+    engine = SpatialEngine(objects, **engine_kwargs)
+    wal = WriteAheadLog(wal_path(root), **(wal_kwargs or {}))
+    checkpoint_engine(root, engine, epoch=0, wal=wal)
+    return DurableEngine(engine=engine, wal=wal, root=root, epoch=0)
+
+
+def _read_only_open(root: Path, at_epoch: int | None = None) -> str:
+    """The read-only :func:`repro.open` call that suits ``root``'s engine kind."""
+    sharded = latest_manifest(checkpoints_path(root)).num_shards is not None
+    args = "root, sharded=True, durable=False" if sharded else "root, durable=False"
+    if at_epoch is not None:
+        args += f", at_epoch={at_epoch}"
+    return f"repro.open({args})"
+
+
+def open_durable(
+    root: str | Path,
+    *,
+    sharded: bool = False,
+    at_epoch: int | None = None,
+    num_shards: int | None = None,
+    wal_kwargs: dict[str, Any] | None = None,
+    **engine_kwargs: Any,
+) -> Any:
+    """Recover a durability directory and reattach its WAL for writing.
+
+    The one write-open rule, for both engine kinds:
+
+    1. The durable tip is computed read-only, anchored at the *newest*
+       checkpoint, before any recovery or worker pool — opening the WAL
+       for writing runs destructive tail repair, and a repair anchored at
+       an older (``at_epoch``-selected) checkpoint would read mid-history
+       damage the newest checkpoint covers as a torn tail and truncate
+       acknowledged batches.  An ``at_epoch`` below the tip is refused
+       here: appending from the past would fork the history.  (Batch
+       seq == epoch in a durability directory, so the tip is an epoch.)
+    2. The recovered epoch must equal the tip.  The tip validates
+       checkpoints at manifest+CRC level, recovery at object level; if
+       they disagree (a checkpoint that reads but will not load, or
+       damage blocking the replay from an older fallback), appending at
+       the recovered epoch would misalign seq and epoch and orphan the
+       batches between it and the tip — refuse, closing the service.
+    3. The WAL opens with the caller's ``wal_kwargs``, anchored at the
+       newest checkpoint's position, and resumes right after the tip.
+
+    Returns a :class:`~repro.durability.DurableEngine`, or with
+    ``sharded=True`` a journaling :class:`~repro.service.ShardedEngine`.
+    """
+    root = Path(root)
+    if not list_checkpoints(checkpoints_path(root)):
+        raise DurabilityError(f"{root} holds no checkpoints; use repro.create")
+    anchor, tip = durable_tip(root)
+    if at_epoch is not None and at_epoch < tip:
+        raise DurabilityError(
+            f"epoch {at_epoch} is before the durable tip {tip}; time-travel "
+            f"opens are read-only — use {_read_only_open(root, at_epoch)} instead"
+        )
+    recovery = recover_engine(
+        root, at_epoch=at_epoch, sharded=sharded, num_shards=num_shards, **engine_kwargs
     )
     try:
-        budget = None if at_epoch is None else at_epoch - manifest.epoch
-        batches, mutations, replay_ms = _replay(service, scan, manifest.wal_seq, budget)
-        if at_epoch is not None and service.epoch != at_epoch:
+        if recovery.epoch != tip:
             raise DurabilityError(
-                f"cannot reach epoch {at_epoch}: checkpoint at epoch {manifest.epoch} "
-                f"plus the durable WAL only reaches epoch {service.epoch}"
+                f"recovered epoch {recovery.epoch} does not reach the durable "
+                f"tip {tip}: the newest checkpoint or the WAL suffix is damaged "
+                f"— use {_read_only_open(root)} for a read-only view; opening "
+                "it for writing would fork the history"
             )
-        if attach_wal:
-            if service.epoch != tip:
-                # The manifest-level tip and the object-level recovery
-                # disagree (see DurableEngine.open): appending here would
-                # misalign seq and epoch and orphan the batches between the
-                # recovered epoch and the tip.
-                raise DurabilityError(
-                    f"recovered epoch {service.epoch} does not reach the "
-                    f"durable tip {tip}: the newest checkpoint or the WAL "
-                    "suffix is damaged — use repro.open(root, sharded=True, "
-                    "durable=False) (recover without attach_wal) for a "
-                    "read-only view"
-                )
-            service.wal = WriteAheadLog(wal_path(root), anchor_seq=wal_anchor)
+        wal = WriteAheadLog(wal_path(root), **{"anchor_seq": anchor, **(wal_kwargs or {})})
     except BaseException:
-        service.close()  # don't leak the worker pool on a failed recovery
+        if sharded:
+            recovery.engine.close()  # no worker pool outlives a refused open
         raise
-    return Recovery(
-        engine=service,
-        checkpoint_epoch=manifest.epoch,
-        checkpoint_wal_seq=manifest.wal_seq,
-        epoch=service.epoch,
-        batches_replayed=batches,
-        mutations_replayed=mutations,
-        wal_truncated=scan.truncated,
-        replay_ms=replay_ms,
-    )
-
-
-def open_at_epoch(
-    root: str | Path,
-    epoch: int,
-    sharded: bool = False,
-    **kwargs: Any,
-) -> Recovery:
-    """Time-travel: rebuild the engine exactly as it was at ``epoch``.
-
-    Any epoch from the oldest checkpoint through the last durable batch is
-    reachable (the best checkpoint at or below it seeds the replay); asking
-    for anything else raises :class:`~repro.errors.DurabilityError`.  Use
-    it for reproducible reruns against an earlier model state.
-    """
-    if epoch < 0:
-        raise DurabilityError("epoch must be >= 0")
     if sharded:
-        return _recover_sharded(root, at_epoch=epoch, **kwargs)
-    return recover_engine(root, at_epoch=epoch, **kwargs)
+        recovery.engine.wal = wal
+        return recovery.engine
+    from repro.durability.engine import DurableEngine
+
+    return DurableEngine(engine=recovery.engine, wal=wal, root=root, epoch=recovery.epoch)
 
 
 def checkpoint_engine(
@@ -332,84 +354,3 @@ def checkpoint_sharded(root: str | Path, service: Any) -> Path:
         wal_seq=wal_seq,
         num_shards=service.num_shards,
     )
-
-
-def durable_sharded(
-    root: str | Path,
-    objects: Sequence[SpatialObject] | None = None,
-    num_shards: int | None = None,
-    wal_kwargs: dict[str, Any] | None = None,
-    **service_kwargs: Any,
-) -> Any:
-    """Deprecated shim: use :func:`repro.create` / :func:`repro.open`."""
-    warnings.warn(
-        "durable_sharded is deprecated; use repro.create(objects, root, "
-        "sharded=True) for a fresh directory or repro.open(root, sharded=True) "
-        "to resume one",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _durable_sharded(
-        root,
-        objects,
-        num_shards=num_shards,
-        wal_kwargs=wal_kwargs,
-        **service_kwargs,
-    )
-
-
-def _durable_sharded(
-    root: str | Path,
-    objects: Sequence[SpatialObject] | None = None,
-    num_shards: int | None = None,
-    wal_kwargs: dict[str, Any] | None = None,
-    **service_kwargs: Any,
-) -> Any:
-    """Create *or resume* a durable sharded service over ``root``.
-
-    Fresh directory: requires ``objects``, writes the epoch-0 base
-    checkpoint, opens the WAL, and returns a
-    :class:`~repro.service.ShardedEngine` that journals every mutation
-    batch before publishing it (``num_shards`` defaults to 4).  Existing
-    directory: ignores ``objects`` and recovers to the pre-crash epoch
-    with the WAL re-attached — the restart path is the same call as the
-    first boot.  On resume an explicit ``num_shards`` re-tiles the
-    recovered dataset (checkpoints are portable across shard counts);
-    leaving it ``None`` keeps the checkpoint manifest's spec.
-    """
-    from repro.service.sharded import ShardedEngine
-
-    root = Path(root)
-    wal_kwargs = dict(wal_kwargs or {})
-    if list_checkpoints(checkpoints_path(root)):
-        recovery = _recover_sharded(
-            root, num_shards=num_shards, attach_wal=False, **service_kwargs
-        )
-        service = recovery.engine
-        wal_kwargs.setdefault("anchor_seq", recovery.checkpoint_wal_seq)
-        try:
-            service.wal = WriteAheadLog(wal_path(root), **wal_kwargs)
-        except BaseException:
-            service.close()  # guard fired after the pool spun up — no leak
-            raise
-        return service
-    if read_wal(wal_path(root)).batches:
-        raise DurabilityError(
-            f"{root} holds WAL batches but no base checkpoint; the log cannot "
-            "be anchored — recover manually or start from a fresh directory"
-        )
-    if not objects:
-        raise DurabilityError(
-            f"{root} holds no durable state yet; pass the initial objects"
-        )
-    if num_shards is None:
-        num_shards = 4
-    write_checkpoint(
-        checkpoints_path(root),
-        objects,
-        epoch=0,
-        wal_seq=0,
-        num_shards=num_shards,
-    )
-    wal = WriteAheadLog(wal_path(root), **wal_kwargs)
-    return ShardedEngine(objects, num_shards=num_shards, wal=wal, **service_kwargs)

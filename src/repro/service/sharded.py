@@ -255,8 +255,8 @@ class ShardedEngine:
         Optional :class:`~repro.durability.WriteAheadLog`.  When attached,
         every validated mutation batch is appended to the log *before* its
         epoch is published (write-ahead), so
-        :func:`~repro.durability.recover_sharded` can rebuild the service
-        at the exact pre-crash epoch.  Reads are never logged.
+        :func:`repro.open` (``sharded=True``) can rebuild the service at
+        the exact pre-crash epoch.  Reads are never logged.
     initial_epoch:
         Epoch of the first published view (used by recovery to resume the
         epoch sequence where a checkpoint left it; defaults to 0).

@@ -9,8 +9,8 @@ these tests pin the redesign's contracts:
   through a warm buffer pool,
 * the v2 binary columnar checkpoint round-trips, coexists with v1 JSON
   checkpoints in one directory, and falls back across formats on damage,
-* ``repro.create`` / ``repro.open`` subsume the old constructors, which
-  survive only as ``DeprecationWarning`` shims.
+* ``repro.create`` / ``repro.open`` are the only durable entry points;
+  the pre-1.4 constructors are gone.
 """
 
 from __future__ import annotations
@@ -378,27 +378,16 @@ class TestFrontDoorAPI:
 
 
 class TestDeprecatedShims:
-    def test_durable_engine_classmethods_warn_but_work(self, tmp_path):
-        root = tmp_path / "d"
-        with pytest.warns(DeprecationWarning, match="repro.create"):
-            durable = repro.DurableEngine.create(root, grid_boxes(2))
-        durable.close()
-        with pytest.warns(DeprecationWarning, match="repro.open"):
-            reopened = repro.DurableEngine.open(root)
-        assert reopened.epoch == 0
-        reopened.close()
+    """The pre-1.4 entry points are removed; the front door is warning-free."""
 
-    def test_sharded_helpers_warn_but_work(self, tmp_path):
-        root = tmp_path / "svc"
-        with pytest.warns(DeprecationWarning, match="repro.create"):
-            service = repro.durable_sharded(root, grid_boxes(2), num_shards=2)
-        service.close()
-        with pytest.warns(DeprecationWarning, match="repro.open"):
-            recovery = repro.recover_sharded(root)
-        try:
-            assert recovery.epoch == 0
-        finally:
-            recovery.engine.close()
+    def test_removed_entry_points_are_gone(self):
+        import repro.durability
+
+        for name in ("durable_sharded", "recover_sharded", "open_at_epoch"):
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.durability, name), name
+        assert not hasattr(repro.DurableEngine, "create")
+        assert not hasattr(repro.DurableEngine, "open")
 
     def test_front_door_is_warning_free(self, tmp_path, recwarn):
         import warnings

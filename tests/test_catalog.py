@@ -513,18 +513,12 @@ class TestShardedAtEpochGuards:
             repro.DurabilityError, match="sharded=True, durable=False"
         ):
             repro.open(root, sharded=True, durable=True, at_epoch=0)
-        # Path 2: the single-engine durable guard on a *sharded* root.
+        # Path 2: the one write-open rule both engine kinds share, reached
+        # here through a single-engine open of a *sharded* root.
         with pytest.raises(
             repro.DurabilityError, match="sharded=True, durable=False"
         ):
             repro.open(root, at_epoch=0)
-        # Path 3: the recovery-level attach_wal guard.
-        from repro.durability.recovery import _recover_sharded
-
-        with pytest.raises(
-            repro.DurabilityError, match="sharded=True, durable=False"
-        ):
-            _recover_sharded(root, at_epoch=0, attach_wal=True)
 
     def test_the_named_escape_hatch_works(self, tmp_path):
         root = self._sharded_root(tmp_path)

@@ -96,14 +96,14 @@ class TestRecoverCommand:
         assert not args.no_verify
 
     def _durable_dir(self, tmp_path):
-        from repro.durability import DurableEngine
+        import repro
         from repro.engine.mutations import Insert
         from repro.geometry.aabb import AABB
         from repro.objects import BoxObject
         from tests.conftest import grid_boxes
 
         root = tmp_path / "model"
-        durable = DurableEngine.create(root, grid_boxes(3))
+        durable = repro.create(grid_boxes(3), root)
         durable.apply_many(
             [Insert(BoxObject(uid=1000, box=AABB(0, 0, 0, 1, 1, 1)))]
         )
@@ -233,6 +233,20 @@ class TestQueryCommand:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_root_query_is_read_only_on_a_damaged_root(self, capsys, tmp_path):
+        """A one-shot ``--root`` read never takes the WAL for writing, so
+        it runs no tail repair: on a root whose recovery stops below the
+        durable tip it still answers, and the WAL is left byte-identical."""
+        from tests.test_durability import diverged_tip_root, wal_bytes
+
+        root = tmp_path / "svc"
+        diverged_tip_root(root, sharded=True, num_shards=2)
+        before = wal_bytes(root)
+        code = main(["query", "range", "--root", str(root), "--extent", "40"])
+        assert code == 0
+        assert "at epoch 4" in capsys.readouterr().out
+        assert wal_bytes(root) == before
 
     def test_saved_circuit_round_trip(self, capsys, tmp_path):
         assert main(

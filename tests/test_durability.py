@@ -11,25 +11,25 @@ a half-written checkpoint must read as "never happened".
 from __future__ import annotations
 
 import json
+import multiprocessing
 import struct
 import threading
 
 import pytest
 
+import repro
 from repro import kernels
 from repro.durability import (
-    DurableEngine,
     WriteAheadLog,
     checkpoint_sharded,
     checkpoints_path,
-    durable_sharded,
+    durable_tip,
     latest_checkpoint,
     list_checkpoints,
     load_checkpoint,
-    open_at_epoch,
+    open_durable,
     read_wal,
     recover_engine,
-    recover_sharded,
     wal_path,
     write_checkpoint,
 )
@@ -45,6 +45,7 @@ from repro.geometry.aabb import AABB
 from repro.geometry.segment import Segment
 from repro.geometry.vec import Vec3
 from repro.objects import BoxObject
+from repro.service import active_segment_names
 from repro.utils.rng import derive_seed
 from tests.conftest import grid_boxes
 from tests.test_mutation_oracle import (
@@ -81,21 +82,22 @@ def sample_mutations(n: int = 6) -> list:
     return out
 
 
+def recover(root, **kwargs):
+    """Read-only front-door recovery; returns its :class:`Recovery` record."""
+    return repro.open(root, durable=False, **kwargs).last_recovery
+
+
 def last_segment(root):
     segments = sorted(wal_path(root).glob("wal-*.seg"))
     assert segments, f"no WAL segments under {root}"
     return segments[-1]
 
 
-def flip_record_bit(wal_dir, target_seq: int, field: str = "payload") -> None:
-    """Flip one bit inside the record carrying ``target_seq``.
+def wal_records(wal_dir):
+    """``(segment, data, body_start, length, seq)`` for every framed record.
 
-    Walks the record framing (``[len u32][crc u32][seq u64][payload]``), so
-    the damage is surgical: that record's CRC fails, its length header
-    stays intact, and every other record is untouched.  ``field`` picks
-    where the flip lands — ``"payload"`` keeps the seq readable,
-    ``"seq"`` hits the high byte of the seq field itself, so the damaged
-    record *claims* a garbage sequence number.
+    Walks the record framing (``[len u32][crc u32][seq u64][payload]``)
+    without checking CRCs, so a damaged record is still listed.
     """
     for segment in sorted(wal_dir.glob("wal-*.seg")):
         data = bytearray(segment.read_bytes())
@@ -104,14 +106,64 @@ def flip_record_bit(wal_dir, target_seq: int, field: str = "payload") -> None:
             length, _crc = struct.unpack_from("<II", data, offset)
             body_start = offset + 8
             (seq,) = struct.unpack_from("<Q", data, body_start)
-            if seq == target_seq:
-                if field == "seq":
-                    data[body_start + 7] ^= 0x80  # little-endian high byte
-                else:
-                    data[body_start + 8 + length // 2] ^= 0x01
-                segment.write_bytes(bytes(data))
-                return
+            yield segment, data, body_start, length, seq
             offset = body_start + 8 + length
+
+
+def wal_record_seqs(wal_dir) -> list[int]:
+    """The seq of every record on disk, damaged or not, in log order."""
+    return [seq for *_rest, seq in wal_records(wal_dir)]
+
+
+def wal_bytes(root) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in wal_path(root).glob("wal-*.seg")}
+
+
+def diverged_tip_root(root, **create_kwargs) -> None:
+    """A durability root whose recovery cannot reach its durable tip.
+
+    Durable tip 12, checkpoints at epochs 0 and 8, a bit flip in record
+    seq 5, and the epoch-8 manifest's object count raised by one.  The
+    tip guard still accepts that checkpoint (its data CRC matches) and
+    anchors at seq 8; a full load rejects it, so recovery falls back to
+    epoch 0 and stops at the flipped record: epoch 4.
+    """
+    script = MutationScript(seed=84, n_objects=24)
+    engine = repro.create(script.initial_objects(), root, page_capacity=12, **create_kwargs)
+    for _ in range(8):
+        engine.apply_many(script.next_batch(3))
+    if create_kwargs.get("sharded"):
+        checkpoint_sharded(root, engine)
+    else:
+        engine.checkpoint()
+    for _ in range(4):
+        engine.apply_many(script.next_batch(3))
+    engine.close()
+    flip_payload_bit(wal_path(root), target_seq=5)
+    manifest_path = checkpoints_path(root) / "ckpt-0000000008" / "manifest.json"
+    record = json.loads(manifest_path.read_text(encoding="utf-8"))
+    record["num_objects"] += 1
+    manifest_path.write_text(json.dumps(record), encoding="utf-8")
+
+
+def flip_record_bit(wal_dir, target_seq: int, field: str = "payload") -> None:
+    """Flip one bit inside the record carrying ``target_seq``.
+
+    Walks the record framing (:func:`wal_records`), so the damage is
+    surgical: that record's CRC fails, its length header stays intact, and
+    every other record is untouched.  ``field`` picks
+    where the flip lands — ``"payload"`` keeps the seq readable,
+    ``"seq"`` hits the high byte of the seq field itself, so the damaged
+    record *claims* a garbage sequence number.
+    """
+    for segment, data, body_start, length, seq in wal_records(wal_dir):
+        if seq == target_seq:
+            if field == "seq":
+                data[body_start + 7] ^= 0x80  # little-endian high byte
+            else:
+                data[body_start + 8 + length // 2] ^= 0x01
+            segment.write_bytes(bytes(data))
+            return
     raise AssertionError(f"no WAL record with seq {target_seq} under {wal_dir}")
 
 
@@ -384,9 +436,8 @@ class TestCheckpointAnchoredDamage:
         durable tip instead of quietly dropping back to the checkpoint."""
         script = MutationScript(seed=91, n_objects=30)
         root = tmp_path / "d"
-        durable = DurableEngine.create(
-            root, script.initial_objects(), page_capacity=12,
-            wal_kwargs={"segment_bytes": 600},
+        durable = repro.create(
+            script.initial_objects(), root, page_capacity=12, wal_kwargs={"segment_bytes": 600}
         )
         for _ in range(3):
             durable.apply_many(script.next_batch(4))
@@ -404,7 +455,7 @@ class TestCheckpointAnchoredDamage:
         assert not recovery.wal_truncated
         assert sorted(o.uid for o in recovery.engine.objects) == sorted(script.model)
         # Reopening for writing must not destroy it either.
-        reopened = DurableEngine.open(root, page_capacity=12)
+        reopened = repro.open(root, page_capacity=12)
         assert reopened.epoch == 6
         reopened.close()
 
@@ -574,7 +625,7 @@ class TestCheckpoint:
 # -- the durable single engine -------------------------------------------------
 class TestDurableEngine:
     def test_log_apply_ack_ordering(self, tmp_path):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         result = durable.apply_many(sample_mutations(6))
         # By ack time the batch is durable (default flush_batches=1) ...
         assert durable.wal.last_durable_seq == 1
@@ -586,12 +637,12 @@ class TestDurableEngine:
 
     def test_crash_and_open_is_epoch_exact(self, tmp_path):
         script = MutationScript(seed=31)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         for _ in range(4):
             durable.apply_many(script.next_batch(5))
         before = sorted(o.uid for o in durable.objects)
         # No close(): the process "dies" here.
-        recovered = DurableEngine.open(tmp_path / "d")
+        recovered = repro.open(tmp_path / "d")
         assert recovered.epoch == 4
         assert sorted(o.uid for o in recovered.objects) == before
         assert {o.uid: o for o in recovered.objects} == {
@@ -601,7 +652,7 @@ class TestDurableEngine:
 
     def test_checkpoint_bounds_the_replay(self, tmp_path):
         script = MutationScript(seed=32)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         for _ in range(3):
             durable.apply_many(script.next_batch(4))
         durable.checkpoint()
@@ -614,24 +665,24 @@ class TestDurableEngine:
         assert sorted(o.uid for o in recovery.engine.objects) == sorted(script.model)
 
     def test_create_refuses_a_dirty_directory(self, tmp_path):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         durable.apply_many(sample_mutations(3))
         durable.close()
         with pytest.raises(DurabilityError):
-            DurableEngine.create(tmp_path / "d", grid_boxes(3))
+            repro.create(grid_boxes(3), tmp_path / "d")
 
     def test_create_refuses_a_checkpointed_directory_even_without_wal_batches(
         self, tmp_path
     ):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         durable.close()  # no batches ever appended; WAL is empty
         with pytest.raises(DurabilityError):
-            DurableEngine.create(tmp_path / "d", grid_boxes(2))
+            repro.create(grid_boxes(2), tmp_path / "d")
 
     def test_invalid_batch_is_rejected_before_it_reaches_the_log(self, tmp_path):
         """A batch the engine would refuse must never become durable: a
         logged-but-unreplayable record would poison every later recovery."""
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         good = Insert(BoxObject(uid=500, box=AABB(0, 0, 0, 1, 1, 1)))
         with pytest.raises(EngineError):
             durable.apply_many([good, Delete(999_999)])  # unknown uid
@@ -648,13 +699,13 @@ class TestDurableEngine:
 
     def test_time_travel_open_is_read_only(self, tmp_path):
         script = MutationScript(seed=33)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         for _ in range(3):
             durable.apply_many(script.next_batch(3))
         durable.close()
         with pytest.raises(DurabilityError):
-            DurableEngine.open(tmp_path / "d", at_epoch=1)
-        recovery = open_at_epoch(tmp_path / "d", 3)  # the tip itself is fine
+            repro.open(tmp_path / "d", at_epoch=1)
+        recovery = recover(tmp_path / "d", at_epoch=3)  # the tip itself is fine
         assert recovery.epoch == 3
 
     def test_failed_time_travel_open_is_truly_read_only(self, tmp_path):
@@ -665,7 +716,7 @@ class TestDurableEngine:
         and permanently destroy acknowledged epochs 9-12."""
         script = MutationScript(seed=81, n_objects=30)
         root = tmp_path / "d"
-        durable = DurableEngine.create(root, script.initial_objects(), page_capacity=12)
+        durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(8):
             durable.apply_many(script.next_batch(3))
         durable.checkpoint()  # epoch 8 folds seqs 1-8 in
@@ -675,13 +726,13 @@ class TestDurableEngine:
         flip_payload_bit(wal_path(root), target_seq=5)
         assert recover_engine(root, page_capacity=12).epoch == 12
         with pytest.raises(DurabilityError):
-            DurableEngine.open(root, at_epoch=3, page_capacity=12)
+            repro.open(root, at_epoch=3, page_capacity=12)
         # The refused open changed nothing on disk: every acknowledged
         # epoch is still reachable, read-only and for writing.
         recovery = recover_engine(root, page_capacity=12)
         assert recovery.epoch == 12
         assert sorted(o.uid for o in recovery.engine.objects) == sorted(script.model)
-        reopened = DurableEngine.open(root, page_capacity=12)
+        reopened = repro.open(root, page_capacity=12)
         assert reopened.epoch == 12
         reopened.close()
 
@@ -690,9 +741,9 @@ class TestDurableEngine:
         buffered: last_durable_epoch reports the durable frontier and
         flush() closes the window."""
         script = MutationScript(seed=82, n_objects=24)
-        durable = DurableEngine.create(
-            tmp_path / "d",
+        durable = repro.create(
             script.initial_objects(),
+            tmp_path / "d",
             page_capacity=12,
             wal_kwargs={"flush_batches": 3},
         )
@@ -715,13 +766,13 @@ class TestDurableEngine:
         and every future recovery would silently drop the acked epoch."""
         script = MutationScript(seed=83, n_objects=24)
         root = tmp_path / "d"
-        durable = DurableEngine.create(root, script.initial_objects(), page_capacity=12)
+        durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(8):
             durable.apply_many(script.next_batch(3))
         durable.checkpoint()  # epoch 8 folds seqs 1-8 in
         durable.close()
         flip_payload_bit(wal_path(root), target_seq=8)  # covered, at the tail
-        reopened = DurableEngine.open(root, page_capacity=12)
+        reopened = repro.open(root, page_capacity=12)
         assert reopened.epoch == 8
         reopened.apply_many(script.next_batch(3))  # acknowledged epoch 9
         assert reopened.epoch == 9
@@ -738,22 +789,8 @@ class TestDurableEngine:
         covered damage then blocking the replay, the recovered epoch sits
         below the durable tip, and opening for writing there would
         misalign seq and epoch — it must fail loudly instead."""
-        script = MutationScript(seed=84, n_objects=24)
         root = tmp_path / "d"
-        durable = DurableEngine.create(root, script.initial_objects(), page_capacity=12)
-        for _ in range(8):
-            durable.apply_many(script.next_batch(3))
-        durable.checkpoint()  # epoch 8
-        for _ in range(4):
-            durable.apply_many(script.next_batch(3))
-        durable.close()  # durable tip: epoch 12
-        flip_payload_bit(wal_path(root), target_seq=5)
-        # Sabotage the newest checkpoint's object count; its data CRC still
-        # matches, so manifest-level validation keeps accepting it.
-        manifest_path = checkpoints_path(root) / "ckpt-0000000008" / "manifest.json"
-        record = json.loads(manifest_path.read_text(encoding="utf-8"))
-        record["num_objects"] += 1
-        manifest_path.write_text(json.dumps(record), encoding="utf-8")
+        diverged_tip_root(root)
         # Read-only recovery degrades honestly: epoch-0 fallback, replay
         # stops at the (no longer covered) damage.
         recovery = recover_engine(root, page_capacity=12)
@@ -762,14 +799,38 @@ class TestDurableEngine:
         assert recovery.wal_truncated
         # Opening for writing at that diverged epoch must refuse.
         with pytest.raises(DurabilityError, match="durable tip"):
-            DurableEngine.open(root, page_capacity=12)
+            repro.open(root, page_capacity=12)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_sharded_open_refuses_when_recovery_cannot_reach_the_tip(
+        self, tmp_path, executor
+    ):
+        """The same diverged root, sharded: the writable open must refuse
+        too — not resume at the recovered epoch and let WAL tail repair
+        cut away acknowledged batches 5-12 — and must leave no worker
+        pool or shared-memory segment behind."""
+        root = tmp_path / "d"
+        diverged_tip_root(root, sharded=True, num_shards=2)
+        before = wal_bytes(root)
+        threads = {t.name for t in threading.enumerate()}
+        children = {p.pid for p in multiprocessing.active_children()}
+        segments = set(active_segment_names())
+        with pytest.raises(DurabilityError, match="durable tip"):
+            repro.open(root, sharded=True, executor=executor, page_capacity=12)
+        assert wal_bytes(root) == before
+        assert wal_record_seqs(wal_path(root)) == list(range(1, 13))
+        assert durable_tip(root) == (8, 12)
+        lingering = {t.name for t in threading.enumerate()} - threads
+        assert not {name for name in lingering if name.startswith("repro-shard")}
+        assert not {p.pid for p in multiprocessing.active_children()} - children
+        assert not set(active_segment_names()) - segments
 
 
 # -- time travel ---------------------------------------------------------------
 class TestTimeTravel:
     def test_every_epoch_between_checkpoint_and_tip_is_reachable(self, tmp_path):
         script = MutationScript(seed=40)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         snapshots = {0: sorted(script.model)}
         for epoch in range(1, 6):
             durable.apply_many(script.next_batch(4))
@@ -778,31 +839,29 @@ class TestTimeTravel:
                 durable.checkpoint()
         durable.close()
         for epoch, expected_uids in snapshots.items():
-            recovery = open_at_epoch(tmp_path / "d", epoch)
+            recovery = recover(tmp_path / "d", at_epoch=epoch)
             assert recovery.epoch == epoch, f"epoch {epoch}"
             assert sorted(o.uid for o in recovery.engine.objects) == expected_uids
 
     def test_unreachable_epoch_raises(self, tmp_path):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         durable.apply_many(sample_mutations(3))
         durable.close()
         with pytest.raises(DurabilityError):
-            open_at_epoch(tmp_path / "d", 7)
+            recover(tmp_path / "d", at_epoch=7)
         with pytest.raises(DurabilityError):
-            open_at_epoch(tmp_path / "d", -1)
+            recover(tmp_path / "d", at_epoch=-1)
 
     def test_sharded_time_travel(self, tmp_path):
         script = MutationScript(seed=41)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2
-        )
+        service = repro.create(script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2)
         snapshots = {0: sorted(script.model)}
         for epoch in range(1, 4):
             service.apply_many(script.next_batch(4))
             snapshots[epoch] = sorted(script.model)
         service.close()
         for epoch, expected_uids in snapshots.items():
-            recovery = open_at_epoch(tmp_path / "d", epoch, sharded=True)
+            recovery = recover(tmp_path / "d", sharded=True, at_epoch=epoch)
             assert recovery.engine.epoch == epoch
             assert sorted(o.uid for o in recovery.engine.objects) == expected_uids
             recovery.engine.close()
@@ -851,8 +910,12 @@ class TestKillAndRecover:
                 root = tmp_path / f"run{run}"
                 from repro.service import ShardedEngine
 
-                service = durable_sharded(
-                    root, script.initial_objects(), num_shards=shards, page_capacity=12
+                service = repro.create(
+                    script.initial_objects(),
+                    root,
+                    sharded=True,
+                    num_shards=shards,
+                    page_capacity=12,
                 )
                 # The never-crashed oracle applies the identical batch stream.
                 oracle = ShardedEngine(
@@ -868,7 +931,7 @@ class TestKillAndRecover:
                     # SIGKILL stand-in: abandon the service object without
                     # close(); only what the WAL flushed survives (default
                     # policy flushes every batch).
-                    recovery = recover_sharded(root, page_capacity=12)
+                    recovery = recover(root, sharded=True, page_capacity=12)
                     recovered = recovery.engine
                     label = f"seed={seed} shards={shards} batches={n_batches}"
                     assert recovered.epoch == n_batches, label
@@ -887,8 +950,8 @@ class TestKillAndRecover:
                 seed = derive_seed(2013, "torn", backend, run)
                 script = MutationScript(seed=seed, n_objects=30)
                 root = tmp_path / f"run{run}"
-                service = durable_sharded(
-                    root, script.initial_objects(), num_shards=2, page_capacity=12
+                service = repro.create(
+                    script.initial_objects(), root, sharded=True, num_shards=2, page_capacity=12
                 )
                 durable_batches = 2 + run % 2
                 for _ in range(durable_batches):
@@ -900,7 +963,7 @@ class TestKillAndRecover:
                 # last epoch is no longer durable.
                 segment = last_segment(root)
                 segment.write_bytes(segment.read_bytes()[:-11])
-                recovery = recover_sharded(root, page_capacity=12)
+                recovery = recover(root, sharded=True, page_capacity=12)
                 assert recovery.wal_truncated
                 assert recovery.epoch == durable_batches
                 assert sorted(o.uid for o in recovery.engine.objects) == sorted(
@@ -920,9 +983,7 @@ class TestRecoveredEngineDifferential:
             seed = derive_seed(2013, "engine-diff", backend)
             script = MutationScript(seed=seed, n_objects=48)
             oracle = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
-            durable = DurableEngine.create(
-                tmp_path / "d", script.initial_objects(), page_capacity=12
-            )
+            durable = repro.create(script.initial_objects(), tmp_path / "d", page_capacity=12)
             for _ in range(5):
                 batch = script.next_batch(5)
                 durable.apply_many(batch)
@@ -970,7 +1031,7 @@ class TestRecoveredEngineDifferential:
 # -- the sharded service journals through its WAL hook -------------------------
 class TestShardedWalHook:
     def test_batch_is_durable_before_the_epoch_publishes(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         try:
             result = service.apply_many(sample_mutations(4))
             assert result.stats.epoch == 1
@@ -980,7 +1041,7 @@ class TestShardedWalHook:
             service.close()
 
     def test_invalid_batches_never_reach_the_log(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         try:
             from repro.errors import ServiceError
 
@@ -992,7 +1053,7 @@ class TestShardedWalHook:
             service.close()
 
     def test_empty_batch_is_a_noop_not_an_epoch(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         try:
             result = service.apply_many([])
             assert result.stats.epoch == service.epoch == 0
@@ -1002,8 +1063,8 @@ class TestShardedWalHook:
 
     def test_checkpoint_sharded_bounds_replay(self, tmp_path):
         script = MutationScript(seed=55, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         try:
             for _ in range(3):
@@ -1012,7 +1073,7 @@ class TestShardedWalHook:
             service.apply_many(script.next_batch(3))
         finally:
             service.close()
-        recovery = recover_sharded(tmp_path / "d", page_capacity=12)
+        recovery = recover(tmp_path / "d", sharded=True, page_capacity=12)
         assert recovery.checkpoint_epoch == 3
         assert recovery.batches_replayed == 1
         assert recovery.epoch == 4
@@ -1020,12 +1081,12 @@ class TestShardedWalHook:
 
     def test_resume_continues_epochs_and_wal(self, tmp_path):
         script = MutationScript(seed=56, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         service.apply_many(script.next_batch(3))
         service.close()
-        resumed = durable_sharded(tmp_path / "d", page_capacity=12)
+        resumed = repro.open(tmp_path / "d", sharded=True, page_capacity=12)
         try:
             assert resumed.epoch == 1
             resumed.apply_many(script.next_batch(3))
@@ -1043,17 +1104,17 @@ class TestShardedWalHook:
         still record the epoch == seq position, not seq 0 — otherwise the
         next recovery replays the whole log on top of folded-in state."""
         script = MutationScript(seed=57, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         for _ in range(2):
             service.apply_many(script.next_batch(3))
         service.close()
-        recovery = recover_sharded(tmp_path / "d", page_capacity=12)
+        recovery = recover(tmp_path / "d", sharded=True, page_capacity=12)
         assert recovery.engine.wal is None
         checkpoint_sharded(tmp_path / "d", recovery.engine)
         recovery.engine.close()
-        again = recover_sharded(tmp_path / "d", page_capacity=12)
+        again = recover(tmp_path / "d", sharded=True, page_capacity=12)
         assert again.checkpoint_epoch == 2
         assert again.batches_replayed == 0  # nothing replays twice
         assert again.epoch == 2
@@ -1062,12 +1123,12 @@ class TestShardedWalHook:
 
     def test_resume_with_explicit_shard_count_retiles(self, tmp_path):
         script = MutationScript(seed=58, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         service.apply_many(script.next_batch(3))
         service.close()
-        resumed = durable_sharded(tmp_path / "d", num_shards=3, page_capacity=12)
+        resumed = repro.open(tmp_path / "d", sharded=True, num_shards=3, page_capacity=12)
         try:
             assert resumed.num_shards == 3  # explicit count wins on resume
             assert resumed.epoch == 1
@@ -1075,35 +1136,38 @@ class TestShardedWalHook:
             resumed.close()
 
     def test_time_travel_cannot_reattach_the_wal(self, tmp_path):
-        """attach_wal opens the log for writing (destructive tail repair);
-        a recovery below the durable tip must refuse it and leave every
-        durable epoch intact."""
+        """A writable open takes the log for writing (destructive tail
+        repair); an open below the durable tip must refuse it and leave
+        every durable epoch intact — at the front door and in the shared
+        write-open rule itself."""
         script = MutationScript(seed=59, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         for _ in range(3):
             service.apply_many(script.next_batch(3))
         service.close()
-        with pytest.raises(DurabilityError):
-            recover_sharded(tmp_path / "d", at_epoch=1, attach_wal=True, page_capacity=12)
+        with pytest.raises(DurabilityError, match="read-only"):
+            repro.open(tmp_path / "d", sharded=True, at_epoch=1, page_capacity=12)
+        with pytest.raises(DurabilityError, match="before the durable tip 3"):
+            open_durable(tmp_path / "d", sharded=True, at_epoch=1, page_capacity=12)
         # Read-only time travel still works, and the tip is unharmed.
-        past = recover_sharded(tmp_path / "d", at_epoch=1, page_capacity=12)
+        past = recover(tmp_path / "d", sharded=True, at_epoch=1, page_capacity=12)
         assert past.epoch == 1
         past.engine.close()
-        tip = recover_sharded(tmp_path / "d", page_capacity=12)
+        tip = recover(tmp_path / "d", sharded=True, page_capacity=12)
         assert tip.epoch == 3
         tip.engine.close()
 
     def test_failed_time_travel_does_not_leak_a_worker_pool(self, tmp_path):
         import threading
 
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         service.apply_many(sample_mutations(3))
         service.close()
         before = {t.name for t in threading.enumerate()}
         with pytest.raises(DurabilityError):
-            open_at_epoch(tmp_path / "d", 99, sharded=True)
+            recover(tmp_path / "d", sharded=True, at_epoch=99)
         lingering = {
             t.name
             for t in threading.enumerate()
@@ -1112,7 +1176,7 @@ class TestShardedWalHook:
         assert not lingering
 
     def test_checkpoints_layout_under_root(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         service.close()
         assert wal_path(tmp_path / "d").is_dir()
         assert [epoch for epoch, _ in list_checkpoints(checkpoints_path(tmp_path / "d"))] == [0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core.flat.index import FLATIndex
 from repro.core.scout.prefetcher import ScoutPrefetcher
 from repro.core.scout.session import ExplorationSession
@@ -161,18 +162,13 @@ class TestResourcePressure:
     def test_durable_state_survives_crash_damage_combinations(self, tmp_path):
         """Torn tail on top of a mid-run checkpoint: recovery lands on the
         last durable batch, anchored to the newest valid checkpoint."""
-        from repro.durability import (
-            checkpoint_sharded,
-            durable_sharded,
-            recover_sharded,
-            wal_path,
-        )
+        from repro.durability import checkpoint_sharded, wal_path
         from tests.test_mutation_oracle import MutationScript
 
         script = MutationScript(seed=77, n_objects=30)
         root = tmp_path / "d"
-        service = durable_sharded(
-            root, script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), root, sharded=True, num_shards=2, page_capacity=12
         )
         for _ in range(2):
             service.apply_many(script.next_batch(3))
@@ -183,7 +179,7 @@ class TestResourcePressure:
         service.close()
         segment = sorted(wal_path(root).glob("wal-*.seg"))[-1]
         segment.write_bytes(segment.read_bytes()[:-9])
-        recovery = recover_sharded(root, page_capacity=12)
+        recovery = repro.open(root, sharded=True, durable=False, page_capacity=12).last_recovery
         assert recovery.wal_truncated
         assert recovery.checkpoint_epoch == 2
         assert recovery.epoch == 3
@@ -193,13 +189,13 @@ class TestResourcePressure:
     def test_bit_flipped_wal_record_recovers_prefix(self, tmp_path):
         """A flipped bit mid-log fails that record's CRC; everything before
         it still replays, nothing after it leaks in, nothing raises."""
-        from repro.durability import DurableEngine, recover_engine, wal_path
+        from repro.durability import recover_engine, wal_path
         from tests.test_mutation_oracle import MutationScript
 
         script = MutationScript(seed=78, n_objects=24)
         root = tmp_path / "d"
         initial = script.initial_objects()
-        durable = DurableEngine.create(root, initial, page_capacity=12)
+        durable = repro.create(initial, root, page_capacity=12)
         snapshots = [sorted(o.uid for o in initial)]
         for _ in range(4):
             durable.apply_many(script.next_batch(3))
@@ -219,17 +215,12 @@ class TestResourcePressure:
         recovery anchors to the base checkpoint and replays the full WAL."""
         import shutil
 
-        from repro.durability import (
-            DurableEngine,
-            checkpoints_path,
-            list_checkpoints,
-            recover_engine,
-        )
+        from repro.durability import checkpoints_path, list_checkpoints, recover_engine
         from tests.test_mutation_oracle import MutationScript
 
         script = MutationScript(seed=79, n_objects=24)
         root = tmp_path / "d"
-        durable = DurableEngine.create(root, script.initial_objects(), page_capacity=12)
+        durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(3):
             durable.apply_many(script.next_batch(3))
         committed = durable.checkpoint()

@@ -15,8 +15,8 @@ import time
 
 import pytest
 
+import repro
 from repro.durability import read_wal
-from repro.durability.recovery import durable_sharded
 from repro.engine.mutations import Delete, Insert, Move
 from repro.engine.queries import KNNQuery, RangeQuery, SpatialJoin, Walkthrough
 from repro.errors import (
@@ -236,9 +236,10 @@ class TestWritePath:
                 assert uid not in result.payload
 
     def test_acked_write_is_journaled_before_the_ack(self, tmp_path):
-        svc = durable_sharded(
-            tmp_path / "wal",
+        svc = repro.create(
             ShardedEngine.generate(n_neurons=5, seed=2, num_shards=2).objects,
+            tmp_path / "wal",
+            sharded=True,
             num_shards=2,
         )
         with serve_in_background(svc, root=tmp_path / "wal") as handle:
@@ -506,9 +507,10 @@ class TestGracefulClose:
             svc.execute(RangeQuery(WORLD))
 
     def test_close_flushes_group_committed_acked_writes(self, tmp_path):
-        svc = durable_sharded(
-            tmp_path,
+        svc = repro.create(
             ShardedEngine.generate(n_neurons=5, seed=2, num_shards=2).objects,
+            tmp_path,
+            sharded=True,
             num_shards=2,
             wal_kwargs={"flush_batches": 100},  # a wide group-commit window
         )
@@ -559,9 +561,10 @@ class TestEpochListeners:
         svc.close()
 
     def test_wal_listener_sees_newly_durable_batches(self, tmp_path):
-        svc = durable_sharded(
-            tmp_path,
+        svc = repro.create(
             ShardedEngine.generate(n_neurons=5, seed=2, num_shards=2).objects,
+            tmp_path,
+            sharded=True,
             num_shards=2,
         )
         shipped: list[int] = []

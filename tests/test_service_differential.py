@@ -30,6 +30,10 @@ BACKENDS = kernels.available_backends()
 SHARD_COUNTS = (1, 2, 4, 7)
 EXECUTORS = ("thread", "process")
 
+# Hides Python >= 3.12's "This process ... is multi-threaded, use of fork()
+# may lead to deadlocks in the child" DeprecationWarning, which multiprocessing
+# raises when the process-executor cells fork their worker pool from this
+# already-threaded test process.
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 

@@ -40,6 +40,11 @@ N_OBJECTS = 80
 WORLD = 50.0
 SEED = 20260731
 
+# Guards against Python >= 3.12's "This process ... is multi-threaded, use of
+# fork() may lead to deadlocks in the child" DeprecationWarning from
+# multiprocessing.  This module runs thread-mode services only, and on Python
+# 3.11 it raises no DeprecationWarning at all (it passes without this mark
+# under -W error::DeprecationWarning), so the mark hides nothing there.
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 

@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+import repro
 from repro.durability.checkpoint import load_checkpoint, write_checkpoint
 from repro.durability.wal import _encode_record
 from repro.engine.engine import SpatialEngine
@@ -347,6 +348,20 @@ class TestNonFiniteIngress:
                 service.apply_many([Insert(bad)])
             assert service.epoch == epoch  # nothing published
             assert 31337 not in {o.uid for o in service.objects}
+
+    def test_durable_engine_rejects_before_the_wal(self, tmp_path):
+        durable = repro.create(grid_boxes(2), tmp_path / "d", page_capacity=8)
+        live_uid = grid_boxes(2)[0].uid
+        for mutation in (
+            Insert(crafted_segment(uid=31337, radius=float("inf"))),
+            Move(live_uid, crafted_segment(uid=live_uid, radius=float("nan"))),
+        ):
+            with pytest.raises(EngineError, match="non-finite"):
+                durable.apply_many([mutation])
+        assert durable.epoch == 0  # nothing acknowledged ...
+        assert durable.wal.last_seq == 0  # ... and nothing logged
+        assert 31337 not in {o.uid for o in durable.objects}
+        durable.close()
 
     def test_wal_encoder_is_strict_json(self):
         bad = crafted_segment(uid=77, p0=Vec3(float("nan"), 0.0, 0.0))

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.touch.join import touch_join
-from repro.core.touch.parallel import sharded_touch_join
+from repro.core.touch.parallel import probe_shard, sharded_touch_join
+from repro.core.touch.tree import build_touch_tree
 from repro.errors import JoinError
 from repro.geometry.aabb import AABB
 from repro.workloads.joins import uniform_boxes
@@ -46,52 +49,51 @@ class TestCorrectness:
         assert sharded_touch_join(a, b, eps=1.0, shards=shards).sorted_pairs() == expected
 
 
+def pooled_probes(a, b, eps: float, shards: int):
+    """Run :func:`probe_shard` for every round-robin B shard on a real pool.
+
+    The same concurrent use :class:`~repro.service.ShardedEngine`'s
+    thread-mode TOUCH join makes of it: one shared hierarchy, leaf packs
+    built up front, each worker with its private bucket overlay.
+    """
+    root = build_touch_tree(a)
+    nodes = list(root.iter_nodes())
+    for node in nodes:
+        if node.is_leaf and node.objects:
+            node.packed_object_bounds()
+    deals = [b[shard::shards] for shard in range(shards)]
+    with ThreadPoolExecutor(max_workers=shards) as pool:
+        outcomes = list(
+            pool.map(lambda deal: probe_shard(root, nodes, deal, len(a), eps, None), deals)
+        )
+    return nodes, outcomes
+
+
 class TestRealPool:
-    """``parallel=True`` runs the same workers on a real thread pool."""
+    """:func:`probe_shard` calls run concurrently on one shared hierarchy."""
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 8])
     def test_parallel_matches_simulated_exactly(self, shards):
         a, b = make_pair(seed=7)
         simulated = sharded_touch_join(a, b, eps=2.0, shards=shards)
-        parallel = sharded_touch_join(a, b, eps=2.0, shards=shards, parallel=True)
+        _nodes, outcomes = pooled_probes(a, b, eps=2.0, shards=shards)
         # Not just the same set: the same concatenation order (shard order,
         # and within a shard a pure function of its input).
-        assert parallel.pairs == simulated.pairs
-        assert parallel.stats.comparisons == simulated.stats.comparisons
-        assert parallel.stats.results == simulated.stats.results
-        assert [s.n_b for s in parallel.shards] == [s.n_b for s in simulated.shards]
+        assert [pair for pairs, _c, _ms in outcomes for pair in pairs] == simulated.pairs
+        assert sum(c.comparisons for _p, c, _ms in outcomes) == simulated.stats.comparisons
+        assert sum(c.results for _p, c, _ms in outcomes) == simulated.stats.results
+        assert [c.n_b for _p, c, _ms in outcomes] == [s.n_b for s in simulated.shards]
 
     def test_parallel_matches_single_node_touch(self):
         a, b = make_pair(seed=8)
         expected = touch_join(a, b, eps=1.5).sorted_pairs()
-        result = sharded_touch_join(a, b, eps=1.5, shards=4, parallel=True)
-        assert result.sorted_pairs() == expected
-
-    def test_parallel_on_caller_supplied_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        a, b = make_pair(seed=9)
-        expected = touch_join(a, b, eps=2.0).sorted_pairs()
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            result = sharded_touch_join(
-                a, b, eps=2.0, shards=6, parallel=True, executor=pool
-            )
-            # The pool outlives the join and stays usable.
-            assert pool.submit(lambda: 41 + 1).result() == 42
-        assert result.sorted_pairs() == expected
+        _nodes, outcomes = pooled_probes(a, b, eps=1.5, shards=4)
+        assert sorted(pair for pairs, _c, _ms in outcomes for pair in pairs) == expected
 
     def test_shared_tree_is_left_clean(self):
         """Concurrent workers never dirty the shared hierarchy's buckets."""
-        from repro.core.touch.tree import build_touch_tree
-
         a, b = make_pair(seed=10)
-        sharded_touch_join(a, b, eps=2.0, shards=4, parallel=True)
-        # Equivalent check on a fresh tree driven through probe_shard.
-        from repro.core.touch.parallel import probe_shard
-
-        root = build_touch_tree(a)
-        nodes = list(root.iter_nodes())
-        probe_shard(root, nodes, b, len(a), 2.0, None)
+        nodes, _outcomes = pooled_probes(a, b, eps=2.0, shards=4)
         assert all(not node.bucket for node in nodes)
 
 
