@@ -1,4 +1,4 @@
-"""A1-A6: ablations of the design choices DESIGN.md calls out."""
+"""A1-A8: ablations of the design choices of FLAT, SCOUT and TOUCH."""
 
 from __future__ import annotations
 

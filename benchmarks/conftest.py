@@ -1,9 +1,9 @@
 """Shared benchmark fixtures.
 
-Benchmarks regenerate the paper's figures (see the experiment index in
-DESIGN.md).  Each bench saves the rendered experiment table under
-``benchmarks/results/`` so EXPERIMENTS.md points at concrete artifacts, and
-asserts the qualitative shape the paper reports.
+Benchmarks regenerate the paper's figures (``repro report`` lists them
+all).  Each bench saves the rendered experiment table under
+``benchmarks/results/`` and asserts the qualitative shape the paper
+reports.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """Unified benchmark runner: the repo's recorded performance trajectory.
 
-This module is the library behind ``benchmarks/run_bench.py`` and the
-``repro bench`` CLI subcommand.  It executes a curated set of workloads —
-batch-kernel microbenches plus the hot end-to-end paths the interactive
-bench scripts (``benchmarks/bench_flat_query.py``,
-``bench_touch_join.py``, ...) exercise — under every available kernel
-backend, and emits one schema-versioned JSON artifact (``BENCH_PR2.json``)
-per run:
+This module is the library behind the ``repro bench`` CLI subcommand.  It
+executes a curated set of workloads — batch-kernel microbenches plus the
+hot end-to-end paths the interactive bench scripts
+(``benchmarks/bench_flat_query.py``, ``bench_touch_join.py``, ...)
+exercise — under every available kernel backend, and emits one
+schema-versioned JSON artifact (``BENCH_PR2.json`` by default) per run:
 
 * per workload and backend mode: best-of-N wall time, work units processed
   and units/second,
@@ -1165,47 +1164,6 @@ _MIN_TIMED_MS = 150.0
 _MAX_REPEATS = 60
 
 
-def _time_workload(workload: _Workload, cfg: dict[str, Any]) -> WorkloadResult:
-    state = workload.setup(cfg)
-    units = workload.run(state)  # warmup (also builds lazy caches)
-    best = float("inf")
-    repeats = cfg["repeats"]
-    # Best-of-N with the collector paused: the quantity of interest is the
-    # algorithmic cost, not allocator noise or a mid-run GC cycle.  Cheap
-    # workloads repeat past N (timeit-style autorange) until _MIN_TIMED_MS
-    # of wall time has accumulated, so best-of is taken over enough samples
-    # to shake scheduler jitter out of the min.
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    done = 0
-    total_wall_ms = 0.0
-    try:
-        while done < repeats or (total_wall_ms < _MIN_TIMED_MS and done < _MAX_REPEATS):
-            start = time.perf_counter()
-            units = workload.run(state)
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            elapsed_ms = wall_ms
-            if workload.measured_ms is not None:
-                elapsed_ms = workload.measured_ms(state, units)
-            best = min(best, elapsed_ms)
-            total_wall_ms += wall_ms
-            done += 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        if workload.teardown is not None:
-            workload.teardown(state)
-    return WorkloadResult(
-        name=workload.name,
-        mode=kernels.active_backend(),
-        wall_ms=best,
-        units=units,
-        unit=workload.unit,
-        repeats=done,
-    )
-
-
 def _time_workload_interleaved(
     workload: _Workload, cfg: dict[str, Any], modes: Sequence[str]
 ) -> dict[str, WorkloadResult]:
@@ -1238,6 +1196,8 @@ def _time_workload_interleaved(
             best[mode] = float("inf")
             wall_total[mode] = 0.0
             done[mode] = 0
+        # Best-of-N with the collector paused: the quantity of interest is
+        # the algorithmic cost, not allocator noise or a mid-run GC cycle.
         gc.collect()
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -1466,7 +1426,7 @@ def headline_speedups(report: dict[str, Any]) -> dict[str, float | None]:
 # -- CLI -----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="run_bench",
+        prog="repro bench",
         description="Run the repro benchmark suite and emit a BENCH JSON artifact.",
     )
     parser.add_argument("--smoke", action="store_true", help="small CI-sized workloads")

@@ -816,7 +816,7 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
                 summary = (
                     service.describe(),
                     service.telemetry.render(),
-                    service.telemetry.per_shard_cpu_ms,
+                    service.telemetry.snapshot()["per_shard_cpu_ms"],
                 )
             makespan = batch_makespan_ms(results)
             total_work = batch_total_work_ms(results)

@@ -5,19 +5,19 @@ skip the WAL prefix before it.  Objects are written in the Hilbert-packed
 page layout of :class:`~repro.storage.object_store.ObjectStore` — sorted
 along the Hilbert curve of their AABB centres and chunked into
 fixed-capacity pages — so a checkpoint is the same clustering the paged
-structures rebuild from, one JSON line per page.
+structures rebuild from.
 
 Each checkpoint is a directory ``ckpt-<epoch>/`` holding one data file and
 ``manifest.json``; the manifest records the epoch, the WAL position the
 snapshot covers (``wal_seq``: every logged batch with a sequence number at
 or below it is already folded in), the shard spec the engine ran with, and
-a CRC of the data file.  Two data formats coexist, versioned by the
-manifest's ``format_version``:
+a CRC of the data file.  Two data formats are read, versioned by the
+manifest's ``format_version``; only v2 is written:
 
 * **v1** (``objects.jsonl``) — one JSON line per page; the original
-  format, still readable and writable (``format="json"``) so checkpoint
-  directories from earlier releases recover unchanged.
-* **v2** (``columns.bin``, the default) — a binary structure-of-arrays
+  format, still read so checkpoint directories from earlier releases
+  recover unchanged.
+* **v2** (``columns.bin``) — a binary structure-of-arrays
   dump of the arena columns (kind, uid, AABB bounds, segment endpoints /
   radius / provenance) plus the page-length vector, little-endian.  Readers
   that predate v2 reject the manifest with
@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.durability.serde import decode_object, encode_object
+from repro.durability.serde import decode_object
 from repro.errors import CheckpointMismatchError, DurabilityError
 from repro.geometry.aabb import AABB
 from repro.geometry.segment import Segment
@@ -127,17 +127,15 @@ def write_checkpoint(
     wal_seq: int,
     num_shards: int | None = None,
     page_capacity: int | None = None,
-    format: str = "binary",
 ) -> Path:
     """Write one atomic checkpoint under ``root``; return its directory.
 
     ``objects`` may be a plain object sequence or a
     :class:`~repro.storage.arena.ColumnarArena` (columns are dumped without
     materializing objects).  The dataset must be non-empty (the engines are
-    defined over non-empty datasets).  ``format`` selects the data layout:
-    ``"binary"`` (v2 columnar, the default) or ``"json"`` (the v1 per-page
-    JSON lines format).  Re-checkpointing an epoch that already exists and
-    validates is a no-op returning the existing directory.
+    defined over non-empty datasets).  The data is always written as v2
+    columns.  Re-checkpointing an epoch that already exists and validates
+    is a no-op returning the existing directory.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -145,8 +143,6 @@ def write_checkpoint(
         raise DurabilityError("checkpoint epoch and wal_seq must be >= 0")
     if not len(objects):
         raise DurabilityError("cannot checkpoint an empty dataset")
-    if format not in ("binary", "json"):
-        raise DurabilityError(f"unknown checkpoint format {format!r}")
     if page_capacity is None:
         page_capacity = DEFAULT_PAGE_BYTES // OBJECT_BYTES
 
@@ -159,18 +155,13 @@ def write_checkpoint(
             shutil.rmtree(final)  # replace a checkpoint that failed validation
 
     # Hilbert-packed layout: the ObjectStore's page clustering is the
-    # at-rest order for both formats.
+    # at-rest order.
     store = ObjectStore(objects, page_capacity=page_capacity)
     arena = objects if isinstance(objects, ColumnarArena) else None
-    if format == "json":
-        version = _FORMAT_JSON
-        data = _encode_json_pages(store)
-    else:
-        version = _FORMAT_BINARY
-        data = _encode_binary_columns(store, arena)
+    data = _encode_binary_columns(store, arena)
 
     manifest = CheckpointManifest(
-        format_version=version,
+        format_version=_FORMAT_BINARY,
         epoch=epoch,
         wal_seq=wal_seq,
         num_objects=store.num_objects,
@@ -184,23 +175,12 @@ def write_checkpoint(
     if tmp.exists():
         shutil.rmtree(tmp)  # leftover from a crashed writer
     tmp.mkdir()
-    (tmp / _DATA_FILE_OF[version]).write_bytes(data)
+    (tmp / _DATA_FILE_BINARY).write_bytes(data)
     (tmp / _MANIFEST_FILE).write_text(
         json.dumps(manifest.as_json(), indent=2) + "\n", encoding="utf-8"
     )
     tmp.rename(final)  # the commit point
     return final
-
-
-def _encode_json_pages(store: ObjectStore) -> bytes:
-    """The v1 data payload: one JSON line per page."""
-    lines: list[str] = []
-    for page in store.pages():
-        encoded = [encode_object(obj) for obj in store.objects_on_page(page.page_id)]
-        lines.append(
-            json.dumps({"page": page.page_id, "objects": encoded}, separators=(",", ":"))
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _binary_row(obj: SpatialObject) -> tuple:

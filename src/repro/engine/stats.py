@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import LATENCY_BUCKETS_MS, Counter, global_registry
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Breakdown, Totals, global_registry
 from repro.utils.tables import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -112,169 +112,97 @@ class EngineResult:
         return table.render()
 
 
-def _family_as_dict(family: Counter) -> dict[str, int]:
-    """A labeled counter family as the plain dict the old telemetry exposed."""
-    out: dict[str, int] = {}
-    for child in family.children():
-        value = child.value
-        if value:
-            out[child.label_values[0]] = int(value)
-    return out
+#: Every engine-lifetime total, declared once: ``(snapshot key, the field
+#: of the recorded stats it sums)``; a ``None`` field counts recordings.
+_QUERY_TOTALS = (
+    ("queries_executed", None),
+    ("pages_read", "pages_read"),
+    ("io_time_ms", "io_time_ms"),
+    ("comparisons", "comparisons"),
+    ("results_returned", "num_results"),
+    ("elapsed_ms", "elapsed_ms"),
+    ("planning_ms", "planning_ms"),
+    ("kernel_batches", "kernel_batches"),
+)
+#: The write-path totals, shared with the sharded service's telemetry.
+MUTATION_TOTALS = (
+    ("mutation_batches", None),
+    ("mutations_applied", "applied"),
+    ("inserts", "inserts"),
+    ("deletes", "deletes"),
+    ("moves", "moves"),
+    ("mutation_ms", "elapsed_ms"),
+)
 
 
 class EngineTelemetry:
     """Engine-lifetime aggregate of every executed query's counters.
 
-    Backed by :mod:`repro.obs.metrics` primitives: every count is a
-    per-instance :class:`~repro.obs.metrics.Counter` whose per-thread cells
-    make ``record`` lock-free — process-pool result handlers and shard
-    worker threads can feed one telemetry object without losing an
-    increment to a read-modify-write race.  Reads sum the cells, exact at
-    any quiescent point (no in-flight queries), which is the conservation
-    contract the stress suite asserts.  Each recording also feeds the
-    process-wide ``repro_engine_*`` families for the wire scrape.
+    Backed by :mod:`repro.obs.metrics` primitives: every total is a
+    per-instance :class:`~repro.obs.metrics.Counter` whose per-thread
+    cells make ``record`` lock-free — process-pool result handlers and
+    shard worker threads can feed one telemetry object without losing an
+    increment to a read-modify-write race.  :meth:`snapshot` is the one
+    reader; it sums the cells, exact at any quiescent point (no in-flight
+    queries), which is the conservation contract the stress suite
+    asserts.  Each recording also feeds the process-wide
+    ``repro_engine_*`` families for the wire scrape.
     """
 
     def __init__(self) -> None:
-        self._queries = Counter("queries_executed")
-        self._pages = Counter("pages_read")
-        self._io_ms = Counter("io_time_ms")
-        self._comparisons = Counter("comparisons")
-        self._results = Counter("results_returned")
-        self._elapsed_ms = Counter("elapsed_ms")
-        self._planning_ms = Counter("planning_ms")
-        self._kernel_batches = Counter("kernel_batches")
-        self._mutation_batches = Counter("mutation_batches")
-        self._mutations_applied = Counter("mutations_applied")
-        self._inserts = Counter("inserts")
-        self._deletes = Counter("deletes")
-        self._moves = Counter("moves")
-        self._mutation_ms = Counter("mutation_ms")
-        self._by_kind = Counter("by_kind", label_names=("kind",))
-        self._by_strategy = Counter("by_strategy", label_names=("strategy",))
-        self._by_backend = Counter("by_kernel_backend", label_names=("backend",))
+        self._totals = Totals(_QUERY_TOTALS, MUTATION_TOTALS)
+        self._by_kind = Breakdown("by_kind")
+        self._by_strategy = Breakdown("by_strategy")
+        self._by_backend = Breakdown("by_kernel_backend")
 
     def record(self, stats: EngineStats) -> None:
-        self._queries.inc()
-        self._pages.inc(stats.pages_read)
-        self._io_ms.inc(stats.io_time_ms)
-        self._comparisons.inc(stats.comparisons)
-        self._results.inc(stats.num_results)
-        self._elapsed_ms.inc(stats.elapsed_ms)
-        self._planning_ms.inc(stats.planning_ms)
-        self._kernel_batches.inc(stats.kernel_batches)
-        self._by_kind.labels(kind=stats.kind).inc()
-        self._by_strategy.labels(strategy=stats.strategy).inc()
+        self._totals.add(stats, _QUERY_TOTALS)
+        self._by_kind.inc(stats.kind)
+        self._by_strategy.inc(stats.strategy)
         if stats.kernel_backend:
-            self._by_backend.labels(backend=stats.kernel_backend).inc()
-            _Q_KERNEL_BATCHES.labels(backend=stats.kernel_backend).inc(
-                stats.kernel_batches
-            )
-        _Q_TOTAL.labels(kind=stats.kind, strategy=stats.strategy).inc()
+            self._by_backend.inc(stats.kernel_backend)
+            _Q_KERNEL_BATCHES.child(stats.kernel_backend).inc(stats.kernel_batches)
+        _Q_TOTAL.child(stats.kind, stats.strategy).inc()
         _Q_RESULTS.inc(stats.num_results)
-        _Q_LATENCY.labels(kind=stats.kind).observe(stats.elapsed_ms)
+        _Q_LATENCY.child(stats.kind).observe(stats.elapsed_ms)
 
     def record_mutations(self, stats: "MutationStats") -> None:
         """Fold one ``apply_many`` batch's counters into the lifetime view."""
-        self._mutation_batches.inc()
-        self._mutations_applied.inc(stats.applied)
-        self._inserts.inc(stats.inserts)
-        self._deletes.inc(stats.deletes)
-        self._moves.inc(stats.moves)
-        self._mutation_ms.inc(stats.elapsed_ms)
-        _M_TOTAL.labels(op="insert").inc(stats.inserts)
-        _M_TOTAL.labels(op="delete").inc(stats.deletes)
-        _M_TOTAL.labels(op="move").inc(stats.moves)
+        self._totals.add(stats, MUTATION_TOTALS)
+        _M_TOTAL.child("insert").inc(stats.inserts)
+        _M_TOTAL.child("delete").inc(stats.deletes)
+        _M_TOTAL.child("move").inc(stats.moves)
 
-    # -- compat surface (the attributes the old dataclass exposed) ------------
-    @property
-    def queries_executed(self) -> int:
-        return int(self._queries.value)
-
-    @property
-    def pages_read(self) -> int:
-        return int(self._pages.value)
-
-    @property
-    def io_time_ms(self) -> float:
-        return self._io_ms.value
-
-    @property
-    def comparisons(self) -> int:
-        return int(self._comparisons.value)
-
-    @property
-    def results_returned(self) -> int:
-        return int(self._results.value)
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self._elapsed_ms.value
-
-    @property
-    def planning_ms(self) -> float:
-        return self._planning_ms.value
-
-    @property
-    def kernel_batches(self) -> int:
-        return int(self._kernel_batches.value)
-
-    @property
-    def mutation_batches(self) -> int:
-        return int(self._mutation_batches.value)
-
-    @property
-    def mutations_applied(self) -> int:
-        return int(self._mutations_applied.value)
-
-    @property
-    def inserts(self) -> int:
-        return int(self._inserts.value)
-
-    @property
-    def deletes(self) -> int:
-        return int(self._deletes.value)
-
-    @property
-    def moves(self) -> int:
-        return int(self._moves.value)
-
-    @property
-    def mutation_ms(self) -> float:
-        return self._mutation_ms.value
-
-    @property
-    def by_kind(self) -> dict[str, int]:
-        return _family_as_dict(self._by_kind)
-
-    @property
-    def by_strategy(self) -> dict[str, int]:
-        return _family_as_dict(self._by_strategy)
-
-    @property
-    def by_kernel_backend(self) -> dict[str, int]:
-        return _family_as_dict(self._by_backend)
+    def snapshot(self) -> dict[str, Any]:
+        """A copy of every total (exact at any quiescent point)."""
+        return {
+            **self._totals.snapshot(),
+            "by_kind": self._by_kind.snapshot(),
+            "by_strategy": self._by_strategy.snapshot(),
+            "by_kernel_backend": self._by_backend.snapshot(),
+        }
 
     def render(self) -> str:
+        snap = self.snapshot()
         table = Table(["metric", "value"], title="engine telemetry")
-        table.add_row(["queries executed", self.queries_executed])
-        table.add_row(["results returned", self.results_returned])
-        table.add_row(["pages read", self.pages_read])
-        table.add_row(["simulated I/O (ms)", self.io_time_ms])
-        table.add_row(["comparisons", self.comparisons])
-        table.add_row(["kernel batches", self.kernel_batches])
-        for backend in sorted(self.by_kernel_backend):
-            table.add_row([f"  via {backend} kernels", self.by_kernel_backend[backend]])
-        table.add_row(["execution wall (ms)", self.elapsed_ms])
-        table.add_row(["planning wall (ms)", self.planning_ms])
-        if self.mutation_batches:
-            table.add_row(["mutations applied", self.mutations_applied])
-            table.add_row(["  inserts", self.inserts])
-            table.add_row(["  deletes", self.deletes])
-            table.add_row(["  moves", self.moves])
-            table.add_row(["mutation wall (ms)", self.mutation_ms])
-        for kind in sorted(self.by_kind):
-            table.add_row([f"  {kind} queries", self.by_kind[kind]])
-        for strategy in sorted(self.by_strategy):
-            table.add_row([f"  via {strategy}", self.by_strategy[strategy]])
+        table.add_row(["queries executed", snap["queries_executed"]])
+        table.add_row(["results returned", snap["results_returned"]])
+        table.add_row(["pages read", snap["pages_read"]])
+        table.add_row(["simulated I/O (ms)", snap["io_time_ms"]])
+        table.add_row(["comparisons", snap["comparisons"]])
+        table.add_row(["kernel batches", snap["kernel_batches"]])
+        for backend, count in snap["by_kernel_backend"].items():
+            table.add_row([f"  via {backend} kernels", count])
+        table.add_row(["execution wall (ms)", snap["elapsed_ms"]])
+        table.add_row(["planning wall (ms)", snap["planning_ms"]])
+        if snap["mutation_batches"]:
+            table.add_row(["mutations applied", snap["mutations_applied"]])
+            table.add_row(["  inserts", snap["inserts"]])
+            table.add_row(["  deletes", snap["deletes"]])
+            table.add_row(["  moves", snap["moves"]])
+            table.add_row(["mutation wall (ms)", snap["mutation_ms"]])
+        for kind, count in snap["by_kind"].items():
+            table.add_row([f"  {kind} queries", count])
+        for strategy, count in snap["by_strategy"].items():
+            table.add_row([f"  via {strategy}", count])
         return table.render()

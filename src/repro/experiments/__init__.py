@@ -2,8 +2,8 @@
 
 Every experiment returns a small dataclass with the series the demo screens
 displayed and offers ``render()`` for the text table; benchmarks and
-examples call these functions so the numbers in EXPERIMENTS.md, the benches
-and the examples always come from the same code path.
+examples call these functions so the numbers in ``repro report``, the
+benches and the examples always come from the same code path.
 """
 
 from repro.experiments.datasets import circuit_dataset, flat_index_for

@@ -1,4 +1,4 @@
-"""Ablations A1-A6: the design choices DESIGN.md calls out, isolated.
+"""Ablations A1-A8: the design choices of FLAT, SCOUT and TOUCH, isolated.
 
 Each function toggles exactly one mechanism and reports the counters it
 moves, using the same datasets as the main experiments.

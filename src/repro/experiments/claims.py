@@ -18,7 +18,7 @@ reports measured value + the qualitative expectation.  "Holds" means the
 reports.  Absolute factors depend on scale: the paper's 1-2 orders of
 magnitude for the join were measured on 100M-500M-element BlueGene datasets;
 at laptop scale the reproduced gaps are smaller but widen monotonically with
-dataset size (see EXPERIMENTS.md for the extrapolation discussion).
+dataset size (E7 in ``repro report`` shows the trend).
 """
 
 from __future__ import annotations

@@ -212,8 +212,8 @@ def join_scaling_experiment(
 ) -> JoinScalingResult:
     """Run E7: every algorithm at every size, slowdowns relative to TOUCH.
 
-    ``nested_loop_max`` caps the sizes the O(n^2) strawman runs at; beyond
-    it the quadratic cost is reported by extrapolation in EXPERIMENTS.md.
+    ``nested_loop_max`` caps the sizes the O(n^2) strawman runs at; larger
+    sizes have no nested-loop row.
     """
     selected = algorithms if algorithms is not None else list(JOIN_ALGORITHMS)
     if "TOUCH" not in selected:

@@ -1,9 +1,9 @@
 """One-shot report generator: every experiment, one document.
 
 ``generate_report`` runs the full experiment suite (E1-E8, the ablations
-and the headline claims) and assembles a single plain-text report — the
-programmatic counterpart of EXPERIMENTS.md, regenerated on the current
-machine.  Exposed on the CLI as ``python -m repro report``.
+and the headline claims) and assembles a single plain-text report,
+regenerated on the current machine.  Exposed on the CLI as
+``python -m repro report``.
 """
 
 from __future__ import annotations

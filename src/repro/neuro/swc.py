@@ -3,7 +3,7 @@
 SWC is the de-facto exchange format for neuron morphologies (one sample per
 line: ``index type x y z radius parent``).  Supporting it makes the library
 usable with real reconstructions (NeuroMorpho.org etc.) in place of the
-synthetic generator — the substitution boundary called out in DESIGN.md.
+synthetic generator.
 """
 
 from __future__ import annotations

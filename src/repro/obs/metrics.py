@@ -10,6 +10,10 @@ Three metric kinds cover all of it:
 * :class:`Histogram` — fixed-bucket distributions (fsync latency,
   per-frame latency, group-commit batch size).
 
+Per-object lifetime views (the engine and service telemetry) group
+unregistered counters with :class:`Totals` (fixed names) and
+:class:`Breakdown` (one sum split by an open key).
+
 **Lock-free hot path.**  Counters and histograms never take a lock on
 ``inc``/``observe``: each thread owns a private cell (a plain list) that
 only it mutates, registered once under the family lock on the thread's
@@ -21,7 +25,9 @@ without a single lost increment.
 
 **Labels.**  A metric created with ``label_names`` is a *family*:
 ``family.labels(type="query")`` returns (and memoises) the child carrying
-those label values; only children accept updates.  The Prometheus text
+those label values; only children accept updates.  Hot paths use
+``family.child("query")``, the positional form memoised on the raw
+values, which is one dict hit once the child exists.  The Prometheus text
 exposition (:meth:`MetricsRegistry.render_prometheus`) renders every
 family with ``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le=}``
 series for histograms, and escaped label values.
@@ -34,6 +40,7 @@ from bisect import bisect_left
 from typing import Any, Callable, Sequence
 
 __all__ = [
+    "Breakdown",
     "Counter",
     "Gauge",
     "Histogram",
@@ -41,6 +48,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "LATENCY_BUCKETS_MS",
     "SIZE_BUCKETS",
+    "Totals",
     "global_registry",
 ]
 
@@ -81,6 +89,7 @@ class _Metric:
         self.label_values: tuple[str, ...] = ()
         self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], "_Metric"] = {}
+        self._resolved: dict[tuple[Any, ...], "_Metric"] = {}
 
     # -- families ------------------------------------------------------------
     def labels(self, **labels: Any) -> Any:
@@ -102,6 +111,14 @@ class _Metric:
                     child.label_values = key
                     self._children[key] = child
         return child
+
+    def child(self, *values: Any) -> Any:
+        """:meth:`labels` by position, memoised on the raw label values."""
+        found = self._resolved.get(values)
+        if found is None:
+            found = self.labels(**dict(zip(self.label_names, values)))
+            self._resolved[values] = found
+        return found
 
     def _make_child(self) -> "_Metric":
         raise NotImplementedError
@@ -312,6 +329,58 @@ class Histogram(_Metric):
             lines.append(f"{self.name}_sum{suffix} {_format_value(total_sum)}")
             lines.append(f"{self.name}_count{suffix} {_format_value(total_count)}")
         return lines
+
+
+def _read_sum(name: str, value: float) -> float:
+    """A sum as telemetry reports it: ``*_ms`` as recorded, counts as ints."""
+    return value if name.endswith("_ms") else int(value)
+
+
+class Totals:
+    """Named lifetime sums, one lock-free :class:`Counter` each.
+
+    Built from ``(name, source)`` field tuples, the single place a
+    telemetry class declares its totals: :meth:`add` sums the attribute
+    ``source`` of a recorded stats object into ``name`` (a ``None``
+    source counts the recording instead).
+    """
+
+    def __init__(self, *fields: Sequence[tuple[str, str | None]]) -> None:
+        self._counters = {name: Counter(name) for group in fields for name, _ in group}
+
+    def inc(self, name: str, amount: float = 1.0) -> None:
+        self._counters[name].inc(amount)
+
+    def add(self, stats: Any, fields: Sequence[tuple[str, str | None]]) -> None:
+        counters = self._counters
+        for name, source in fields:
+            counters[name].inc(1 if source is None else getattr(stats, source))
+
+    def snapshot(self) -> dict[str, float]:
+        return {name: _read_sum(name, c.value) for name, c in self._counters.items()}
+
+
+class Breakdown:
+    """One lifetime sum split by an open key (kind, strategy, shard id).
+
+    Each key's :class:`Counter` is created on its first update and
+    memoised, so a warm update is one dict hit and a lock-free add.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._parts: dict[Any, Counter] = {}
+
+    def inc(self, key: Any, amount: float = 1.0) -> None:
+        counter = self._parts.get(key)
+        if counter is None:
+            counter = self._parts.setdefault(key, Counter(self.name))
+        counter.inc(amount)
+
+    def snapshot(self) -> dict[Any, float]:
+        """Every key updated so far, in sorted order."""
+        parts = dict(self._parts)
+        return {key: _read_sum(self.name, parts[key].value) for key in sorted(parts)}
 
 
 class MetricsRegistry:

@@ -23,12 +23,12 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.engine.stats import EngineStats
-from repro.obs.metrics import LATENCY_BUCKETS_MS, Counter, global_registry
+from repro.engine.stats import MUTATION_TOTALS
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Breakdown, Totals, global_registry
+from repro.utils.tables import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.mutations import MutationStats
-from repro.utils.tables import Table
 
 __all__ = [
     "ServiceResult",
@@ -103,18 +103,6 @@ class ServiceStats:
     @property
     def comparisons(self) -> int:
         return sum(w.comparisons for w in self.shard_work)
-
-    def as_engine_stats(self) -> EngineStats:
-        """The query's counters in the single-engine envelope shape."""
-        return EngineStats(
-            kind=self.kind,
-            strategy="sharded",
-            pages_read=self.pages_read,
-            io_time_ms=self.total_work_ms,
-            comparisons=self.comparisons,
-            num_results=self.num_results,
-            elapsed_ms=self.elapsed_ms,
-        )
 
 
 @dataclass
@@ -246,78 +234,80 @@ _S_EPOCH = _REGISTRY.gauge(
 )
 
 
+#: Every service-lifetime total, declared once: ``(snapshot key, the field
+#: of the recorded stats it sums)``; a ``None`` field counts recordings.
+#: The write-path totals are the engine's ``MUTATION_TOTALS``.
+_OUTCOME_TOTALS = (
+    ("submitted", None),
+    ("rejected", None),
+    ("timed_out", None),
+    ("failed", None),
+)
+_COMPLETED_TOTALS = (
+    ("completed", None),
+    ("results_returned", "num_results"),
+    ("shard_subtasks", "shards_used"),
+    ("admission_wait_ms", "admission_wait_ms"),
+    ("makespan_ms", "makespan_ms"),
+    ("total_work_ms", "total_work_ms"),
+)
+# Only a re-tile rebuilds shards; every other batch applies in place on
+# the touched shards' warm engines.
+_REBALANCE_TOTALS = (
+    ("shards_rebuilt", "shards_touched"),
+    ("rebalances", None),
+)
+
+
 class ServiceTelemetry:
     """Service-lifetime aggregate, safe under concurrent mutation.
 
-    Every count is a per-instance :class:`repro.obs.metrics.Counter`, so
+    Every total is a per-instance :class:`repro.obs.metrics.Counter`, so
     updates — including the ones issued from process-pool result handler
     threads — ride the registry's lock-free per-thread cells; only the
-    epoch high-water mark keeps a lock (it is a max, not a sum).  Reads
-    sum the cells, which makes this object the service's single source of
+    epoch high-water mark keeps a lock (it is a max, not a sum).
+    :meth:`snapshot` is the one reader and the service's single source of
     truth for conservation checks: ``completed + failed + rejected +
     timed_out == submitted`` holds at every quiescent point, and
     ``results_returned`` equals the sum of per-query result counts.
     """
 
     def __init__(self) -> None:
-        self._submitted = Counter("submitted")
-        self._completed = Counter("completed")
-        self._rejected = Counter("rejected")
-        self._timed_out = Counter("timed_out")
-        self._failed = Counter("failed")
-        self._results = Counter("results_returned")
-        self._shard_subtasks = Counter("shard_subtasks")
-        self._admission_wait_ms = Counter("admission_wait_ms")
-        self._makespan_ms = Counter("makespan_ms")
-        self._total_work_ms = Counter("total_work_ms")
-        self._by_kind = Counter("by_kind", label_names=("kind",))
-        self._per_shard_service_ms = Counter(
-            "per_shard_service_ms", label_names=("shard",)
+        self._totals = Totals(
+            _OUTCOME_TOTALS, _COMPLETED_TOTALS, MUTATION_TOTALS, _REBALANCE_TOTALS
         )
-        self._per_shard_cpu_ms = Counter("per_shard_cpu_ms", label_names=("shard",))
-        # Write-path counters (mutation batches published as epochs).
-        self._mutation_batches = Counter("mutation_batches")
-        self._mutations_applied = Counter("mutations_applied")
-        self._inserts = Counter("inserts")
-        self._deletes = Counter("deletes")
-        self._moves = Counter("moves")
-        self._mutation_ms = Counter("mutation_ms")
-        self._shards_rebuilt = Counter("shards_rebuilt")
-        self._rebalances = Counter("rebalances")
+        self._by_kind = Breakdown("by_kind")
+        self._per_shard_service_ms = Breakdown("per_shard_service_ms")
+        self._per_shard_cpu_ms = Breakdown("per_shard_cpu_ms")
         self._epoch_lock = threading.Lock()
         self._current_epoch = 0
 
     # -- recording (lock-free except the epoch high-water mark) ----------------
+    def _record_outcome(self, outcome: str) -> None:
+        self._totals.inc(outcome)
+        _S_REQUESTS.child(outcome).inc()
+
     def record_submitted(self) -> None:
-        self._submitted.inc()
-        _S_REQUESTS.labels(outcome="submitted").inc()
+        self._record_outcome("submitted")
 
     def record_rejected(self) -> None:
-        self._rejected.inc()
-        _S_REQUESTS.labels(outcome="rejected").inc()
+        self._record_outcome("rejected")
 
     def record_timeout(self) -> None:
-        self._timed_out.inc()
-        _S_REQUESTS.labels(outcome="timed_out").inc()
+        self._record_outcome("timed_out")
 
     def record_failure(self) -> None:
-        self._failed.inc()
-        _S_REQUESTS.labels(outcome="failed").inc()
+        self._record_outcome("failed")
 
     def record_completed(self, stats: ServiceStats) -> None:
-        self._completed.inc()
-        self._results.inc(stats.num_results)
-        self._shard_subtasks.inc(stats.shards_used)
-        self._admission_wait_ms.inc(stats.admission_wait_ms)
-        self._makespan_ms.inc(stats.makespan_ms)
-        self._total_work_ms.inc(stats.total_work_ms)
-        self._by_kind.labels(kind=stats.kind).inc()
+        self._totals.add(stats, _COMPLETED_TOTALS)
+        self._by_kind.inc(stats.kind)
         for work in stats.shard_work:
-            self._per_shard_service_ms.labels(shard=work.shard_id).inc(work.service_ms)
+            self._per_shard_service_ms.inc(work.shard_id, work.service_ms)
             if work.cpu_ms:
-                self._per_shard_cpu_ms.labels(shard=work.shard_id).inc(work.cpu_ms)
+                self._per_shard_cpu_ms.inc(work.shard_id, work.cpu_ms)
                 _S_SUBTASK_CPU.observe(work.cpu_ms)
-        _S_REQUESTS.labels(outcome="completed").inc()
+        _S_REQUESTS.child("completed").inc()
         _S_RESULTS.inc(stats.num_results)
         _S_ADMISSION.observe(stats.admission_wait_ms)
 
@@ -330,160 +320,29 @@ class ServiceTelemetry:
         batches published (every ``apply_many`` bumps the epoch exactly
         once, rebalance or not).
         """
-        self._mutation_batches.inc()
-        self._mutations_applied.inc(stats.applied)
-        self._inserts.inc(stats.inserts)
-        self._deletes.inc(stats.deletes)
-        self._moves.inc(stats.moves)
-        self._mutation_ms.inc(stats.elapsed_ms)
+        self._totals.add(stats, MUTATION_TOTALS)
         if stats.rebalanced:
-            # Only a re-tile rebuilds shards; every other batch applies in
-            # place on the touched shards' warm engines.
-            self._shards_rebuilt.inc(stats.shards_touched)
-            self._rebalances.inc()
-        _S_MUTATIONS.labels(op="insert").inc(stats.inserts)
-        _S_MUTATIONS.labels(op="delete").inc(stats.deletes)
-        _S_MUTATIONS.labels(op="move").inc(stats.moves)
+            self._totals.add(stats, _REBALANCE_TOTALS)
+        _S_MUTATIONS.child("insert").inc(stats.inserts)
+        _S_MUTATIONS.child("delete").inc(stats.deletes)
+        _S_MUTATIONS.child("move").inc(stats.moves)
         with self._epoch_lock:
             if stats.epoch > self._current_epoch:
                 self._current_epoch = stats.epoch
                 _S_EPOCH.set(stats.epoch)
 
-    # -- compat surface (the attributes the lock-era class exposed) ------------
-    @property
-    def submitted(self) -> int:
-        return int(self._submitted.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def rejected(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def timed_out(self) -> int:
-        return int(self._timed_out.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def results_returned(self) -> int:
-        return int(self._results.value)
-
-    @property
-    def shard_subtasks(self) -> int:
-        return int(self._shard_subtasks.value)
-
-    @property
-    def admission_wait_ms(self) -> float:
-        return self._admission_wait_ms.value
-
-    @property
-    def makespan_ms(self) -> float:
-        return self._makespan_ms.value
-
-    @property
-    def total_work_ms(self) -> float:
-        return self._total_work_ms.value
-
-    @property
-    def by_kind(self) -> dict[str, int]:
-        return {
-            child.label_values[0]: int(child.value)
-            for child in self._by_kind.children()
-            if child.value
-        }
-
-    @property
-    def per_shard_service_ms(self) -> dict[int, float]:
-        return {
-            int(child.label_values[0]): child.value
-            for child in self._per_shard_service_ms.children()
-        }
-
-    @property
-    def per_shard_cpu_ms(self) -> dict[int, float]:
-        """Total subtask CPU-clock ms per shard (thread or process workers)."""
-        return {
-            int(child.label_values[0]): child.value
-            for child in self._per_shard_cpu_ms.children()
-        }
-
-    @property
-    def mutation_batches(self) -> int:
-        return int(self._mutation_batches.value)
-
-    @property
-    def mutations_applied(self) -> int:
-        return int(self._mutations_applied.value)
-
-    @property
-    def inserts(self) -> int:
-        return int(self._inserts.value)
-
-    @property
-    def deletes(self) -> int:
-        return int(self._deletes.value)
-
-    @property
-    def moves(self) -> int:
-        return int(self._moves.value)
-
-    @property
-    def mutation_ms(self) -> float:
-        return self._mutation_ms.value
-
-    @property
-    def shards_rebuilt(self) -> int:
-        return int(self._shards_rebuilt.value)
-
-    @property
-    def rebalances(self) -> int:
-        return int(self._rebalances.value)
-
-    @property
-    def current_epoch(self) -> int:
-        with self._epoch_lock:
-            return self._current_epoch
-
     # -- reading ---------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """A copy of every counter (exact at any quiescent point)."""
+        """A copy of every total (exact at any quiescent point)."""
+        with self._epoch_lock:
+            current_epoch = self._current_epoch
         return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "timed_out": self.timed_out,
-            "failed": self.failed,
-            "results_returned": self.results_returned,
-            "shard_subtasks": self.shard_subtasks,
-            "admission_wait_ms": self.admission_wait_ms,
-            "makespan_ms": self.makespan_ms,
-            "total_work_ms": self.total_work_ms,
-            "by_kind": self.by_kind,
-            "per_shard_service_ms": self.per_shard_service_ms,
-            "mutation_batches": self.mutation_batches,
-            "mutations_applied": self.mutations_applied,
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "moves": self.moves,
-            "mutation_ms": self.mutation_ms,
-            "shards_rebuilt": self.shards_rebuilt,
-            "rebalances": self.rebalances,
-            "current_epoch": self.current_epoch,
+            **self._totals.snapshot(),
+            "by_kind": self._by_kind.snapshot(),
+            "per_shard_service_ms": self._per_shard_service_ms.snapshot(),
+            "per_shard_cpu_ms": self._per_shard_cpu_ms.snapshot(),
+            "current_epoch": current_epoch,
         }
-
-    @property
-    def modelled_speedup(self) -> float:
-        """Aggregate total-work / makespan — the modelled sharding win."""
-        makespan = self.makespan_ms
-        if makespan <= 0.0:
-            return 1.0
-        return self.total_work_ms / makespan
 
     def render(self) -> str:
         snap = self.snapshot()
@@ -510,13 +369,8 @@ class ServiceTelemetry:
             table.add_row(["shards rebuilt", snap["shards_rebuilt"]])
             table.add_row(["rebalances", snap["rebalances"]])
             table.add_row(["current epoch", snap["current_epoch"]])
-        for kind in sorted(snap["by_kind"]):
-            table.add_row([f"  {kind} queries", snap["by_kind"][kind]])
-        for shard_id in sorted(snap["per_shard_service_ms"]):
-            table.add_row(
-                [
-                    f"  shard {shard_id} service (ms)",
-                    round(snap["per_shard_service_ms"][shard_id], 2),
-                ]
-            )
+        for kind, count in snap["by_kind"].items():
+            table.add_row([f"  {kind} queries", count])
+        for shard_id, service_ms in snap["per_shard_service_ms"].items():
+            table.add_row([f"  shard {shard_id} service (ms)", round(service_ms, 2)])
         return table.render()

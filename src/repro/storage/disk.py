@@ -11,8 +11,8 @@ retrieved" and "I/O time" are exact and machine-independent:
   FLAT's Hilbert-clustered crawl exploits,
 * buffer-pool hits cost ``hit_latency_ms``.
 
-The relative ordering of the paper's techniques is insensitive to the exact
-constants (see benchmarks/bench_ablations.py for a sensitivity sweep).
+The paper's claims compare techniques under one shared set of constants;
+``repro report`` regenerates every figure and claim under the defaults.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from repro.storage.arena import (
     ColumnarArena,
 )
 
-from tests.conftest import grid_boxes
+from tests.conftest import grid_boxes, write_v1_checkpoint
 
 BACKENDS = kernels.available_backends()
 
@@ -253,17 +253,12 @@ class TestBinaryCheckpoint:
         )
         assert loaded.epoch == 3
 
-    def test_json_format_still_written_and_read(self, tmp_path):
+    def test_v1_json_checkpoint_is_still_read(self, tmp_path):
         objects = grid_boxes(2)
-        path = write_checkpoint(tmp_path, objects, epoch=1, wal_seq=1, format="json")
-        assert (path / "objects.jsonl").exists()
+        path = write_v1_checkpoint(tmp_path, objects, epoch=1, wal_seq=1)
         assert read_manifest(path).format_version == 1
         loaded, _ = load_checkpoint(path)
         assert sorted(o.uid for o in loaded) == sorted(o.uid for o in objects)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(DurabilityError, match="unknown checkpoint format"):
-            write_checkpoint(tmp_path, grid_boxes(2), epoch=0, wal_seq=0, format="msgpack")
 
     def test_corrupt_binary_detected(self, tmp_path):
         path = write_checkpoint(tmp_path, grid_boxes(2), epoch=0, wal_seq=0)
@@ -276,7 +271,7 @@ class TestBinaryCheckpoint:
 
     def test_damaged_binary_falls_back_to_older_json(self, tmp_path):
         objects = grid_boxes(2)
-        write_checkpoint(tmp_path, objects, epoch=1, wal_seq=1, format="json")
+        write_v1_checkpoint(tmp_path, objects, epoch=1, wal_seq=1)
         newer = write_checkpoint(tmp_path, objects + [box(100, 9.0)], epoch=2, wal_seq=2)
         (newer / "columns.bin").write_bytes(b"RPRCOL2\n garbage")
         loaded, manifest = latest_checkpoint(tmp_path)
@@ -288,10 +283,7 @@ class TestBinaryCheckpoint:
         durable = repro.create(grid_boxes(3), root)  # binary checkpoint, epoch 0
         durable.apply(repro.Insert(box(200, 20.0)))  # epoch 1 == WAL seq 1
         # An old-format writer checkpoints the same directory in v1 JSON.
-        write_checkpoint(
-            checkpoints_path(root), durable.engine.arena, epoch=1, wal_seq=1,
-            format="json",
-        )
+        write_v1_checkpoint(checkpoints_path(root), durable.objects, epoch=1, wal_seq=1)
         durable.apply(repro.Insert(box(201, 22.0)))  # epoch 2, WAL only
         expected = sorted(o.uid for o in durable.objects)
         durable.close()

@@ -20,16 +20,12 @@ import repro
 from repro import kernels
 from repro.catalog import Catalog, CatalogError, CatalogManifest, dataset_lineage
 from repro.cli import main as cli_main
-from repro.durability import (
-    checkpoints_path,
-    list_checkpoints,
-    wal_path,
-    write_checkpoint,
-)
+from repro.durability import checkpoints_path, list_checkpoints, wal_path
 from repro.engine import Insert, KNNQuery, Move, RangeQuery, SpatialJoin, Walkthrough
 from repro.geometry.aabb import AABB
 from repro.objects import BoxObject
 from repro.storage.arena import ColumnarArena
+from tests.conftest import write_v1_checkpoint
 
 BACKENDS = kernels.available_backends()
 
@@ -442,9 +438,7 @@ class TestMixedFormatThroughCatalog:
         engine.apply_many([Move(uid=4, obj=moved_box(4, 70.0))])
         # Hand-written v1 JSON checkpoint at epoch 2 (wal seq == epoch).
         root = catalog.dataset_root("circuit")
-        write_checkpoint(
-            checkpoints_path(root), engine.objects, epoch=2, wal_seq=2, format="json"
-        )
+        write_v1_checkpoint(checkpoints_path(root), engine.objects, epoch=2, wal_seq=2)
         catalog.tag("circuit", "json-era")
         engine.apply_many([Insert(moved_box(101, 80.0))])
         engine.checkpoint()  # binary v2 at epoch 3

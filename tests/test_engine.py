@@ -113,7 +113,7 @@ class TestPlanSelection:
         fresh.explain(SpatialJoin(eps=3.0))
         fresh.explain(KNNQuery(dense_window.center(), k=4))
         assert fresh.indexes_built == {"flat": False, "rtree": False, "pool": False}
-        assert fresh.telemetry.queries_executed == 0
+        assert fresh.telemetry.snapshot()["queries_executed"] == 0
 
     def test_explain_render_names_strategy_and_reason(self, engine, dense_window):
         text = engine.explain(RangeQuery(dense_window)).render()
@@ -198,15 +198,15 @@ class TestStatsAndTelemetry:
         ]
         results = eng.query_many(batch)
         assert len(results) == 3
-        telemetry = eng.telemetry
-        assert telemetry.queries_executed == 3
-        assert telemetry.pages_read == sum(r.stats.pages_read for r in results)
-        assert telemetry.comparisons == sum(r.stats.comparisons for r in results)
-        assert telemetry.io_time_ms == pytest.approx(
+        snap = eng.telemetry.snapshot()
+        assert snap["queries_executed"] == 3
+        assert snap["pages_read"] == sum(r.stats.pages_read for r in results)
+        assert snap["comparisons"] == sum(r.stats.comparisons for r in results)
+        assert snap["io_time_ms"] == pytest.approx(
             sum(r.stats.io_time_ms for r in results)
         )
-        assert telemetry.by_kind == {"range": 2, "knn": 1}
-        assert sum(telemetry.by_strategy.values()) == 3
+        assert snap["by_kind"] == {"range": 2, "knn": 1}
+        assert sum(snap["by_strategy"].values()) == 3
 
     def test_knn_reuses_warm_pool(self, medium_circuit, dense_window):
         eng = SpatialEngine.from_circuit(medium_circuit, page_capacity=PAGE_CAPACITY)

@@ -300,7 +300,7 @@ class TestEngineOracle:
             # Structural invariants survive the whole interleaving.
             engine.flat_index().validate()
             engine.object_rtree().validate()
-            assert engine.telemetry.mutations_applied == applied
+            assert engine.telemetry.snapshot()["mutations_applied"] == applied
 
 
 # -- the sharded-service oracle ------------------------------------------------

@@ -21,6 +21,7 @@ from repro.engine.queries import RangeQuery
 from repro.errors import ServiceOverloadError
 from repro.geometry.aabb import AABB
 from repro.objects import BoxObject
+from repro.obs import metrics as metrics_module
 from repro.obs import trace
 from repro.obs.metrics import (
     LATENCY_BUCKETS_MS,
@@ -150,6 +151,56 @@ class TestMetricsRegistry:
         names = global_registry().names()
         assert "repro_server_frame_latency_ms" in names
         assert "repro_wal_fsync_ms" in names
+
+
+    def test_positional_child_is_the_memoised_labels_child(self):
+        registry = MetricsRegistry()
+        family = registry.counter("pairs_total", label_names=("kind", "shard"))
+        child = family.child("range", 3)
+        assert child is family.labels(kind="range", shard="3")
+        assert family.child("range", 3) is child
+        with pytest.raises(ValueError, match="takes labels"):
+            family.child("range")
+
+
+class TestWarmHotPaths:
+    """Label children are resolved once; warm updates only add to them."""
+
+    def _count_labels_calls(self, monkeypatch) -> list:
+        calls = []
+        original = metrics_module._Metric.labels
+
+        def counting_labels(self, **labels):
+            calls.append((self.name, labels))
+            return original(self, **labels)
+
+        monkeypatch.setattr(metrics_module._Metric, "labels", counting_labels)
+        return calls
+
+    def test_warm_queries_resolve_no_label_children(self, monkeypatch):
+        service = repro.create(grid_boxes(5), sharded=True, num_shards=2)
+        window = RangeQuery(AABB(-1.0, -1.0, -1.0, 9.0, 9.0, 9.0))
+        with service:
+            assert service.execute(window).stats.shards_used == 2  # warm-up
+            calls = self._count_labels_calls(monkeypatch)
+            for _ in range(50):
+                result = service.execute(window)
+            assert result.stats.shards_used == 2
+            assert calls == []
+            assert service.telemetry.snapshot()["completed"] == 51
+
+    def test_warm_mutation_batches_resolve_no_label_children(self, monkeypatch):
+        service = repro.create(grid_boxes(5), sharded=True, num_shards=2)
+        far = BoxObject(uid=1000, box=AABB(3.0, 3.0, 3.0, 3.5, 3.5, 3.5))
+        with service:
+            service.apply_many([repro.Insert(far)])  # warm-up
+            service.apply_many([repro.Delete(1000)])
+            calls = self._count_labels_calls(monkeypatch)
+            for _ in range(5):
+                service.apply_many([repro.Insert(far)])
+                service.apply_many([repro.Delete(1000)])
+            assert calls == []
+            assert service.telemetry.snapshot()["mutation_batches"] == 12
 
 
 # -- satellite 2: conservation under an 8-thread hammer ------------------------

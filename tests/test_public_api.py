@@ -69,7 +69,7 @@ class TestEngineSurface:
 
         plan = engine.explain(repro.RangeQuery(window))
         assert plan.strategy in ("flat", "rtree")
-        assert engine.telemetry.queries_executed == 3
+        assert engine.telemetry.snapshot()["queries_executed"] == 3
 
     def test_kernel_layer_still_public(self):
         """The documented low-level constructors remain importable."""

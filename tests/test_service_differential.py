@@ -210,4 +210,3 @@ def test_service_stats_shape(circuit):
     assert stats.num_results == len(result.payload)
     assert stats.makespan_ms <= stats.total_work_ms + 1e-9
     assert 0.0 < stats.balance <= 1.0
-    assert stats.as_engine_stats().strategy == "sharded"

@@ -44,7 +44,7 @@ from repro.service import ShardedEngine, active_segment_names
 from repro.service.procpool import SEGMENT_PREFIX
 from repro.storage.arena import KIND_SEGMENT, ColumnarArena
 
-from tests.conftest import grid_boxes
+from tests.conftest import grid_boxes, write_v1_checkpoint
 
 EXECUTORS = ("thread", "process")
 
@@ -378,10 +378,8 @@ class TestNonFiniteIngress:
             uid=1000, p0=Vec3(-0.0, 1e-308, 0.25), p1=Vec3(1e12, -1e-300, 0.75),
             radius=2.0 ** -30,
         )
-        boxes = grid_boxes(2)
-        path = write_checkpoint(
-            tmp_path / format, list(boxes) + [seg], epoch=0, wal_seq=0, format=format
-        )
+        writer = write_checkpoint if format == "binary" else write_v1_checkpoint
+        path = writer(tmp_path / format, grid_boxes(2) + [seg], epoch=0, wal_seq=0)
         loaded, _ = load_checkpoint(path)
         back = {o.uid: o for o in loaded}[1000]
         assert back.p0 == seg.p0 and back.p1 == seg.p1
