@@ -24,7 +24,10 @@ inserts.
 
 All repairs are local: only the touched partition(s) and the neighbour
 lists that mention them change, mirroring how the original system applies
-model updates between simulation runs.
+model updates between simulation runs.  A rewrite that leaves its
+partition MBR unchanged (most of them, in dense tissue) repairs nothing
+beyond the page: the seed tree, neighbour links and world box depend on
+partition MBRs only.
 """
 
 from __future__ import annotations
@@ -102,9 +105,9 @@ def move_object(index: "FLATIndex", obj: SpatialObject) -> None:
     When the new geometry still fits inside the owning partition's MBR the
     move is a page-level in-place update: the membership is unchanged, a
     fresh page snapshot is stored (bumping its write-version), the partition
-    MBR is tightened and the bounds view, seed tree and neighbour links are
-    refreshed.  Otherwise the object is deleted and re-routed through the
-    normal insertion path.
+    MBR is tightened and the bounds view refreshed (the seed tree and the
+    neighbour links too, when the MBR changed).  Otherwise the object is
+    deleted and re-routed through the normal insertion path.
     """
     uid = obj.uid
     if uid not in index._objects:
@@ -145,20 +148,16 @@ def _choose_partition(index: "FLATIndex", box: AABB) -> int | None:
     return best_pid
 
 
-def _partition_mbr(index: "FLATIndex", uids: tuple[int, ...]) -> AABB:
-    return AABB.union_all(index._objects[uid].aabb for uid in uids)
-
-
 def _replace_partition(index: "FLATIndex", pid: int, uids: tuple[int, ...]) -> None:
     old = index.partitions[pid]
-    mbr = _partition_mbr(index, uids)
+    bounds = index.page_bounds_view(uids)
+    mbr = AABB.union_bounds(bounds.bounds)
     index.partitions[pid] = Partition(partition_id=pid, mbr=mbr, object_uids=uids)
-    index.disk.store(
-        Page(page_id=pid, object_uids=uids, mbr=mbr, bounds=index.page_bounds_view(uids))
-    )
+    index.disk.store(Page(page_id=pid, object_uids=uids, mbr=mbr, bounds=bounds))
     for uid in uids:
         index._partition_of_uid[uid] = pid
-    # Seed tree: refresh the entry (MBR may have changed).
+    if mbr == old.mbr:
+        return  # seed tree, links and world depend on partition MBRs only
     index.seed_tree.delete(pid, old.mbr)
     index.seed_tree.insert(pid, mbr)
     _relink_neighbors(index, pid)

@@ -123,32 +123,56 @@ class WalStats:
 
 @dataclass
 class WalScan:
-    """What :func:`read_wal` found: the durable batches and how it ended."""
+    """What :func:`read_wal` found: the durable batches and how it ended.
 
-    batches: list[tuple[int, list[Mutation]]] = field(default_factory=list)
+    Every record is CRC- and sequence-verified by the scan, but payloads
+    are kept as their JSON bytes and decoded only as :meth:`suffix` yields
+    them, so a replay holds one decoded batch at a time.
+    """
+
+    records: list[tuple[int, bytes]] = field(default_factory=list)  # (seq, payload)
     truncated: bool = False  # a torn/corrupt record cut the scan short
     corruption: str | None = None  # what stopped the scan (None = clean EOF)
     covered_gap: bool = False  # damage skipped because a checkpoint covers it
     last_seq: int = 0
 
-    def suffix(self, after_seq: int) -> list[tuple[int, list[Mutation]]]:
-        """The batches to replay on top of a checkpoint at ``after_seq``."""
-        return [(seq, batch) for seq, batch in self.batches if seq > after_seq]
+    @property
+    def batches(self) -> list[tuple[int, list[Mutation]]]:
+        """Every scanned batch, decoded at once (replay streams :meth:`suffix`)."""
+        return list(self.suffix(0))
+
+    def suffix(self, after_seq: int) -> Iterator[tuple[int, list[Mutation]]]:
+        """The batches to replay on top of a checkpoint at ``after_seq``.
+
+        Each batch is decoded as it is yielded.  A record that passed its
+        CRC but does not decode (a writer bug, never a torn write) raises
+        :class:`~repro.errors.WalCorruptionError`.
+        """
+        for seq, payload in self.records:
+            if seq > after_seq:
+                yield seq, _decode_payload(seq, payload)
+
+
+def _decode_payload(seq: int, payload: bytes) -> list[Mutation]:
+    try:
+        return decode_batch(json.loads(payload.decode("utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError, DurabilityError) as error:
+        raise WalCorruptionError(f"WAL batch seq {seq}: undecodable payload ({error})") from error
 
 
 def _scan_segment(
     path: Path, skip_at_or_below: int = 0
-) -> tuple[list[tuple[int | None, int, list[Mutation] | None]], int, str | None]:
-    """Decode one segment file.
+) -> tuple[list[tuple[int | None, int, bytes | None]], int, str | None]:
+    """Verify one segment file's framing and CRCs.
 
     Returns ``(records, valid_bytes, corruption)`` where ``records`` are
-    ``(seq, end_offset, mutations)`` triples, ``valid_bytes`` is the byte
+    ``(seq, end_offset, payload)`` triples, ``valid_bytes`` is the byte
     length of the longest valid prefix, and ``corruption`` names what
-    stopped the scan (``None`` for a clean end-of-file).  Records with
-    ``seq <= skip_at_or_below`` are CRC-verified but not payload-decoded
-    (``mutations is None``): a checkpoint already folds them in, so replay
-    never needs their contents.  A record that *fails* its CRC but whose
-    framing is intact (the length header points inside the file) is
+    stopped the scan (``None`` for a clean end-of-file).  Payloads stay
+    undecoded JSON bytes; records with ``seq <= skip_at_or_below`` keep
+    none (``payload is None``): a checkpoint already folds them in, so
+    replay never needs their contents.  A record that *fails* its CRC but
+    whose framing is intact (the length header points inside the file) is
     stepped over and reported as a ``seq is None`` entry — nothing inside
     a corrupt record, including its seq field, can be trusted, so whether
     the loss is tolerable is decided by the directory scan's sequence
@@ -164,7 +188,7 @@ def _scan_segment(
     (version,) = struct.unpack_from("<I", data, len(_MAGIC))
     if version != _FORMAT_VERSION:
         return [], 0, f"segment {path.name}: unsupported format version {version}"
-    records: list[tuple[int | None, int, list[Mutation] | None]] = []
+    records: list[tuple[int | None, int, bytes | None]] = []
     offset = len(_FILE_HEADER)
     while offset < len(data):
         if offset + _RECORD_HEADER.size > len(data):
@@ -180,14 +204,8 @@ def _scan_segment(
             offset = body_end
             continue
         (seq,) = _SEQ.unpack_from(body, 0)
-        if seq <= skip_at_or_below:
-            mutations: list[Mutation] | None = None
-        else:
-            try:
-                mutations = decode_batch(json.loads(body[_SEQ.size :].decode("utf-8")))
-            except (ValueError, KeyError, TypeError, DurabilityError) as error:
-                return records, offset, f"segment {path.name}: undecodable payload ({error})"
-        records.append((seq, body_end, mutations))
+        payload = None if seq <= skip_at_or_below else body[_SEQ.size :]
+        records.append((seq, body_end, payload))
         offset = body_end
     return records, offset, None
 
@@ -198,9 +216,9 @@ def _segments(directory: Path) -> list[Path]:
 
 @dataclass
 class _DirectoryScan:
-    """One anchored walk over every segment: batches plus repair geometry."""
+    """One anchored walk over every segment: records plus repair geometry."""
 
-    batches: list[tuple[int, list[Mutation]]]
+    records: list[tuple[int, bytes]]
     last_seq: int
     corruption: str | None  # unresolved damage (torn tail / unrecoverable gap)
     covered_gap: bool  # damage or gaps skipped because the anchor covers them
@@ -209,7 +227,7 @@ class _DirectoryScan:
     segments: list[Path]
 
 
-#: skip_at_or_below value that suppresses payload decoding entirely.
+#: skip_at_or_below value that keeps no payload at all.
 _NO_DECODE = (1 << 63) - 1
 
 
@@ -224,11 +242,11 @@ def _scan_directory(
     for replay, so losing their records loses nothing.  Damage above the
     anchor ends the scan; everything accepted before it is the durable
     prefix.  ``decode=False`` verifies CRCs and sequence geometry without
-    JSON-decoding any payload — for callers that need only the tip.
+    keeping any payload — for callers that need only the tip.
     """
     segments = _segments(directory)
     decode_floor = anchor_seq if decode else _NO_DECODE
-    batches: list[tuple[int, list[Mutation]]] = []
+    kept: list[tuple[int, bytes]] = []
     last_seq = 0
     covered = False
     pending: str | None = None  # damage awaiting a covered resume
@@ -239,7 +257,7 @@ def _scan_directory(
         records, _valid_bytes, seg_corruption = _scan_segment(
             path, skip_at_or_below=decode_floor
         )
-        for seq, end, mutations in records:
+        for seq, end, payload in records:
             if seq is None:
                 # A CRC-failed record with intact framing: its true seq is
                 # unknowable, so treat it exactly like other damage — the
@@ -252,8 +270,8 @@ def _scan_directory(
                 if covered_jump or pending is not None:
                     covered = True
                 pending = None
-                if mutations is not None:
-                    batches.append((seq, mutations))
+                if payload is not None:
+                    kept.append((seq, payload))
                 last_seq = seq
                 cut_index, cut_offset = index, end
             else:
@@ -272,7 +290,7 @@ def _scan_directory(
             # still resume if the lost records are covered by the anchor.
             pending = seg_corruption
     return _DirectoryScan(
-        batches=batches,
+        records=kept,
         last_seq=last_seq,
         corruption=stopped if stopped is not None else pending,
         covered_gap=covered,
@@ -299,9 +317,10 @@ def read_wal(
     than fatal (``covered_gap`` reports it), so a bit flip in long-folded
     history can never cost the valid suffix.  ``strict=True`` raises
     :class:`~repro.errors.WalCorruptionError` instead of tolerating a cut.
-    ``decode=False`` skips all payload decoding — ``batches`` comes back
-    empty but ``last_seq`` / ``truncated`` / ``covered_gap`` are exact,
-    for callers that need only the durable tip, not the contents.
+    ``decode=False`` keeps no payloads — ``batches`` comes back empty but
+    ``last_seq`` / ``truncated`` / ``covered_gap`` are exact, for callers
+    that need only the durable tip, not the contents.  Payloads that are
+    kept decode lazily, batch by batch, in :meth:`WalScan.suffix`.
     A missing directory reads as an empty log.
     """
     directory = Path(directory)
@@ -309,7 +328,7 @@ def read_wal(
         return WalScan()
     scan = _scan_directory(directory, anchor_seq, decode=decode)
     result = WalScan(
-        batches=scan.batches,
+        records=scan.records,
         truncated=scan.corruption is not None,
         corruption=scan.corruption,
         covered_gap=scan.covered_gap,
@@ -403,7 +422,7 @@ class WriteAheadLog:
         where the log ends.  Damage *covered* by the anchor is left in
         place — the records behind it are still part of the history.
         """
-        scan = _scan_directory(self.directory, self.anchor_seq)
+        scan = _scan_directory(self.directory, self.anchor_seq, decode=False)
         if scan.corruption is not None:
             self.stats.tail_repaired = True
             if scan.cut_index < 0:
@@ -520,7 +539,7 @@ class WriteAheadLog:
 
     def batches_after(self, after_seq: int) -> Iterator[tuple[int, list[Mutation]]]:
         """Durable ``(seq, batch)`` pairs with ``seq > after_seq``."""
-        return iter(self.scan().suffix(after_seq))
+        return self.scan().suffix(after_seq)
 
     # -- shipping ------------------------------------------------------------
     def tail(self, after_seq: int) -> Iterator[tuple[int, list[Mutation]]]:
@@ -593,7 +612,7 @@ class WriteAheadLog:
                 if (
                     corruption is not None
                     or not records
-                    or any(seq is None for seq, _end, _mutations in records)
+                    or any(seq is None for seq, _end, _payload in records)
                     or records[-1][0] > up_to_seq
                 ):
                     break

@@ -112,8 +112,9 @@ class Move:
 
     ``obj`` is the full replacement object — for a neuron segment that is
     the re-placed segment, for a box object the relocated box.  FLAT
-    applies a move *in place* (page rewrite, pack-cache and seed-tree
-    refresh) when the new geometry still fits the owning partition's MBR,
+    applies a move *in place* (page rewrite; seed-tree and neighbour
+    refresh only if the page MBR changes) when the new geometry still fits
+    the owning partition's MBR,
     and falls back to delete-then-reinsert routing otherwise; the R-tree
     always reroutes.  ``obj.uid`` must equal ``uid``.
     """

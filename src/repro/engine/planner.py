@@ -27,6 +27,7 @@ so (``overridden=True``) and keeps the planner's reasoning for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.engine.queries import KNNQuery, Query, RangeQuery, SpatialJoin, Walkt
 from repro.errors import EngineError
 from repro.geometry.aabb import AABB
 from repro.objects import SpatialObject
+from repro.storage.arena import ColumnarArena
 
 __all__ = ["QueryPlan", "Planner", "DatasetProfile"]
 
@@ -76,46 +78,66 @@ class QueryPlan:
 
 @dataclass
 class DatasetProfile:
-    """Cheap statistics about the engine's dataset, computed once.
+    """Cheap statistics about the engine's dataset, from arena columns, per epoch.
 
     ``sample`` holds up to :data:`_PROFILE_SAMPLE` object-AABB centres taken
-    with a fixed stride, so selectivity estimates are deterministic and cost
-    O(sample) per plan regardless of dataset size.
+    with a fixed stride over the live order, so selectivity estimates are
+    deterministic and cost O(sample) per plan regardless of dataset size.
+    Engines rebuild the profile after each write batch, reading the
+    sampled rows straight from the arena's bounds column; nothing is
+    materialized.  ``world`` (the union of every live box) is read from the
+    arenas on first access and then kept, so read it before the next write.
     """
 
     n_objects: int
-    world: AABB
     page_capacity: int
     sample: np.ndarray  # (m, 3) object centres
+    arenas: tuple[ColumnarArena, ...] = field(default=(), repr=False)
+    _world: AABB | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_arena(
+        cls, arenas: ColumnarArena | Sequence[ColumnarArena], page_capacity: int
+    ) -> "DatasetProfile":
+        """Profile the live rows of one arena, or of several read as one.
+
+        Several arenas (a sharded service's shards) are read in order as
+        one concatenated live order, so the stride sample is the one a
+        single arena holding the same rows would give.
+        """
+        if isinstance(arenas, ColumnarArena):
+            arenas = (arenas,)
+        arenas = tuple(arenas)
+        n_objects = sum(arena.num_live for arena in arenas)
+        if not n_objects:
+            raise EngineError("cannot profile an empty dataset")
+        # Ceiling stride so the sample spans the whole dataset: a floor
+        # stride plus truncation would drop the spatial tail (objects are
+        # typically in neuron order) and blind the estimator to it.
+        stride = max(1, -(-n_objects // _PROFILE_SAMPLE))
+        picked: list[tuple[float, float, float, float, float, float]] = []
+        offset = 0
+        for arena in arenas:
+            picked += arena.strided_bounds(-offset % stride, stride)
+            offset += arena.num_live
+        bounds = np.fromiter(chain.from_iterable(picked), dtype=float, count=6 * len(picked))
+        bounds = bounds.reshape(len(picked), 6)
+        sample = (bounds[:, :3] + bounds[:, 3:]) / 2.0
+        return cls(n_objects, page_capacity, sample, arenas)
 
     @classmethod
     def from_objects(
         cls, objects: Sequence[SpatialObject], page_capacity: int
     ) -> "DatasetProfile":
-        if not objects:
-            raise EngineError("cannot profile an empty dataset")
-        # Ceiling stride so the sample spans the whole dataset: a floor
-        # stride plus truncation would drop the spatial tail (objects are
-        # typically in neuron order) and blind the estimator to it.
-        stride = max(1, -(-len(objects) // _PROFILE_SAMPLE))
-        picked = objects[::stride]
-        sample = np.array(
-            [
-                [
-                    (o.aabb.min_x + o.aabb.max_x) / 2.0,
-                    (o.aabb.min_y + o.aabb.max_y) / 2.0,
-                    (o.aabb.min_z + o.aabb.max_z) / 2.0,
-                ]
-                for o in picked
-            ]
-        )
-        world = AABB.union_all(o.aabb for o in objects)
-        return cls(
-            n_objects=len(objects),
-            world=world,
-            page_capacity=page_capacity,
-            sample=sample,
-        )
+        """Profile a plain object list (packed into an arena first)."""
+        return cls.from_arena(ColumnarArena.from_objects(objects), page_capacity)
+
+    @property
+    def world(self) -> AABB:
+        """Union of every live box (read from the arenas on first access)."""
+        if self._world is None:
+            self._world = AABB.union_all(arena.world() for arena in self.arenas)
+        return self._world
 
     def _sample_hits(self, box: AABB) -> int:
         lo = np.array([box.min_x, box.min_y, box.min_z])

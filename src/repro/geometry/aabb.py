@@ -103,6 +103,16 @@ class AABB:
                 max_z = b.max_z
         return AABB(min_x, min_y, min_z, max_x, max_y, max_z)
 
+    @staticmethod
+    def union_bounds(
+        bounds: Sequence[tuple[float, float, float, float, float, float]],
+    ) -> "AABB":
+        """:meth:`union_all` over ``(min_x, ..., max_z)`` tuples (non-empty)."""
+        if not bounds:
+            raise GeometryError("AABB.union_bounds requires at least one box")
+        min_x, min_y, min_z, max_x, max_y, max_z = zip(*bounds)
+        return AABB(min(min_x), min(min_y), min(min_z), max(max_x), max(max_y), max(max_z))
+
     def __post_init__(self) -> None:
         if not (
             self.min_x <= self.max_x and self.min_y <= self.max_y and self.min_z <= self.max_z

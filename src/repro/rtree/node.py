@@ -59,23 +59,32 @@ class Node:
         """Rebuild the entry-bounds view after a structural or MBR mutation."""
         self.bounds = BoundsView(e.mbr.bounds() for e in self.entries)
 
-    def entry_bounds(self) -> Any:
-        """Entry MBRs packed for :mod:`repro.kernels` (memoized per backend)."""
+    def view(self) -> BoundsView:
+        """The entry-bounds view (built on first use for bulk-loaded nodes)."""
         view = self.bounds
         if view is None:
-            view = BoundsView(e.mbr.bounds() for e in self.entries)
-            self.bounds = view
-        return view.packed()
+            view = self.bounds = BoundsView(e.mbr.bounds() for e in self.entries)
+        return view
+
+    def entry_bounds(self) -> Any:
+        """Entry MBRs packed for :mod:`repro.kernels` (memoized per backend)."""
+        return self.view().packed()
 
     @property
     def num_entries(self) -> int:
         return len(self.entries)
 
     def mbr(self) -> AABB:
-        """Tight box over the node's entries (node must be non-empty)."""
+        """Tight box over the node's entries (node must be non-empty).
+
+        Reads the bounds view when the node has one (it always matches the
+        entries), so no per-entry box is touched.
+        """
         if not self.entries:
             raise InvariantViolation(f"node {self.node_id} is empty, has no MBR")
-        return AABB.union_all(e.mbr for e in self.entries)
+        if self.bounds is None:
+            return AABB.union_all(e.mbr for e in self.entries)
+        return AABB.union_bounds(self.bounds.bounds)
 
     def byte_size(self) -> int:
         return NODE_HEADER_BYTES + ENTRY_BYTES * len(self.entries)

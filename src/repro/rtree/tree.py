@@ -162,7 +162,7 @@ class RTree:
     def _insert_entry(self, entry: Entry, level: int) -> None:
         if level > self.root.level:
             raise IndexError_(f"cannot insert at level {level} above root {self.root.level}")
-        overflow = self._insert_rec(self.root, entry, level)
+        overflow, _changed = self._insert_rec(self.root, entry, level)
         if overflow is not None:
             old_root = self.root
             self.root = self._new_node(
@@ -173,30 +173,55 @@ class RTree:
                 ],
             )
 
-    def _insert_rec(self, node: Node, entry: Entry, level: int) -> Node | None:
+    def _insert_rec(self, node: Node, entry: Entry, level: int) -> tuple[Node | None, bool]:
+        """Insert ``entry`` below ``node``: ``(split-off sibling, changed)``.
+
+        ``changed`` is False only when ``node``'s entries, and so its MBR,
+        are exactly what they were: the caller then leaves its slot and
+        bounds view alone, and so does every level above it.
+        """
         if node.level == level:
             node.entries.append(entry)
         else:
             slot = self._choose_subtree(node, entry.mbr)
             child = slot.child
             assert child is not None
-            overflow = self._insert_rec(child, entry, level)
-            slot.mbr = child.mbr()
-            if overflow is not None:
+            overflow, changed = self._insert_rec(child, entry, level)
+            if not changed:
+                return None, False
+            mbr = child.mbr()
+            if overflow is None:
+                if mbr == slot.mbr:
+                    return None, False
+                slot.mbr = mbr
+            else:
+                slot.mbr = mbr
                 node.entries.append(Entry(mbr=overflow.mbr(), child=overflow))
         node.refresh_bounds()
         if len(node.entries) > self._capacity_of(node):
-            return self._split_node(node)
-        return None
+            return self._split_node(node), True
+        return None, True
 
     def _choose_subtree(self, node: Node, mbr: AABB) -> Entry:
-        """Least-enlargement child; ties by volume, then by fill."""
+        """Least-enlargement child; ties by volume, then by fill.
+
+        Enlargement and volume come straight from the node's bounds tuples
+        with :meth:`AABB.enlargement`'s arithmetic, so no box is built per
+        entry and the choice (first minimum wins) is the same.
+        """
+        qx0, qy0, qz0, qx1, qy1, qz1 = mbr.bounds()
         best: Entry | None = None
         best_key: tuple[float, float, int] | None = None
-        for slot in node.entries:
+        for slot, (x0, y0, z0, x1, y1, z1) in zip(node.entries, node.view().bounds):
             child = slot.child
             assert child is not None
-            key = (slot.mbr.enlargement(mbr), slot.mbr.volume(), len(child.entries))
+            volume = (x1 - x0) * (y1 - y0) * (z1 - z0)
+            grown = (
+                ((qx1 if qx1 > x1 else x1) - (qx0 if qx0 < x0 else x0))
+                * ((qy1 if qy1 > y1 else y1) - (qy0 if qy0 < y0 else y0))
+                * ((qz1 if qz1 > z1 else z1) - (qz0 if qz0 < z0 else z0))
+            )
+            key = (grown - volume, volume, len(child.entries))
             if best_key is None or key < best_key:
                 best_key = key
                 best = slot
@@ -238,16 +263,28 @@ class RTree:
 
     def _condense(self, path: list[Node]) -> None:
         orphan_leaf_entries: list[Entry] = []
+        # Whether path[i] changed: once a node keeps its MBR, its parent's
+        # slot and bounds stay as they are.  The walk still goes on to the
+        # root, because bulk-loaded trees may hold underfull ancestors and
+        # the condense pass dissolves every underfull node on the path.
+        changed = True
         for i in range(len(path) - 1, 0, -1):
             node = path[i]
             parent = path[i - 1]
-            slot = next(s for s in parent.entries if s.child is node)
             if len(node.entries) < self._min_fill_of(node):
-                parent.entries.remove(slot)
+                parent.entries.remove(next(s for s in parent.entries if s.child is node))
                 orphan_leaf_entries.extend(self._collect_leaf_entries(node))
+            elif changed:
+                slot = next(s for s in parent.entries if s.child is node)
+                mbr = node.mbr()
+                if mbr == slot.mbr:
+                    changed = False
+                    continue
+                slot.mbr = mbr
             else:
-                slot.mbr = node.mbr()
+                continue
             parent.refresh_bounds()
+            changed = True
         # Shrink the root while it is an internal node with a single child.
         while not self.root.is_leaf and len(self.root.entries) == 1:
             child = self.root.entries[0].child

@@ -434,8 +434,9 @@ class ShardedEngine:
         planner = self._planner
         if planner is None:
             view = self._view
-            profile = DatasetProfile.from_objects(
-                self._live_objects(view), view.shards[0].engine.page_capacity
+            profile = DatasetProfile.from_arena(
+                [shard.engine.arena for shard in view.shards],
+                view.shards[0].engine.page_capacity,
             )
             planner = self._planner = Planner(profile)
         return planner
@@ -511,7 +512,12 @@ class ShardedEngine:
     @property
     def profile(self) -> DatasetProfile:
         """The live dataset profile (rebuilt lazily per epoch)."""
-        return self.planner.profile
+        with self._gate.shared:
+            profile = self._current_planner().profile
+            # Resolve the lazy world box while no write can change the
+            # shard arenas under it.
+            _ = profile.world
+            return profile
 
     def warm(self) -> "ShardedEngine":
         """Build every shard's indexes up front (benchmarks, latency SLOs).

@@ -392,6 +392,14 @@ class ColumnarArena:
     def live_bounds(self) -> list[tuple[float, float, float, float, float, float]]:
         return [self.bounds[row] for row in self._live_rows]
 
+    def strided_bounds(
+        self, start: int, stride: int
+    ) -> list[tuple[float, float, float, float, float, float]]:
+        """Bounds of the live positions ``start, start + stride, ...``."""
+        bounds = self.bounds
+        live = self._live_rows
+        return [bounds[live[pos]] for pos in range(start, len(live), stride)]
+
     def bounds_view(self) -> BoundsView:
         """A :class:`BoundsView` over the live rows (cached per epoch)."""
         cached = self._view_cache
