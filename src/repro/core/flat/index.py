@@ -26,7 +26,7 @@ from repro.geometry.vec import Vec3
 from repro.objects import SpatialObject
 from repro.rtree.bulk import str_bulk_load
 from repro.rtree.tree import RTree
-from repro.storage.arena import BoundsView
+from repro.storage.arena import BoundsView, ColumnarArena
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import Disk, DiskParameters
 from repro.storage.page import DEFAULT_PAGE_BYTES, OBJECT_BYTES, Page
@@ -58,6 +58,9 @@ class FLATIndex:
         Fan-out of the seed R-tree over partition MBRs.
     disk_params:
         Latency constants for the simulated disk backing the partitions.
+    arena:
+        The arena ``objects`` were read from, if any: page bounds columns
+        then share its bounds tuples instead of holding copies.
     """
 
     def __init__(
@@ -67,12 +70,14 @@ class FLATIndex:
         neighbor_eps: float | None = None,
         seed_fanout: int = 16,
         disk_params: DiskParameters | None = None,
+        arena: ColumnarArena | None = None,
     ) -> None:
         if not objects:
             raise IndexError_("FLAT requires a non-empty dataset")
         if page_capacity is None:
             page_capacity = DEFAULT_PAGE_BYTES // OBJECT_BYTES
         self.page_capacity = page_capacity
+        self._arena = arena
 
         self._objects: dict[int, SpatialObject] = {}
         for obj in objects:
@@ -99,9 +104,7 @@ class FLATIndex:
                     page_id=partition.partition_id,
                     object_uids=partition.object_uids,
                     mbr=partition.mbr,
-                    bounds=BoundsView(
-                        self._objects[uid].aabb.bounds() for uid in partition.object_uids
-                    ),
+                    bounds=self.page_bounds_view(partition.object_uids),
                 )
             )
             for uid in partition.object_uids:
@@ -145,9 +148,15 @@ class FLATIndex:
         moment they are stored; because pages are immutable snapshots, the
         view needs no invalidation — maintenance stores a new page with a
         new view, so a pack built from a superseded snapshot can never be
-        served against the current index state.
+        served against the current index state.  Each row is the bounds of
+        the object this index holds for the uid (the arena's own tuple
+        when the arena holds that same object).
         """
-        return BoundsView(self._objects[uid].aabb.bounds() for uid in uids)
+        objects = self._objects
+        if self._arena is None:
+            return BoundsView(objects[uid].aabb.bounds() for uid in uids)
+        bounds_of = self._arena.bounds_of
+        return BoundsView(bounds_of(objects[uid]) for uid in uids)
 
     def index_bytes(self) -> int:
         """Modelled memory footprint of the index structures (not the data)."""

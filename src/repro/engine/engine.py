@@ -193,6 +193,7 @@ class SpatialEngine:
                 page_capacity=self.page_capacity,
                 seed_fanout=self.seed_fanout,
                 disk_params=self.disk_params,
+                arena=self.arena,
             )
         return self._flat_index
 
@@ -409,8 +410,11 @@ class SpatialEngine:
                 plan = self.planner.plan(query)
             planning_ms = (time.perf_counter() - plan_start) * 1000.0
 
+            est_results = None
             if isinstance(query, RangeQuery):
                 payload, stats, raw = self._execute_range(query, plan)
+                est_results = plan.estimates["result_objects"]
+                sp.set(est_results=est_results, actual_results=stats.num_results)
             elif isinstance(query, KNNQuery):
                 payload, stats, raw = self._execute_knn(query, plan)
             elif isinstance(query, SpatialJoin):
@@ -434,7 +438,7 @@ class SpatialEngine:
                 raise EngineError(f"cannot execute query of type {type(query).__name__}")
 
             stats.planning_ms = planning_ms
-            self.telemetry.record(stats)
+            self.telemetry.record(stats, est_results)
             sp.set(kind=stats.kind, strategy=stats.strategy, results=stats.num_results)
             return EngineResult(payload=payload, stats=stats, plan=plan, raw=raw)
 

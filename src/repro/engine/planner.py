@@ -82,11 +82,17 @@ class DatasetProfile:
 
     ``sample`` holds up to :data:`_PROFILE_SAMPLE` object-AABB centres taken
     with a fixed stride over the live order, so selectivity estimates are
-    deterministic and cost O(sample) per plan regardless of dataset size.
-    Engines rebuild the profile after each write batch, reading the
-    sampled rows straight from the arena's bounds column; nothing is
-    materialized.  ``world`` (the union of every live box) is read from the
-    arenas on first access and then kept, so read it before the next write.
+    deterministic regardless of dataset size.  Engines rebuild the profile
+    after each write batch, reading the sampled rows straight from the
+    arena's bounds column; nothing is materialized.  ``world`` (the union
+    of every live box) is read from the arenas on first access and then
+    kept, so read it before the next write.
+
+    Range estimates count over a copy of the sample sorted by x: an x
+    column and a contiguous ``(y, z)`` block, built on the first estimate
+    and kept for the profile's epoch (a profile that never estimates never
+    sorts).  A count is two binary searches for the x-slab plus a y/z mask
+    over that slab only, with the same closed comparisons as a full scan.
     """
 
     n_objects: int
@@ -94,6 +100,7 @@ class DatasetProfile:
     sample: np.ndarray  # (m, 3) object centres
     arenas: tuple[ColumnarArena, ...] = field(default=(), repr=False)
     _world: AABB | None = field(default=None, init=False, repr=False)
+    _by_x: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_arena(
@@ -139,10 +146,19 @@ class DatasetProfile:
             self._world = AABB.union_all(arena.world() for arena in self.arenas)
         return self._world
 
+    def _x_sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sample sorted by x: its x column and its ``(y, z)`` block."""
+        if self._by_x is None:
+            by_x = self.sample[np.argsort(self.sample[:, 0], kind="stable")]
+            self._by_x = (np.ascontiguousarray(by_x[:, 0]), np.ascontiguousarray(by_x[:, 1:]))
+        return self._by_x
+
     def _sample_hits(self, box: AABB) -> int:
-        lo = np.array([box.min_x, box.min_y, box.min_z])
-        hi = np.array([box.max_x, box.max_y, box.max_z])
-        return int(np.all((self.sample >= lo) & (self.sample <= hi), axis=1).sum())
+        xs, yz = self._x_sorted()
+        slab = yz[xs.searchsorted(box.min_x, "left") : xs.searchsorted(box.max_x, "right")]
+        y, z = slab[:, 0], slab[:, 1]
+        inside = (y >= box.min_y) & (y <= box.max_y) & (z >= box.min_z) & (z <= box.max_z)
+        return int(np.count_nonzero(inside))
 
     def estimate_range_results(self, box: AABB) -> float:
         """Estimated number of objects intersecting ``box`` (sampled).

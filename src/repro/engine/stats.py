@@ -43,6 +43,11 @@ _Q_KERNEL_BATCHES = _REGISTRY.counter(
     "Batch kernel calls issued by engine queries",
     label_names=("backend",),
 )
+_Q_MISESTIMATE = _REGISTRY.histogram(
+    "repro_engine_range_misestimate_ratio",
+    "Range results over the planner's estimate: actual / max(estimated, 1)",
+    buckets=(0.125, 0.25, 0.5, 0.8, 1.25, 2.0, 4.0, 8.0, 32.0),
+)
 _M_TOTAL = _REGISTRY.counter(
     "repro_engine_mutations_total",
     "Mutations applied by engine write batches",
@@ -155,7 +160,8 @@ class EngineTelemetry:
         self._by_strategy = Breakdown("by_strategy")
         self._by_backend = Breakdown("by_kernel_backend")
 
-    def record(self, stats: EngineStats) -> None:
+    def record(self, stats: EngineStats, est_results: float | None = None) -> None:
+        """Fold one query's counters in; ``est_results`` is a range plan's estimate."""
         self._totals.add(stats, _QUERY_TOTALS)
         self._by_kind.inc(stats.kind)
         self._by_strategy.inc(stats.strategy)
@@ -165,6 +171,8 @@ class EngineTelemetry:
         _Q_TOTAL.child(stats.kind, stats.strategy).inc()
         _Q_RESULTS.inc(stats.num_results)
         _Q_LATENCY.child(stats.kind).observe(stats.elapsed_ms)
+        if est_results is not None:
+            _Q_MISESTIMATE.observe(stats.num_results / max(est_results, 1.0))
 
     def record_mutations(self, stats: "MutationStats") -> None:
         """Fold one ``apply_many`` batch's counters into the lifetime view."""

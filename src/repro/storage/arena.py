@@ -299,12 +299,11 @@ class ColumnarArena:
     def _append_columns_of(self, obj: SpatialObject) -> None:
         self.uids.append(obj.uid)
         if isinstance(obj, Segment):
-            p0 = obj.p0
-            p1 = obj.p1
             self.kinds.append(KIND_SEGMENT)
             self.bounds.append(obj.aabb.bounds())
-            self.p0.append((p0.x, p0.y, p0.z))
-            self.p1.append((p1.x, p1.y, p1.z))
+            # A Vec3 is already a 3-tuple: the column shares the object's.
+            self.p0.append(obj.p0)
+            self.p1.append(obj.p1)
             self.radius.append(obj.radius)
             self.neuron.append(obj.neuron_id)
             self.branch.append(obj.branch_id)
@@ -373,6 +372,20 @@ class ColumnarArena:
         if pos is None:
             raise EngineError(f"unknown uid {uid}")
         return AABB(*self.bounds[self._live_rows[pos]])
+
+    def bounds_of(self, obj: SpatialObject) -> tuple[float, float, float, float, float, float]:
+        """``obj``'s bounds: the column's own tuple when ``obj`` is a live row's object.
+
+        Any other version of the uid (stale, newer, or never held here)
+        gets a fresh ``obj.aabb.bounds()``, so the answer always describes
+        ``obj`` itself; sharing the column's tuple only saves memory.
+        """
+        pos = self._pos_of_uid.get(obj.uid)
+        if pos is not None:
+            row = self._live_rows[pos]
+            if self._objects[row] is obj:
+                return self.bounds[row]
+        return obj.aabb.bounds()
 
     def live_objects(self) -> list[SpatialObject]:
         """Live objects in live order (cached per epoch; treat as read-only)."""

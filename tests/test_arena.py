@@ -125,6 +125,48 @@ class TestColumnarArena:
         world = arena.world()
         assert world.max_x < 100.0
 
+    def test_columns_share_tuples_only_with_the_live_object(self, small_circuit):
+        segment = small_circuit.segments()[0]
+        arena = ColumnarArena.from_objects([segment])
+        assert arena.p0[0] is segment.p0 and arena.p1[0] is segment.p1
+        assert arena.bounds_of(segment) is arena.bounds[0]
+        newer = box(segment.uid, 900.0)  # another version of the same uid
+        assert arena.bounds_of(newer) == newer.aabb.bounds()
+        arena.replace(newer)
+        assert arena.bounds_of(segment) == segment.aabb.bounds()
+        assert arena.bounds_of(newer) is arena.bounds[1]
+
+    def test_flat_pages_share_arena_bounds_and_follow_the_index(self):
+        def layout(index):
+            pages = [index.disk.peek(pid) for pid in index.disk.page_ids()]
+            return [(p.page_id, p.object_uids, p.mbr, p.bounds.bounds) for p in pages]
+
+        engine = SpatialEngine(grid_boxes(4), page_capacity=8)
+        arena = engine.arena
+        for _, uids, _, rows in layout(engine.flat_index()):
+            for uid, bounds in zip(uids, rows):
+                assert bounds is arena.bounds[arena.rows_for([uid])[0]]
+        # One flush rewrites a page for the first move while its page-mates'
+        # move and delete are still pending: each row must describe the
+        # index's object, never the arena's newer state, so the layout is
+        # the one a flush after every single mutation gives.
+        first, second, third = layout(engine.flat_index())[0][1][:3]
+        lo = arena.aabb_of(first).bounds()
+        shrunk = AABB(*(v + 0.25 for v in lo[:3]), *(v - 0.25 for v in lo[3:]))
+        batch = [
+            repro.Move(first, BoxObject(uid=first, box=shrunk)),
+            repro.Move(second, box(second, 30.0)),
+            repro.Delete(third),
+        ]
+        stepwise = SpatialEngine(grid_boxes(4), page_capacity=8)
+        stepwise.flat_index()
+        for mutation in batch:
+            stepwise.apply(mutation)
+            stepwise.flat_index()
+        engine.apply_many(batch)
+        engine.flat_index().validate()
+        assert layout(engine.flat_index()) == layout(stepwise.flat_index())
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestArenaParity:
