@@ -126,9 +126,6 @@ class FLATIndex:
         except KeyError:
             raise IndexError_(f"unknown object uid {uid}") from None
 
-    def objects_for(self, uids: Sequence[int]) -> list[SpatialObject]:
-        return [self.object(uid) for uid in uids]
-
     def objects(self) -> list[SpatialObject]:
         """All indexed objects (insertion order not guaranteed)."""
         return list(self._objects.values())
@@ -148,15 +145,18 @@ class FLATIndex:
         moment they are stored; because pages are immutable snapshots, the
         view needs no invalidation — maintenance stores a new page with a
         new view, so a pack built from a superseded snapshot can never be
-        served against the current index state.  Each row is the bounds of
-        the object this index holds for the uid (the arena's own tuple
-        when the arena holds that same object).
+        served against the current index state.  Each row is
+        :meth:`bounds_row` of the object this index holds for the uid.
         """
+        row = self.bounds_row
         objects = self._objects
+        return BoundsView(row(objects[uid]) for uid in uids)
+
+    def bounds_row(self, obj: SpatialObject) -> tuple[float, float, float, float, float, float]:
+        """``obj``'s row in a page view: the arena's own tuple when it holds ``obj``."""
         if self._arena is None:
-            return BoundsView(objects[uid].aabb.bounds() for uid in uids)
-        bounds_of = self._arena.bounds_of
-        return BoundsView(bounds_of(objects[uid]) for uid in uids)
+            return obj.aabb.bounds()
+        return self._arena.bounds_of(obj)
 
     def index_bytes(self) -> int:
         """Modelled memory footprint of the index structures (not the data)."""

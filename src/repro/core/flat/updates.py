@@ -16,11 +16,12 @@ implements the maintenance operations used by :class:`FLATIndex`:
   when it has drifted out.
 
 Every repair stores a *new* immutable page snapshot (bumping the disk
-write-version, which refreshes buffer-pool frames) carrying a freshly built
-bounds column view, and keeps the partitions in Hilbert-coherent placement:
-the in-place move path preserves the page's position in the crawl order,
-and relocations go through the same least-enlargement routing as fresh
-inserts.
+write-version, which refreshes buffer-pool frames) carrying a new bounds
+column view (a one-object insert, delete or in-place move edits the old
+view at that object's slot only), and keeps the partitions in
+Hilbert-coherent placement: the in-place move path preserves the page's
+position in the crawl order, and relocations go through the same
+least-enlargement routing as fresh inserts.
 
 All repairs are local: only the touched partition(s) and the neighbour
 lists that mention them change, mirroring how the original system applies
@@ -38,6 +39,7 @@ from repro.core.flat.partitions import Partition
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
 from repro.objects import SpatialObject
+from repro.storage.arena import BoundsView
 from repro.storage.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +63,8 @@ def insert_object(index: "FLATIndex", obj: SpatialObject) -> None:
     partition = index.partitions[pid]
     uids = partition.object_uids + (obj.uid,)
     if len(uids) <= index.page_capacity:
-        _replace_partition(index, pid, uids)
+        view = index.disk.peek(pid).bounds.append_row(index.bounds_row(obj))
+        _replace_partition(index, pid, uids, view)
         return
 
     # Overflow: retile the members into two partitions with STR.
@@ -75,7 +78,8 @@ def insert_object(index: "FLATIndex", obj: SpatialObject) -> None:
     halves = str_chunks(members, (len(members) + 1) // 2, center)
     # str_chunks may produce >2 tiles for odd geometry; the first keeps the
     # id, the rest become new partitions.
-    _replace_partition(index, pid, tuple(o.uid for o in halves[0]))
+    kept = tuple(o.uid for o in halves[0])
+    _replace_partition(index, pid, kept, index.page_bounds_view(kept))
     for group in halves[1:]:
         _create_partition(
             index,
@@ -89,12 +93,13 @@ def delete_object(index: "FLATIndex", uid: int) -> None:
     if uid not in index._objects:
         raise IndexError_(f"unknown object uid {uid}")
     pid = index._partition_of_uid[uid]
-    partition = index.partitions[pid]
-    remaining = tuple(u for u in partition.object_uids if u != uid)
+    uids = index.partitions[pid].object_uids
+    slot = uids.index(uid)
+    remaining = uids[:slot] + uids[slot + 1 :]
     del index._objects[uid]
     del index._partition_of_uid[uid]
     if remaining:
-        _replace_partition(index, pid, remaining)
+        _replace_partition(index, pid, remaining, index.disk.peek(pid).bounds.remove_row(slot))
     else:
         _dissolve_partition(index, pid)
 
@@ -117,7 +122,9 @@ def move_object(index: "FLATIndex", obj: SpatialObject) -> None:
     old = index._objects[uid]
     index._objects[uid] = obj
     if partition.mbr.contains_box(obj.aabb):
-        _replace_partition(index, pid, partition.object_uids)
+        uids = partition.object_uids
+        view = index.disk.peek(pid).bounds.replace_row(uids.index(uid), index.bounds_row(obj))
+        _replace_partition(index, pid, uids, view)
         return
     # Drifted out of the page: restore, then delete + reinsert routes it.
     index._objects[uid] = old
@@ -126,10 +133,6 @@ def move_object(index: "FLATIndex", obj: SpatialObject) -> None:
 
 
 # -- internals ----------------------------------------------------------------
-
-
-def _live_partitions(index: "FLATIndex") -> list[Partition]:
-    return [p for p in index.partitions if p.num_objects > 0]
 
 
 def _choose_partition(index: "FLATIndex", box: AABB) -> int | None:
@@ -148,9 +151,11 @@ def _choose_partition(index: "FLATIndex", box: AABB) -> int | None:
     return best_pid
 
 
-def _replace_partition(index: "FLATIndex", pid: int, uids: tuple[int, ...]) -> None:
+def _replace_partition(
+    index: "FLATIndex", pid: int, uids: tuple[int, ...], bounds: BoundsView
+) -> None:
+    """Store ``uids`` as page ``pid``; ``bounds`` is their bounds view, in order."""
     old = index.partitions[pid]
-    bounds = index.page_bounds_view(uids)
     mbr = AABB.union_bounds(bounds.bounds)
     index.partitions[pid] = Partition(partition_id=pid, mbr=mbr, object_uids=uids)
     index.disk.store(Page(page_id=pid, object_uids=uids, mbr=mbr, bounds=bounds))
@@ -236,6 +241,10 @@ def validate_index(index: "FLATIndex") -> None:
                 )
             if index._partition_of_uid.get(uid) != partition.partition_id:
                 raise IndexError_(f"uid {uid} has a stale partition mapping")
+        page = index.disk.peek(partition.partition_id)
+        rows = tuple(index._objects[uid].aabb.bounds() for uid in partition.object_uids)
+        if page.object_uids != partition.object_uids or page.bounds.bounds != rows:
+            raise IndexError_(f"page {partition.partition_id} is stale")
     if seen != set(index._objects):
         raise IndexError_("objects and partitions disagree")
 

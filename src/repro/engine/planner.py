@@ -27,7 +27,6 @@ so (``overridden=True``) and keeps the planner's reasoning for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -83,10 +82,12 @@ class DatasetProfile:
     ``sample`` holds up to :data:`_PROFILE_SAMPLE` object-AABB centres taken
     with a fixed stride over the live order, so selectivity estimates are
     deterministic regardless of dataset size.  Engines rebuild the profile
-    after each write batch, reading the sampled rows straight from the
-    arena's bounds column; nothing is materialized.  ``world`` (the union
-    of every live box) is read from the arenas on first access and then
-    kept, so read it before the next write.
+    after each write batch as one strided gather of live rows from each
+    arena's float64 bounds array (:meth:`ColumnarArena.bounds_array`, which
+    converts only the rows appended since it was last read); nothing is
+    materialized.  ``world`` (the union of every live box, a column
+    min/max per arena) is read on first access and then kept, so read it
+    before the next write.
 
     Range estimates count over a copy of the sample sorted by x: an x
     column and a contiguous ``(y, z)`` block, built on the first estimate
@@ -122,13 +123,13 @@ class DatasetProfile:
         # stride plus truncation would drop the spatial tail (objects are
         # typically in neuron order) and blind the estimator to it.
         stride = max(1, -(-n_objects // _PROFILE_SAMPLE))
-        picked: list[tuple[float, float, float, float, float, float]] = []
+        picked = []
         offset = 0
         for arena in arenas:
-            picked += arena.strided_bounds(-offset % stride, stride)
+            rows = arena.live_rows[-offset % stride :: stride]
+            picked.append(arena.bounds_array().take(np.fromiter(rows, np.intp, len(rows)), 0))
             offset += arena.num_live
-        bounds = np.fromiter(chain.from_iterable(picked), dtype=float, count=6 * len(picked))
-        bounds = bounds.reshape(len(picked), 6)
+        bounds = np.concatenate(picked)
         sample = (bounds[:, :3] + bounds[:, 3:]) / 2.0
         return cls(n_objects, page_capacity, sample, arenas)
 

@@ -34,10 +34,6 @@ class Entry:
         if (self.child is None) == (self.uid is None):
             raise InvariantViolation("entry must reference exactly one of child/uid")
 
-    @property
-    def is_leaf_entry(self) -> bool:
-        return self.uid is not None
-
 
 @dataclass(slots=True)
 class Node:
@@ -46,25 +42,39 @@ class Node:
     level: int
     entries: list[Entry] = field(default_factory=list)
     node_id: int = -1
-    # Immutable column view of the entry MBRs.  Every mutation site in
-    # rtree.tree eagerly rebuilds it (refresh_bounds), so a view in hand is
-    # always the node's current content — no invalidation protocol exists.
+    # Immutable column view of the entry MBRs (None until first read).  The
+    # edits below change its row at the edited slot only, so a view in hand
+    # is always the node's current content.
     bounds: BoundsView | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
-    def refresh_bounds(self) -> None:
-        """Rebuild the entry-bounds view after a structural or MBR mutation."""
-        self.bounds = BoundsView(e.mbr.bounds() for e in self.entries)
-
     def view(self) -> BoundsView:
-        """The entry-bounds view (built on first use for bulk-loaded nodes)."""
+        """The entry-bounds view (built on first use)."""
         view = self.bounds
         if view is None:
             view = self.bounds = BoundsView(e.mbr.bounds() for e in self.entries)
         return view
+
+    def append(self, entry: Entry) -> None:
+        """Add ``entry`` as the last slot."""
+        self.entries.append(entry)
+        if self.bounds is not None:
+            self.bounds = self.bounds.append_row(entry.mbr.bounds())
+
+    def set_mbr(self, i: int, mbr: AABB) -> None:
+        """Set slot ``i``'s box."""
+        self.entries[i].mbr = mbr
+        if self.bounds is not None:
+            self.bounds = self.bounds.replace_row(i, mbr.bounds())
+
+    def remove(self, i: int) -> None:
+        """Drop slot ``i``."""
+        if self.bounds is not None:
+            self.bounds = self.bounds.remove_row(i)
+        del self.entries[i]
 
     def entry_bounds(self) -> Any:
         """Entry MBRs packed for :mod:`repro.kernels` (memoized per backend)."""

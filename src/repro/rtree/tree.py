@@ -24,6 +24,7 @@ from repro.geometry.vec import Vec3
 from repro.rtree.node import Entry, Node
 from repro.rtree.split import quadratic_split
 from repro.rtree.stats import KNNQueryStats, RangeQueryStats, SeedSearchStats
+from repro.storage.arena import BoundsView
 
 __all__ = ["RTree"]
 
@@ -128,11 +129,6 @@ class RTree:
             if not node.is_leaf:
                 stack.extend(e.child for e in node.entries if e.child is not None)
 
-    def iter_leaf_entries(self) -> Iterator[Entry]:
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                yield from node.entries
-
     def byte_size(self) -> int:
         """Modelled in-memory footprint of the index structure."""
         return sum(node.byte_size() for node in self.iter_nodes())
@@ -178,42 +174,40 @@ class RTree:
 
         ``changed`` is False only when ``node``'s entries, and so its MBR,
         are exactly what they were: the caller then leaves its slot and
-        bounds view alone, and so does every level above it.
+        bounds view alone, and so does every level above it.  A changed
+        node edits its bounds view only at the slots that changed.
         """
         if node.level == level:
-            node.entries.append(entry)
+            node.append(entry)
         else:
-            slot = self._choose_subtree(node, entry.mbr)
-            child = slot.child
+            i = self._choose_subtree(node, entry.mbr)
+            child = node.entries[i].child
             assert child is not None
             overflow, changed = self._insert_rec(child, entry, level)
             if not changed:
                 return None, False
             mbr = child.mbr()
-            if overflow is None:
-                if mbr == slot.mbr:
-                    return None, False
-                slot.mbr = mbr
-            else:
-                slot.mbr = mbr
-                node.entries.append(Entry(mbr=overflow.mbr(), child=overflow))
-        node.refresh_bounds()
+            if overflow is None and mbr == node.entries[i].mbr:
+                return None, False
+            node.set_mbr(i, mbr)
+            if overflow is not None:
+                node.append(Entry(mbr=overflow.mbr(), child=overflow))
         if len(node.entries) > self._capacity_of(node):
             return self._split_node(node), True
         return None, True
 
-    def _choose_subtree(self, node: Node, mbr: AABB) -> Entry:
-        """Least-enlargement child; ties by volume, then by fill.
+    def _choose_subtree(self, node: Node, mbr: AABB) -> int:
+        """Slot of the least-enlargement child; ties by volume, then by fill.
 
         Enlargement and volume come straight from the node's bounds tuples
         with :meth:`AABB.enlargement`'s arithmetic, so no box is built per
         entry and the choice (first minimum wins) is the same.
         """
         qx0, qy0, qz0, qx1, qy1, qz1 = mbr.bounds()
-        best: Entry | None = None
+        best: int | None = None
         best_key: tuple[float, float, int] | None = None
-        for slot, (x0, y0, z0, x1, y1, z1) in zip(node.entries, node.view().bounds):
-            child = slot.child
+        for i, (x0, y0, z0, x1, y1, z1) in enumerate(node.view().bounds):
+            child = node.entries[i].child
             assert child is not None
             volume = (x1 - x0) * (y1 - y0) * (z1 - z0)
             grown = (
@@ -224,16 +218,21 @@ class RTree:
             key = (grown - volume, volume, len(child.entries))
             if best_key is None or key < best_key:
                 best_key = key
-                best = slot
+                best = i
         if best is None:
             raise InvariantViolation("internal node with no entries")
         return best
 
     def _split_node(self, node: Node) -> Node:
+        """Split ``node`` in place; both halves' views reuse its rows."""
         group_a, group_b = self._split_func(node.entries, self._min_fill_of(node))
+        sibling = self._new_node(level=node.level, entries=group_b)
+        if node.bounds is not None:
+            row_of = {id(e): row for e, row in zip(node.entries, node.bounds.bounds)}
+            node.bounds = BoundsView(row_of[id(e)] for e in group_a)
+            sibling.bounds = BoundsView(row_of[id(e)] for e in group_b)
         node.entries = group_a
-        node.refresh_bounds()
-        return self._new_node(level=node.level, entries=group_b)
+        return sibling
 
     # -- deletion -----------------------------------------------------------------
     def delete(self, uid: int, mbr: AABB | None = None) -> None:
@@ -242,8 +241,7 @@ class RTree:
         if path is None:
             raise KeyError(f"uid {uid} not in tree")
         leaf = path[-1]
-        leaf.entries = [e for e in leaf.entries if e.uid != uid]
-        leaf.refresh_bounds()
+        leaf.remove(next(i for i, e in enumerate(leaf.entries) if e.uid == uid))
         self._size -= 1
         self._condense(path)
 
@@ -272,18 +270,17 @@ class RTree:
             node = path[i]
             parent = path[i - 1]
             if len(node.entries) < self._min_fill_of(node):
-                parent.entries.remove(next(s for s in parent.entries if s.child is node))
+                parent.remove(next(k for k, s in enumerate(parent.entries) if s.child is node))
                 orphan_leaf_entries.extend(self._collect_leaf_entries(node))
             elif changed:
-                slot = next(s for s in parent.entries if s.child is node)
+                slot = next(k for k, s in enumerate(parent.entries) if s.child is node)
                 mbr = node.mbr()
-                if mbr == slot.mbr:
+                if mbr == parent.entries[slot].mbr:
                     changed = False
                     continue
-                slot.mbr = mbr
+                parent.set_mbr(slot, mbr)
             else:
                 continue
-            parent.refresh_bounds()
             changed = True
         # Shrink the root while it is an internal node with a single child.
         while not self.root.is_leaf and len(self.root.entries) == 1:
@@ -317,7 +314,7 @@ class RTree:
         """Range query plus the per-level node-access statistics of Figure 3.
 
         Each node scan is one batch kernel call over the entry MBRs (the
-        node carries an immutable bounds view, rebuilt at every mutation
+        node carries an immutable bounds view, edited at every mutation
         site), so the per-entry work runs vectorised under the NumPy
         backend.
         """

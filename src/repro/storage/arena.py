@@ -12,7 +12,8 @@ Two pieces are exported:
 * :class:`BoundsView` — an immutable carrier for a batch of AABB bounds with
   a per-backend packed-array memo.  Pages and R-tree nodes hold one of these
   instead of maintaining version-invalidated pack caches: when content
-  changes, a *new* view is built, so a view in hand is valid forever.
+  changes, a *new* view is built (a one-row edit shares the other rows),
+  so a view in hand is valid forever.
 * :class:`ColumnarArena` — append/tombstone/compact columns with an epoch
   stamp.  Snapshots are copy-on-write column slices: immutable tuples cached
   per epoch, so repeated snapshots of an unchanged arena are free and a
@@ -27,14 +28,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro import kernels
 from repro.errors import EngineError
 from repro.geometry.aabb import AABB
 from repro.geometry.segment import Segment
 from repro.geometry.vec import Vec3
-from repro.hilbert.curve import HilbertEncoder3D
 from repro.objects import BoxObject, SpatialObject
 
 __all__ = [
@@ -53,6 +55,7 @@ KIND_SEGMENT = 1
 KIND_OPAQUE = 2
 
 _ZERO3 = (0.0, 0.0, 0.0)
+_NO_ROWS = np.empty((0, 6))
 
 #: Packed-arena layout (shared-memory publication): magic, ``<epoch,
 #: num_rows>``, then one fixed-width record per live row in live order —
@@ -80,13 +83,19 @@ class BoundsView:
         self._bounds = tuple(bounds)
         self._packs: dict[str, object] = {}
 
-    @classmethod
-    def of_boxes(cls, boxes: Iterable[AABB]) -> "BoundsView":
-        return cls(box.bounds() for box in boxes)
+    def replace_row(self, i: int, row: tuple[float, ...]) -> "BoundsView":
+        """A new view with row ``i`` replaced by ``row``; other rows are shared."""
+        bounds = self._bounds
+        return BoundsView(bounds[:i] + (row,) + bounds[i + 1 :])
 
-    @classmethod
-    def of_objects(cls, objects: Iterable[SpatialObject]) -> "BoundsView":
-        return cls(obj.aabb.bounds() for obj in objects)
+    def append_row(self, row: tuple[float, ...]) -> "BoundsView":
+        """A new view with ``row`` appended; other rows are shared."""
+        return BoundsView(self._bounds + (row,))
+
+    def remove_row(self, i: int) -> "BoundsView":
+        """A new view without row ``i``; other rows are shared."""
+        bounds = self._bounds
+        return BoundsView(bounds[:i] + bounds[i + 1 :])
 
     @property
     def bounds(self) -> tuple[tuple[float, float, float, float, float, float], ...]:
@@ -135,7 +144,8 @@ class ColumnarArena:
     Columns are parallel Python lists indexed by *row*; live rows are tracked
     in ``_live_rows`` (append on insert, swap-remove on tombstone) and looked
     up through ``_pos_of_uid``.  Mutations bump ``epoch``; materialized
-    objects, bounds views and snapshots are cached per row / per epoch.
+    objects, bounds views and snapshots are cached per row / per epoch, and
+    the bounds column's array form grows with the rows.
     """
 
     __slots__ = (
@@ -157,6 +167,8 @@ class ColumnarArena:
         "_view_cache",
         "_snapshot_cache",
         "_world_cache",
+        "_bounds_array",
+        "_array_rows",
     )
 
     def __init__(self) -> None:
@@ -178,6 +190,8 @@ class ColumnarArena:
         self._view_cache: tuple[int, BoundsView] | None = None
         self._snapshot_cache: ArenaSnapshot | None = None
         self._world_cache: tuple[int, AABB] | None = None
+        self._bounds_array = _NO_ROWS
+        self._array_rows = 0
 
     # -- construction ------------------------------------------------------
 
@@ -283,6 +297,7 @@ class ColumnarArena:
         self._objects = [self._objects[r] for r in rows]
         self._live_rows = list(range(len(rows)))
         self._dead_rows = 0
+        self._bounds_array, self._array_rows = _NO_ROWS, 0
         return dead
 
     def maybe_compact(self, *, slack: int = 64) -> int:
@@ -395,23 +410,33 @@ class ColumnarArena:
             self._live_cache = cached
         return cached
 
-    def iter_live(self) -> Iterator[SpatialObject]:
-        for row in self._live_rows:
-            yield self.materialize(row)
-
     def live_uids(self) -> list[int]:
         return [self.uids[row] for row in self._live_rows]
 
     def live_bounds(self) -> list[tuple[float, float, float, float, float, float]]:
         return [self.bounds[row] for row in self._live_rows]
 
-    def strided_bounds(
-        self, start: int, stride: int
-    ) -> list[tuple[float, float, float, float, float, float]]:
-        """Bounds of the live positions ``start, start + stride, ...``."""
-        bounds = self.bounds
-        live = self._live_rows
-        return [bounds[live[pos]] for pos in range(start, len(live), stride)]
+    @property
+    def live_rows(self) -> list[int]:
+        """The row of each live position, in live order (treat as read-only)."""
+        return self._live_rows
+
+    def bounds_array(self) -> np.ndarray:
+        """The bounds column as one float64 ``(rows, 6)`` array, dead rows too.
+
+        Rows are write-once, so each call converts only the rows appended
+        since the last one, into a buffer with a quarter's headroom;
+        :meth:`compact` and :meth:`restore` rewrite rows and drop it.
+        """
+        rows, done = len(self.bounds), self._array_rows
+        if done < rows:
+            if len(self._bounds_array) < rows:
+                grown = np.empty((rows + rows // 4, 6))
+                grown[:done] = self._bounds_array[:done]
+                self._bounds_array = grown
+            self._bounds_array[done:rows] = self.bounds[done:rows]
+            self._array_rows = rows
+        return self._bounds_array[:rows]
 
     def bounds_view(self) -> BoundsView:
         """A :class:`BoundsView` over the live rows (cached per epoch)."""
@@ -429,35 +454,12 @@ class ColumnarArena:
             return cached[1]
         if not self._live_rows:
             raise EngineError("arena is empty")
-        min_x = min_y = min_z = float("inf")
-        max_x = max_y = max_z = float("-inf")
-        for row in self._live_rows:
-            b = self.bounds[row]
-            if b[0] < min_x:
-                min_x = b[0]
-            if b[1] < min_y:
-                min_y = b[1]
-            if b[2] < min_z:
-                min_z = b[2]
-            if b[3] > max_x:
-                max_x = b[3]
-            if b[4] > max_y:
-                max_y = b[4]
-            if b[5] > max_z:
-                max_z = b[5]
-        world = AABB(min_x, min_y, min_z, max_x, max_y, max_z)
+        live = self.bounds_array()
+        if self._dead_rows:
+            live = live[self._live_rows]
+        world = AABB(*live[:, :3].min(axis=0).tolist(), *live[:, 3:].max(axis=0).tolist())
         self._world_cache = (self._epoch, world)
         return world
-
-    def hilbert_keys(self, *, order: int = 10, world: AABB | None = None) -> list[int]:
-        """Hilbert key column for the live rows (computed from bounds centers)."""
-        encoder = HilbertEncoder3D(world if world is not None else self.world(), order)
-        keys: list[int] = []
-        for row in self._live_rows:
-            b = self.bounds[row]
-            center = ((b[0] + b[3]) / 2.0, (b[1] + b[4]) / 2.0, (b[2] + b[5]) / 2.0)
-            keys.append(encoder.key(center))
-        return keys
 
     def snapshot(self) -> ArenaSnapshot:
         """Epoch-stamped COW column slices of the live rows."""
@@ -536,6 +538,7 @@ class ColumnarArena:
         self._dead_rows = 0
         self._view_cache = None
         self._world_cache = None
+        self._bounds_array, self._array_rows = _NO_ROWS, 0
         self._bump()
 
     # -- shared-memory publication -----------------------------------------
@@ -621,7 +624,3 @@ class ColumnarArena:
                 raise EngineError(f"unknown uid {uid}")
             rows.append(self._live_rows[pos])
         return rows
-
-    def bounds_view_for(self, uids: Sequence[int]) -> BoundsView:
-        """A :class:`BoundsView` over specific live uids (column slices)."""
-        return BoundsView(self.bounds[row] for row in self.rows_for(uids))

@@ -88,9 +88,6 @@ class Disk:
         """Monotone write-version of a page (0 for never-stored pages)."""
         return self._versions.get(page_id, 0)
 
-    def has_page(self, page_id: int) -> bool:
-        return page_id in self._pages
-
     @property
     def num_pages(self) -> int:
         return len(self._pages)
@@ -116,7 +113,7 @@ class Disk:
         return page, latency
 
     def peek(self, page_id: int) -> Page:
-        """Inspect a page without touching the counters (test/debug use)."""
+        """Inspect a page without touching the counters (maintenance, tests)."""
         try:
             return self._pages[page_id]
         except KeyError:

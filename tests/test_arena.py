@@ -15,6 +15,7 @@ these tests pin the redesign's contracts:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro
@@ -124,6 +125,35 @@ class TestColumnarArena:
         arena.tombstone(1)
         world = arena.world()
         assert world.max_x < 100.0
+
+    def test_bounds_array_follows_the_bounds_column(self):
+        arena = ColumnarArena.from_objects(grid_boxes(3))
+
+        def check(arena: ColumnarArena) -> None:
+            array = arena.bounds_array()
+            assert array.dtype == np.float64 and array.shape == (len(arena.bounds), 6)
+            assert array.tobytes() == np.array(arena.bounds, dtype=np.float64).tobytes()
+            live = np.array(arena.live_bounds())
+            world = arena.world()
+            assert world.bounds() == (*live[:, :3].min(axis=0), *live[:, 3:].max(axis=0))
+
+        check(arena)
+        snap = arena.snapshot()
+        arena.append(box(100, 90.0))
+        check(arena)
+        arena.tombstone(4)
+        check(arena)
+        arena.replace(box(5, -20.0))
+        check(arena)
+        arena.compact()
+        check(arena)
+        arena.append(box(101, 95.0))
+        check(arena)
+        arena.restore(snap)
+        check(arena)
+        check(ColumnarArena.from_snapshot(arena))
+        _, packed = ColumnarArena.from_packed(arena.pack_payload())
+        check(packed)
 
     def test_columns_share_tuples_only_with_the_live_object(self, small_circuit):
         segment = small_circuit.segments()[0]

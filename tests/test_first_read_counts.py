@@ -6,7 +6,11 @@ batch followed by one range read must:
 * never materialize the live object list (the profile is read from the
   arena's bounds column);
 * touch FLAT's seed tree only for page rewrites whose partition MBR
-  changed, plus partitions created or dissolved by the batch.
+  changed, plus partitions created or dissolved by the batch;
+* repair only the index it reads: a range read on the R-tree makes no
+  FLAT maintenance call, and the next FLAT read applies each net delta
+  of the batches since its last read exactly once;
+* convert only the bounds rows appended since the last profile rebuild.
 
 Calls are counted, not timed, so the lock holds on any host.
 """
@@ -17,6 +21,7 @@ import pytest
 
 import repro
 from repro.core.flat import updates as flat_updates
+from repro.core.flat.index import FLATIndex
 from repro.engine import Delete, Insert, Move, RangeQuery, SpatialEngine
 from repro.geometry.aabb import AABB
 from repro.storage.arena import ColumnarArena
@@ -99,9 +104,9 @@ def test_seed_tree_is_touched_only_when_a_page_mbr_changes(small_circuit, monkey
     create = flat_updates._create_partition
     dissolve = flat_updates._dissolve_partition
 
-    def counting_replace(index, pid, uids):
+    def counting_replace(index, pid, uids, bounds):
         before = index.partitions[pid].mbr
-        replace(index, pid, uids)
+        replace(index, pid, uids, bounds)
         rewrites["unchanged" if index.partitions[pid].mbr == before else "changed"] += 1
 
     def counting_create(index, uids, mbr):
@@ -125,3 +130,92 @@ def test_seed_tree_is_touched_only_when_a_page_mbr_changes(small_circuit, monkey
     # The lock means something only if some rewrites kept their MBR.
     assert rewrites["unchanged"] > 0
     flat.validate()
+
+
+def touched_uids(batch) -> set[int]:
+    return {m.uid if isinstance(m, Delete) else m.obj.uid for m in batch}
+
+
+def net_calls(before: set[int], after: set[int], touched: set[int]) -> list[tuple[int, str]]:
+    """The one FLAT call each touched uid needs, from the live sets around it."""
+    calls = []
+    for uid in touched:
+        if uid in before and uid in after:
+            calls.append((uid, "move"))
+        elif uid in after:
+            calls.append((uid, "insert"))
+        elif uid in before:
+            calls.append((uid, "delete"))
+    return sorted(calls)
+
+
+def test_a_range_read_repairs_only_the_rtree(small_circuit, monkeypatch):
+    engine = SpatialEngine.from_circuit(small_circuit)
+    batches, world = write_batches(engine.objects, count=3)
+    warm(engine, world)
+    maintenance = []
+    for name in ("insert_object", "delete_object", "move_object"):
+        original = getattr(flat_updates, name)
+
+        def counting(index, arg, _name=name, _original=original):
+            maintenance.append(_name)
+            return _original(index, arg)
+
+        monkeypatch.setattr(flat_updates, name, counting)
+    index_calls = []
+    for name in ("insert", "delete", "move"):
+        original = getattr(FLATIndex, name)
+
+        def counting_method(self, arg, _name=name, _original=original):
+            index_calls.append((arg if isinstance(arg, int) else arg.uid, _name))
+            return _original(self, arg)
+
+        monkeypatch.setattr(FLATIndex, name, counting_method)
+
+    window = RangeQuery(AABB.from_center_extent(world.center(), 60.0), strategy="rtree")
+    before = set(engine.arena.live_uids())
+    touched: set[int] = set()
+    for batch in batches:
+        # The R-tree is read after every batch; FLAT lags all three.
+        engine.apply_many(batch)
+        touched |= touched_uids(batch)
+        engine.execute(window)
+        assert maintenance == [] and index_calls == []
+    expected = net_calls(before, set(engine.arena.live_uids()), touched)
+    flat = engine.flat_index()
+    assert sorted(index_calls) == expected
+    assert maintenance
+    engine.flat_index()  # the queue is empty now: no second application
+    assert sorted(index_calls) == expected
+    flat.validate()
+
+
+class CountingSlices(list):
+    """A bounds column that logs the length of every slice read from it."""
+
+    def __init__(self, rows, log: list[int]) -> None:
+        super().__init__(rows)
+        self.log = log
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.log.append(len(got))
+        return got
+
+
+def test_a_profile_rebuild_converts_only_the_appended_rows(small_circuit):
+    engine = SpatialEngine.from_circuit(small_circuit)
+    batches, world = write_batches(engine.objects, count=3)
+    warm(engine, world)
+    converted: list[int] = []
+    arena = engine.arena
+    arena.bounds = CountingSlices(arena.bounds, converted)
+    for batch in batches:
+        rows = len(arena.bounds)
+        engine.apply_many(batch)
+        appended = len(arena.bounds) - rows
+        converted.clear()
+        _ = engine.profile
+        assert converted == ([appended] if appended else [])
+    assert isinstance(arena.bounds, CountingSlices)  # no compaction dropped the array

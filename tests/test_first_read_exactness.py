@@ -10,7 +10,12 @@ plan and no tree layout.
   objects) inside this test;
 * a reference R-tree with Guttman's full-refresh insert/condense (every
   level's slot and bounds recomputed) must keep the same layout, node for
-  node, as :class:`RTree` under the same operations;
+  node, as :class:`RTree` under the same operations, and every bounds
+  view :class:`RTree` edits slot by slot must equal one rebuilt whole;
+* with FLAT several batches behind the R-tree (only R-tree reads between
+  batches, one uid deleted then reinserted and another inserted then
+  moved across them), the lagged FLAT flush answers range, kNN and walk
+  reads as a fresh engine does;
 * a delta flush that raises part way drops every index, and the next read
   rebuilds and answers exactly;
 * the WAL scan decodes one batch per ``suffix()`` step.
@@ -18,6 +23,7 @@ plan and no tree layout.
 
 from __future__ import annotations
 
+import itertools
 import json
 import zlib
 from dataclasses import replace
@@ -31,7 +37,15 @@ from repro.core.flat.index import FLATIndex
 from repro.core.flat.updates import validate_index
 from repro.durability import wal as wal_module
 from repro.durability.wal import WriteAheadLog, read_wal
-from repro.engine import Delete, Insert, KNNQuery, Move, RangeQuery, SpatialEngine
+from repro.engine import (
+    Delete,
+    Insert,
+    KNNQuery,
+    Move,
+    RangeQuery,
+    SpatialEngine,
+    Walkthrough,
+)
 from repro.engine.planner import _PROFILE_SAMPLE, DatasetProfile, Planner
 from repro.errors import WalCorruptionError
 from repro.geometry.aabb import AABB
@@ -40,6 +54,7 @@ from repro.objects import BoxObject
 from repro.rtree.bulk import str_bulk_load
 from repro.rtree.node import Entry
 from repro.rtree.tree import RTree
+from repro.storage.arena import BoundsView
 from repro.utils.rng import make_rng
 
 WORLD = 40.0
@@ -150,6 +165,43 @@ def test_first_reads_match_a_fresh_engine(batch_list):
         assert engine.indexes_built["flat"] and engine.indexes_built["rtree"]
 
 
+WALK = Walkthrough(
+    tuple(AABB(x, 10.0, 10.0, x + 8.0, 18.0, 18.0) for x in (0.0, 5.0, 10.0, 15.0, 20.0)),
+    strategy="scout",
+)
+
+# One uid deleted then reinserted and another inserted then moved, each
+# across batches that FLAT sees only as one lagged flush.
+SCRIPTED = [
+    [Delete(5), Move(6, box_at(6, 2.0, 2.0, 2.0))],
+    [Insert(box_at(5, 30.0, 30.0, 30.0)), Insert(box_at(9_000, 1.0, 1.0, 1.0))],
+    [Move(9_000, box_at(9_000, 35.0, 2.0, 2.0)), Delete(6)],
+]
+
+
+@settings(max_examples=15)
+@given(batches)
+def test_a_lagging_flat_catches_up_exactly(batch_list):
+    engine = warm_engine(base_objects())
+    next_uid = [10_000]
+    rtree_window = RangeQuery(AABB(5.0, 5.0, 5.0, 30.0, 30.0, 30.0), strategy="rtree")
+    scripted_then_drawn = itertools.chain(
+        SCRIPTED, (to_mutations(engine, b, next_uid) for b in batch_list)
+    )
+    for batch in scripted_then_drawn:
+        engine.apply_many(batch)
+        # Only the R-tree is read between batches; FLAT falls behind.
+        live = engine.arena.live_objects()
+        expected = sorted(o.uid for o in live if o.aabb.intersects(rtree_window.box))
+        assert sorted(engine.execute(rtree_window).payload) == expected
+    fresh = SpatialEngine(engine.arena.live_objects(), page_capacity=PAGE, seed_fanout=4)
+    assert answers(engine, "flat") == answers(fresh, "flat")
+    walked, reference = engine.execute(WALK).payload, fresh.execute(WALK).payload
+    assert [s.result_size for s in walked.steps] == [s.result_size for s in reference.steps]
+    validate_index(engine.flat_index())
+    engine.object_rtree().validate()
+
+
 def test_profile_from_arena_is_bit_identical_to_the_object_loop(medium_circuit):
     segments = medium_circuit.segments()
     expected = brute_force_profile(segments, 48)
@@ -164,8 +216,13 @@ def test_profile_from_arena_is_bit_identical_to_the_object_loop(medium_circuit):
 
 
 # -- R-tree layouts -------------------------------------------------------------
+def refresh_bounds(node) -> None:
+    node.bounds = BoundsView(e.mbr.bounds() for e in node.entries)
+
+
 class FullRefreshRTree(RTree):
-    """Guttman's insert/condense, recomputing every level on the path."""
+    """Guttman's insert/condense, recomputing every level on the path and
+    rebuilding each touched node's whole bounds view."""
 
     def _insert_entry(self, entry: Entry, level: int) -> None:
         overflow = self._full_insert(self.root, entry, level)
@@ -198,7 +255,7 @@ class FullRefreshRTree(RTree):
                 node.entries.append(
                     Entry(mbr=AABB.union_all(e.mbr for e in overflow.entries), child=overflow)
                 )
-        node.refresh_bounds()
+        refresh_bounds(node)
         if len(node.entries) > self._capacity_of(node):
             return self._split_node(node)
         return None
@@ -213,7 +270,7 @@ class FullRefreshRTree(RTree):
                 orphans.extend(self._collect_leaf_entries(node))
             else:
                 slot.mbr = AABB.union_all(e.mbr for e in node.entries)
-            parent.refresh_bounds()
+            refresh_bounds(parent)
         while not self.root.is_leaf and len(self.root.entries) == 1:
             self.root = self.root.entries[0].child
         if not self.root.is_leaf and not self.root.entries:
@@ -272,6 +329,10 @@ def test_rtree_layout_matches_full_refresh_maintenance(bulk, seed):
             for tree in (lean, full):
                 tree.insert(uid, boxes[uid])
         assert layout(lean) == layout(full), f"layouts diverge at step {step}"
+        for node in lean.iter_nodes():
+            # A slot-edited view is exactly a view rebuilt from the entries.
+            if node.bounds is not None:
+                assert node.bounds.bounds == tuple(e.mbr.bounds() for e in node.entries)
     lean.validate()
 
 

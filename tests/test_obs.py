@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.catalog import Catalog
+from repro.engine import Delete, Insert, Move, SpatialEngine
 from repro.engine.queries import RangeQuery
 from repro.errors import ServiceOverloadError
 from repro.geometry.aabb import AABB
@@ -304,6 +305,27 @@ class TestTrace:
         assert any("└─ a1" in line for line in lines)
         assert any(line.startswith("└─ b") for line in lines)
         assert all("ms" in line for line in lines)
+
+
+    def test_a_first_rtree_read_traces_only_the_rtree_flush(self):
+        engine = SpatialEngine(grid_boxes(6), page_capacity=8)
+        engine.flat_index()
+        engine.object_rtree()
+        engine.apply_many(
+            [
+                Insert(BoxObject(uid=500, box=AABB(0.5, 0.5, 0.5, 1.0, 1.0, 1.0))),
+                Delete(3),
+                Move(7, BoxObject(uid=7, box=AABB(4.0, 4.0, 4.0, 5.0, 5.0, 5.0))),
+            ]
+        )
+        with trace.start_trace("q") as root:
+            engine.execute(RangeQuery(AABB(0.0, 0.0, 0.0, 4.0, 4.0, 4.0), strategy="rtree"))
+        (execute,) = root.children
+        flushes = [s for s in execute.children if s.name == "engine.index_flush"]
+        assert [s.attrs for s in flushes] == [{"index": "rtree", "deltas": 3}]
+        # FLAT's deltas wait for the next FLAT read, which flushes them untraced.
+        engine.execute(RangeQuery(AABB(0.0, 0.0, 0.0, 4.0, 4.0, 4.0), strategy="flat"))
+        engine.flat_index().validate()
 
 
 # -- propagation across pools and error paths ----------------------------------
