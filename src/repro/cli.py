@@ -16,12 +16,6 @@ screens displayed, plus an ASCII rendering of the figure:
 * ``query``      — one declarative query through the :class:`SpatialEngine`
   facade (range, knn, join or walk), with the planner's ``explain`` output
   and the engine telemetry;
-* ``serve-bench`` — drive a mixed traffic workload through the
-  :class:`~repro.service.ShardedEngine` query service across a sweep of
-  shard counts, reporting modelled makespan vs total work and the service
-  telemetry; ``--write-fraction`` turns the stream into a live read-write
-  mix whose insert/delete/move mutations publish epochs while the reads
-  run;
 * ``serve``      — the network front door (:mod:`repro.server`): an asyncio
   TCP server fronting the sharded service, speaking the length-prefixed
   JSON protocol; ``--wal`` makes it durable, ``--replica-of HOST:PORT``
@@ -31,9 +25,9 @@ screens displayed, plus an ASCII rendering of the figure:
 * ``recover``    — rebuild an engine from a durability directory (newest
   valid checkpoint + WAL-suffix replay, :mod:`repro.durability`) and run a
   validation query against the recovered state;
-* ``bench``      — the unified benchmark suite (:mod:`repro.bench`): emits
-  the schema-versioned BENCH JSON and exits non-zero on regression against
-  a baseline;
+* ``bench``      — the kernel and index microbenchmarks (:mod:`repro.bench`):
+  emits the schema-versioned BENCH JSON and exits non-zero on regression
+  against a baseline (system numbers come from ``perfbench/run.py``);
 * ``datasets``   — the dataset catalog (:mod:`repro.catalog`):
   ``list/create/tag/untag/lineage/diff/prune`` named datasets in a catalog
   directory; ``query join --dataset A@v3 --against B@v1`` runs a
@@ -149,53 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="catalog root for --dataset/--against (default: current directory)",
     )
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="drive a mixed traffic workload through the sharded query service",
-    )
-    serve.add_argument("--neurons", type=int, default=30, help="generated circuit size")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--circuit", type=str, default=None,
-        help="open a saved circuit directory instead of generating one",
-    )
-    serve.add_argument(
-        "--shards", type=str, default="1,2,4", metavar="CSV",
-        help="shard counts to sweep (default: 1,2,4)",
-    )
-    serve.add_argument("--queries", type=int, default=32, help="traffic queries per sweep point")
-    serve.add_argument("--extent", type=float, default=150.0, help="range window edge (um)")
-    serve.add_argument(
-        "--workers", type=int, default=None, help="pool threads (default: one per shard)"
-    )
-    serve.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="shard fan-out executor: in-process thread pool (GIL-bound) or "
-        "process pool over shared-memory arena publications (default: thread)",
-    )
-    serve.add_argument(
-        "--max-in-flight", type=int, default=None,
-        help="admission: concurrent queries (default: shard count)",
-    )
-    serve.add_argument("--max-queued", type=int, default=64, help="admission: wait-queue bound")
-    serve.add_argument(
-        "--timeout", type=float, default=None, help="per-query deadline in seconds"
-    )
-    serve.add_argument(
-        "--no-joins", action="store_true", help="serve ranges and knn only"
-    )
-    serve.add_argument(
-        "--write-fraction", type=float, default=0.0, metavar="FRACTION",
-        help="serve a live read-write mix: this fraction of the ops are "
-        "insert/delete/move mutations published as epochs (default 0 = read-only)",
-    )
-    serve.add_argument(
-        "--wal", type=str, default=None, metavar="DIR",
-        help="make the service durable: journal every mutation batch into a "
-        "write-ahead log under DIR (one subdirectory per sweep point when "
-        "several shard counts are swept); 'repro recover' restores it",
-    )
-
     server = sub.add_parser(
         "serve",
         help="serve the sharded engine over TCP (primary or WAL-shipped replica)",
@@ -289,27 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-verify", action="store_true", help="skip the validation query"
     )
 
-    bench = sub.add_parser("bench", help="run the benchmark suite, emit BENCH JSON")
-    bench.add_argument("--smoke", action="store_true", help="small CI-sized workloads")
-    bench.add_argument(
-        "--json", type=str, default="BENCH_PR2.json", metavar="PATH",
-        help="where to write the JSON report",
-    )
-    bench.add_argument(
-        "--baseline", type=str, default=None, metavar="PATH",
-        help="baseline JSON to compare against; exit non-zero on regression",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=0.30, metavar="FRACTION",
-        help="allowed slowdown vs the baseline (default 0.30)",
-    )
-    bench.add_argument(
-        "--modes", type=str, default=None, metavar="CSV",
-        help="kernel backends to measure (default: all available)",
-    )
-    bench.add_argument(
-        "--only", type=str, default=None, metavar="PREFIX",
-        help="run only workloads whose name starts with PREFIX (e.g. 'mutate.')",
+    from repro import bench
+
+    # The flags are declared once, by the bench module's own parser.
+    sub.add_parser(
+        "bench",
+        parents=[bench.build_parser()],
+        add_help=False,
+        help="run the kernel and index microbenchmarks, emit BENCH JSON",
     )
 
     datasets = sub.add_parser(
@@ -679,190 +613,6 @@ def _run_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serve_bench(args: argparse.Namespace) -> int:
-    import time
-    from pathlib import Path
-
-    from repro.engine.mutations import Delete, Insert, Move
-    from repro.errors import ReproError
-    from repro.service import (
-        ShardedEngine,
-        batch_balance,
-        batch_makespan_ms,
-        batch_total_work_ms,
-    )
-    from repro.utils.rng import derive_seed
-    from repro.utils.tables import Table
-    from repro.workloads.traffic import read_write_workload, traffic_workload
-
-    try:
-        shard_counts = sorted({int(v) for v in args.shards.split(",")})
-        if any(count < 1 for count in shard_counts):
-            raise ValueError("shard counts must be >= 1")
-        if not 0.0 <= args.write_fraction <= 1.0:
-            raise ValueError("--write-fraction must be in [0, 1]")
-        if args.queries < 1:
-            raise ValueError("--queries must be >= 1")
-        if args.workers is not None and args.workers < 1:
-            raise ValueError("--workers must be >= 1")
-        if args.timeout is not None and args.timeout <= 0.0:
-            raise ValueError("--timeout must be > 0")
-        if args.extent <= 0.0:
-            raise ValueError("--extent must be > 0")
-
-        if args.circuit is not None:
-            from repro.neuro.persistence import load_circuit
-
-            circuit = load_circuit(args.circuit)
-        else:
-            from repro.neuro.circuit import generate_circuit
-
-            circuit = generate_circuit(n_neurons=args.neurons, seed=args.seed)
-        # One traffic seed, derived once, replayed at every shard count:
-        # the sweep compares shard counts on the *identical* operation
-        # stream, so rows differ only by the service configuration.  The
-        # derivation also decouples the traffic from the circuit
-        # generator, which consumes args.seed through its own sub-streams.
-        workload_seed = derive_seed(args.seed, "serve-bench", "traffic")
-        if args.write_fraction > 0.0:
-            ops = read_write_workload(
-                circuit.segments(),
-                args.queries,
-                write_fraction=args.write_fraction,
-                extent=args.extent,
-                seed=workload_seed,
-            )
-        else:
-            ops = traffic_workload(
-                circuit.segments(),
-                args.queries,
-                extent=args.extent,
-                include_joins=not args.no_joins,
-                seed=workload_seed,
-            )
-        n_writes = sum(isinstance(op, (Insert, Delete, Move)) for op in ops)
-
-        table = Table(
-            [
-                "shards",
-                "queries",
-                "writes",
-                "results",
-                "makespan ms",
-                "total work ms",
-                "speedup",
-                "balance",
-                "wall ms",
-            ],
-            title="serve-bench: "
-            + (
-                f"{len(ops) - n_writes} queries + {n_writes} writes"
-                if n_writes
-                else f"{len(ops)} mixed queries"
-            )
-            + f" ({circuit.num_neurons} neurons)",
-        )
-        print(
-            f"traffic seed {workload_seed} "
-            f"(derived once from --seed {args.seed}; every shard count "
-            "replays the identical operation stream)"
-        )
-        single_node_ms: float | None = None
-        summary: tuple[str, str, dict[int, float]] | None = None
-        wal_roots: list[Path] = []
-        for count in shard_counts:
-            service_kwargs = dict(
-                num_shards=count,
-                max_workers=args.workers,
-                max_in_flight=args.max_in_flight,
-                max_queued=args.max_queued,
-                default_timeout_s=args.timeout,
-                executor=args.executor,
-            )
-            if args.wal is not None:
-                import repro
-                from repro.durability import checkpoints_path, list_checkpoints
-
-                wal_root = Path(args.wal)
-                if len(shard_counts) > 1:
-                    wal_root = wal_root / f"s{count}"
-                wal_roots.append(wal_root)
-                if list_checkpoints(checkpoints_path(wal_root)):
-                    service = repro.open(
-                        wal_root, sharded=True, circuit=circuit, **service_kwargs
-                    )
-                else:
-                    service = repro.create(
-                        circuit.segments(),
-                        wal_root,
-                        sharded=True,
-                        circuit=circuit,
-                        **service_kwargs,
-                    )
-            else:
-                service = ShardedEngine.from_circuit(circuit, **service_kwargs)
-            with service:
-                start = time.perf_counter()
-                results = []
-                for op in ops:
-                    if isinstance(op, (Insert, Delete, Move)):
-                        service.apply(op)
-                    else:
-                        results.append(service.execute(op))
-                wall_ms = (time.perf_counter() - start) * 1000.0
-                # Per-shard CPU clock comes from the metrics registry, which
-                # both executors feed from time.thread_time() on the worker —
-                # thread and process sweeps report the same clock model.
-                summary = (
-                    service.describe(),
-                    service.telemetry.render(),
-                    service.telemetry.snapshot()["per_shard_cpu_ms"],
-                )
-            makespan = batch_makespan_ms(results)
-            total_work = batch_total_work_ms(results)
-            if single_node_ms is None:
-                single_node_ms = makespan if count == 1 else total_work
-            table.add_row(
-                [
-                    count,
-                    len(results),
-                    n_writes,
-                    sum(r.num_results for r in results),
-                    round(makespan, 2),
-                    round(total_work, 2),
-                    f"{single_node_ms / makespan:.2f}x" if makespan > 0 else "-",
-                    round(batch_balance(results), 3),
-                    round(wall_ms, 2),
-                ]
-            )
-        print(table.render())
-        print()
-        print("makespan/total work use the repo's deterministic cost model:")
-        print("simulated I/O per shard; the busiest shard bounds the batch.")
-        if summary is not None:
-            print()
-            print(summary[0])
-            print(summary[1])
-            if summary[2]:
-                cpu_table = Table(
-                    ["shard", "cpu ms"],
-                    title=f"per-shard CPU clock ({args.executor} executor, "
-                    "thread_time per subtask)",
-                )
-                for shard_id in sorted(summary[2]):
-                    cpu_table.add_row([shard_id, round(summary[2][shard_id], 2)])
-                print()
-                print(cpu_table.render())
-        if wal_roots:
-            print()
-            for wal_root in wal_roots:
-                print(f"durable state journaled to {wal_root}")
-            print(f"restore with: python -m repro recover {wal_roots[-1]} --sharded")
-    except (ReproError, ValueError, OSError) as error:
-        return _fail(error)
-    return 0
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.server import ReproServer, bootstrap_replica
@@ -1213,16 +963,7 @@ def _run_datasets(args: argparse.Namespace) -> int:
 def _run_bench(args: argparse.Namespace) -> int:
     from repro import bench
 
-    argv = ["--json", args.json, "--max-regression", str(args.max_regression)]
-    if args.smoke:
-        argv.append("--smoke")
-    if args.baseline is not None:
-        argv.extend(["--baseline", args.baseline])
-    if args.modes is not None:
-        argv.extend(["--modes", args.modes])
-    if args.only is not None:
-        argv.extend(["--only", args.only])
-    return bench.main(argv)
+    return bench.run_from_args(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1238,8 +979,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_report(args)
     if args.command == "query":
         return _run_query(args)
-    if args.command == "serve-bench":
-        return _run_serve_bench(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "connect":

@@ -21,13 +21,6 @@ from repro.service.stats import (
     ServiceStats,
     ServiceTelemetry,
     ShardWork,
-    batch_balance,
-    batch_cpu_makespan_ms,
-    batch_cpu_serialized_ms,
-    batch_makespan_ms,
-    batch_per_shard_cpu_ms,
-    batch_per_shard_service_ms,
-    batch_total_work_ms,
 )
 
 __all__ = [
@@ -41,13 +34,6 @@ __all__ = [
     "ShardWork",
     "ShardedEngine",
     "active_segment_names",
-    "batch_balance",
-    "batch_cpu_makespan_ms",
-    "batch_cpu_serialized_ms",
-    "batch_makespan_ms",
-    "batch_per_shard_cpu_ms",
-    "batch_per_shard_service_ms",
-    "batch_total_work_ms",
     "hilbert_shards",
     "round_robin_split",
 ]

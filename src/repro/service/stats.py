@@ -9,8 +9,9 @@ Per query the service reports two clocks:
   I/O per shard; compare :attr:`ShardedJoinResult.makespan_ms`).  The
   makespan is the slowest shard, i.e. the parallel service latency on a
   cluster with one node per shard; the total work is what a single node
-  would pay.  The ratio is the modelled sharding speedup, and it is exact
-  and machine-independent — which is what lets CI gate on it.
+  would pay.  Both are exact and machine-independent, but they model I/O
+  only: the fan-out, merge and wire costs a real sharded read pays are
+  measured on a CPU clock by ``perfbench/run.py``, not here.
 
 :class:`ServiceTelemetry` aggregates across queries *and threads*: every
 count rides the metrics registry's lock-free per-thread cells, so counters
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.engine.stats import MUTATION_TOTALS
 from repro.obs.metrics import LATENCY_BUCKETS_MS, Breakdown, Totals, global_registry
@@ -35,13 +36,6 @@ __all__ = [
     "ServiceStats",
     "ServiceTelemetry",
     "ShardWork",
-    "batch_balance",
-    "batch_cpu_makespan_ms",
-    "batch_cpu_serialized_ms",
-    "batch_makespan_ms",
-    "batch_per_shard_cpu_ms",
-    "batch_per_shard_service_ms",
-    "batch_total_work_ms",
 ]
 
 
@@ -60,8 +54,8 @@ class ShardWork:
     # ``cpu_ms`` is measured with the per-thread (thread pool) or
     # per-worker (process pool) CPU clock, so it excludes GIL waits and
     # scheduler preemption — the same subtask costs the same CPU no
-    # matter how contended the host is, which is what lets the bench
-    # compare executors deterministically on a one-core CI runner.
+    # matter how contended the host is; the telemetry's
+    # ``per_shard_cpu_ms`` sums it per shard.
 
 
 @dataclass
@@ -142,66 +136,6 @@ class ServiceResult:
             ]
         )
         return table.render()
-
-
-def batch_per_shard_service_ms(results: Iterable[ServiceResult]) -> dict[int, float]:
-    """Total modelled service time each shard contributed to a batch."""
-    per_shard: dict[int, float] = {}
-    for result in results:
-        for work in result.stats.shard_work:
-            per_shard[work.shard_id] = per_shard.get(work.shard_id, 0.0) + work.service_ms
-    return per_shard
-
-
-def batch_makespan_ms(results: Iterable[ServiceResult]) -> float:
-    """Modelled latency of a batch on a fleet with one node per shard.
-
-    Each shard serialises its own subtasks but shards run in parallel, so
-    the batch finishes when the busiest shard drains:
-    ``max over shards of (sum of that shard's service_ms)``.
-    """
-    return max(batch_per_shard_service_ms(results).values(), default=0.0)
-
-
-def batch_balance(results: Iterable[ServiceResult]) -> float:
-    """Mean/max per-shard batch service time — 1.0 is perfectly balanced."""
-    per_shard = batch_per_shard_service_ms(results)
-    if not per_shard or max(per_shard.values()) <= 0.0:
-        return 1.0
-    return (sum(per_shard.values()) / len(per_shard)) / max(per_shard.values())
-
-
-def batch_total_work_ms(results: Iterable[ServiceResult]) -> float:
-    """Modelled latency of the same batch on a single node."""
-    return sum(result.stats.total_work_ms for result in results)
-
-
-def batch_per_shard_cpu_ms(results: Iterable[ServiceResult]) -> dict[int, float]:
-    """Total subtask CPU each shard contributed to a batch."""
-    per_shard: dict[int, float] = {}
-    for result in results:
-        for work in result.stats.shard_work:
-            per_shard[work.shard_id] = per_shard.get(work.shard_id, 0.0) + work.cpu_ms
-    return per_shard
-
-
-def batch_cpu_serialized_ms(results: Iterable[ServiceResult]) -> float:
-    """The batch's CPU cost when every shard subtask shares one interpreter.
-
-    This is what the GIL forces on the thread-pool executor: subtask CPU
-    cannot overlap, so the batch pays the *sum* of all per-shard CPU.
-    """
-    return sum(batch_per_shard_cpu_ms(results).values())
-
-
-def batch_cpu_makespan_ms(results: Iterable[ServiceResult]) -> float:
-    """The batch's CPU cost with one interpreter (process) per shard.
-
-    Each shard serialises its own subtasks but shards overlap freely —
-    no shared GIL — so the batch finishes when the busiest shard drains:
-    ``max over shards of (sum of that shard's cpu_ms)``.
-    """
-    return max(batch_per_shard_cpu_ms(results).values(), default=0.0)
 
 
 #: Process-wide service families, registered eagerly for the wire scrape.

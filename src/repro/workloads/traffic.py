@@ -5,7 +5,7 @@ time; it sees an interleaved stream — mostly range windows (viewport
 fetches), a steady trickle of KNN lookups (probe placement, "what is near
 this electrode"), and the occasional expensive join (synapse recount).
 :func:`traffic_workload` scripts that stream deterministically so the
-service benchmarks and the stress tests replay the exact same traffic on
+service's stress and differential tests replay the exact same traffic on
 every run.  :func:`read_write_workload` adds the live-data dimension: the
 same seeded stream with a fraction of insert/delete/move mutations woven
 in, valid by construction against the dataset it was generated for.
@@ -141,7 +141,7 @@ def read_write_workload(
     ``object_extent`` sizes inserted/moved boxes (default: 1% of the
     world's largest side).  Every draw derives from ``seed`` via stable
     sub-streams, so the exact same interleaving replays on every run —
-    the property the mutation-oracle and service benchmarks rely on.
+    the property any replay of the stream relies on.
 
     >>> ops = read_write_workload(circuit.segments(), 100, seed=7)
     >>> ops == read_write_workload(circuit.segments(), 100, seed=7)

@@ -67,6 +67,24 @@ class TestCompareToBaseline:
         )
         assert bench.compare_to_baseline(current, baseline) == []
 
+    def test_missing_workload_is_a_regression(self):
+        # A deleted or renamed workload must not drop out of the gate.
+        baseline = make_report(
+            {("flat.range_scan", "numpy"): 10.0, ("flat.knn", "numpy"): 4.0}
+        )
+        current = make_report({("flat.range_scan", "numpy"): 10.0})
+        regressions = bench.compare_to_baseline(current, baseline)
+        assert [(r.name, r.mode) for r in regressions] == [("flat.knn", "numpy")]
+        assert regressions[0].wall_ms is None
+        assert "missing from the report" in regressions[0].describe()
+
+    def test_modes_the_report_did_not_run_are_not_missing(self):
+        baseline = make_report(
+            {("flat.knn", "numpy"): 4.0, ("flat.knn", "python"): 10.0}
+        )
+        current = make_report({("flat.knn", "numpy"): 4.0})
+        assert bench.compare_to_baseline(current, baseline) == []
+
     def test_schema_or_suite_mismatch_skips_comparison(self):
         baseline = make_report({("flat.range_scan", "numpy"): 1.0})
         current = make_report({("flat.range_scan", "numpy"): 1000.0})
@@ -127,20 +145,6 @@ class TestHarness:
         assert args.smoke and args.json == "out.json"
         assert args.baseline == "b.json"
         assert args.max_regression == 0.5
-        assert args.only is None
-        args = bench.build_parser().parse_args(["--smoke", "--only", "mutate."])
-        assert args.only == "mutate."
-
-    def test_only_prefix_filters_the_suite(self):
-        _, results = bench.run_suite(
-            smoke=True, modes=["python"], only="kernel.box_intersects"
-        )
-        assert results
-        assert all(r.name == "kernel.box_intersects" for r in results)
-
-    def test_only_prefix_with_no_match_is_an_error(self):
-        with pytest.raises(ValueError, match="no benchmark workload matches"):
-            bench.run_suite(smoke=True, modes=["python"], only="nope.")
 
     def test_calibration_probe_is_positive(self):
         assert bench.measure_calibration(repeats=1) > 0.0
@@ -168,73 +172,33 @@ class TestCommittedArtifacts:
             assert entry["wall_ms"] >= 0.0
             assert entry["units"] > 0
 
+    def test_baseline_gates_exactly_the_suite(self, report):
+        """Every suite workload is gated under every backend, and the
+        baseline holds nothing the suite no longer runs."""
+        suite = {w.name for w in bench._workloads()}
+        assert len(suite) == 10
+        committed = {(w["name"], w["mode"]) for w in report["workloads"]}
+        assert committed == {
+            (name, mode) for name in suite for mode in report["available_backends"]
+        }
+
     def test_vectorized_hot_paths_beat_fallback_2x(self, report):
         speedups = bench.headline_speedups(report)
         for name, speedup in speedups.items():
             assert speedup is not None, f"{name} missing a fallback comparison"
             assert speedup >= 2.0, f"{name} only {speedup:.2f}x vs scalar fallback"
 
-    @pytest.mark.parametrize(
-        "names",
-        [
-            ("mutate.ingest_throughput", "mutate.read_write_mix"),
-            ("wal.append_throughput", "recover.replay_ms"),
-            ("serve.request_roundtrip_ms", "serve.replica_catchup_ms"),
-        ],
-        ids=["mutation", "durability", "serving"],
-    )
-    def test_workload_family_is_committed_and_gated(self, report, names):
-        """The live-data write path and the durability subsystem are part of
-        the recorded trajectory: each workload family must be present in the
-        baseline, which is what arms the CI regression gate for it."""
-        by_name: dict[str, list[dict]] = {}
-        for entry in report["workloads"]:
-            by_name.setdefault(entry["name"], []).append(entry)
-        for name in names:
-            assert name in by_name, f"baseline missing {name}"
-            for entry in by_name[name]:
-                assert entry["units"] > 0
-                assert entry["wall_ms"] > 0.0
-            modes = {entry["mode"] for entry in by_name[name]}
-            assert report["default_backend"] in modes
-
     def test_vectorized_never_loses_to_scalar(self, report):
-        """The columnar arena's promise: batch mutation and query work is
-        array-shaped, so the vectorized backend must win (or tie) on every
-        committed workload — the old 0.88x ingest ratio is a regression."""
+        """Batch kernel and index work is array-shaped, so the vectorized
+        backend must win (or tie) on every committed workload."""
         ratios = {
             w["name"]: w["speedup_vs_fallback"]
             for w in report["workloads"]
             if w.get("speedup_vs_fallback") is not None
         }
-        assert "mutate.ingest_throughput" in ratios
+        assert "flat.range_scan" in ratios
         for name, ratio in ratios.items():
             assert ratio >= 1.0, f"{name} vectorized is {ratio:.3f}x of scalar"
-
-    def test_trace_overhead_is_committed_under_5_percent(self, report):
-        """The observability promise: with no trace open, the span plumbing
-        on the flat range-scan path costs under 5% versus no instrumentation
-        at all.  The workload records the overhead *percentage* in its
-        wall_ms field, so the committed baseline pins the claim directly."""
-        entries = [w for w in report["workloads"] if w["name"] == "obs.trace_overhead_pct"]
-        assert entries, "baseline missing obs.trace_overhead_pct"
-        for entry in entries:
-            assert entry["wall_ms"] < 5.0, (
-                f"tracing-off overhead {entry['wall_ms']:.2f}% "
-                f"[{entry['mode']}] breaches the 5% budget"
-            )
-
-    def test_trace_overhead_live_under_5_percent(self):
-        """Measure the disabled-path span overhead on this machine and hold
-        it to the same 5% budget the committed baseline promises."""
-        _, results = bench.run_suite(
-            smoke=True, modes=[kernels.active_backend()], only="obs.trace_overhead_pct"
-        )
-        assert results
-        for result in results:
-            assert result.wall_ms < 5.0, (
-                f"tracing-off overhead measured {result.wall_ms:.2f}% live"
-            )
 
     def test_durability_regression_trips_the_gate(self):
         baseline = make_report({("recover.replay_ms", "numpy"): 50.0})
@@ -247,35 +211,3 @@ class TestCommittedArtifacts:
         current = make_report({("mutate.ingest_throughput", "numpy"): 80.0})
         regressions = bench.compare_to_baseline(current, baseline, max_regression=0.30)
         assert [r.name for r in regressions] == ["mutate.ingest_throughput"]
-
-    def test_sharded_range_scan_beats_one_shard_1_5x(self, report):
-        """The service claim, pinned on the committed smoke baseline."""
-        names = {w["name"] for w in report["workloads"]}
-        assert {"service.range_scan_1shard", "service.range_scan_sharded"} <= names
-        recorded = report["service"]["sharded_range_speedup"]
-        assert recorded is not None
-        assert recorded > 1.5, f"sharded range scan only {recorded:.2f}x over 1 shard"
-        recomputed = bench.sharded_speedup(
-            report["workloads"], mode=report["default_backend"]
-        )
-        assert recomputed == pytest.approx(recorded, rel=1e-3)
-
-    def test_procpool_escapes_the_gil_2_5x(self, report):
-        """The process-pool claim: the shared-memory executor's modelled
-        batch cost beats the GIL-bound serialised cost by more than 2.5x
-        at 4 shards — strictly above the thread-mode sharding speedup,
-        because that is the whole point of leaving the interpreter."""
-        names = {w["name"] for w in report["workloads"]}
-        assert {"service.range_scan_gilbound", "service.range_scan_procpool"} <= names
-        recorded = report["service"]["procpool_range_speedup"]
-        assert recorded is not None
-        assert recorded > 2.5, f"procpool only {recorded:.2f}x over GIL-bound"
-        sharded = report["service"]["sharded_range_speedup"]
-        assert recorded > sharded, (
-            f"procpool {recorded:.2f}x does not beat thread-mode "
-            f"sharding {sharded:.2f}x"
-        )
-        recomputed = bench.procpool_speedup(
-            report["workloads"], mode=report["default_backend"]
-        )
-        assert recomputed == pytest.approx(recorded, rel=1e-3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import bench
 from repro.cli import build_parser, main
 
 
@@ -44,6 +45,10 @@ class TestParser:
         assert args.json == "BENCH_PR2.json"
         assert args.baseline is None
         assert args.max_regression == 0.30
+        # One declaration: the subcommand parses exactly the bench
+        # module's own flags, with the same defaults.
+        own = vars(bench.build_parser().parse_args([]))
+        assert {k: v for k, v in vars(args).items() if k != "command"} == own
 
     def test_bench_flags(self):
         args = build_parser().parse_args(
@@ -57,6 +62,12 @@ class TestParser:
         assert args.baseline == "benchmarks/baseline.json"
         assert args.max_regression == 0.4
         assert args.modes == "python"
+
+    def test_bench_forwards_its_arguments(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(bench, "run_from_args", lambda args: seen.append(args) or 0)
+        assert main(["bench", "--smoke", "--modes", "python"]) == 0
+        assert seen[0].smoke and seen[0].modes == "python"
 
     def test_query_options(self):
         args = build_parser().parse_args(
@@ -261,107 +272,3 @@ class TestQueryCommand:
         out = capsys.readouterr().out
         assert "SpatialEngine over" in out
         assert "engine result" in out
-
-
-class TestServeBenchCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.command == "serve-bench"
-        assert args.shards == "1,2,4"
-        assert args.queries == 32
-        assert args.max_queued == 64
-
-    def test_sweep_prints_table_and_telemetry(self, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--neurons", "6",
-                "--seed", "3",
-                "--shards", "1,2",
-                "--queries", "8",
-                "--extent", "100",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serve-bench: 8 mixed queries" in out
-        assert "makespan ms" in out
-        assert "service telemetry" in out
-        assert "ShardedEngine over" in out
-
-    def test_bad_shards_fail_cleanly(self, capsys):
-        code = main(["serve-bench", "--neurons", "6", "--shards", "0"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "Traceback" not in err
-
-    def test_write_fraction_serves_live_mix(self, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--neurons", "6",
-                "--seed", "3",
-                "--shards", "1,2",
-                "--queries", "12",
-                "--extent", "100",
-                "--write-fraction", "0.4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "writes" in out
-        assert "mutations applied" in out
-        assert "current epoch" in out
-
-    def test_bad_write_fraction_fails_cleanly(self, capsys):
-        code = main(
-            ["serve-bench", "--neurons", "6", "--write-fraction", "1.5"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "Traceback" not in err
-
-    def test_wal_flag_journals_and_recovers(self, capsys, tmp_path):
-        wal_dir = tmp_path / "durable"
-        code = main(
-            [
-                "serve-bench",
-                "--neurons", "6",
-                "--seed", "3",
-                "--shards", "2",
-                "--queries", "10",
-                "--extent", "100",
-                "--write-fraction", "0.5",
-                "--wal", str(wal_dir),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"durable state journaled to {wal_dir}" in out
-        assert "restore with" in out
-        # The journaled directory is a recoverable crash dir.
-        code = main(["recover", str(wal_dir), "--sharded", "--extent", "100"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "recovered to epoch" in out
-        assert "exact" in out
-
-    def test_wal_sweep_uses_per_count_subdirs(self, capsys, tmp_path):
-        wal_dir = tmp_path / "durable"
-        code = main(
-            [
-                "serve-bench",
-                "--neurons", "6",
-                "--seed", "3",
-                "--shards", "1,2",
-                "--queries", "6",
-                "--extent", "100",
-                "--write-fraction", "0.5",
-                "--wal", str(wal_dir),
-            ]
-        )
-        assert code == 0
-        assert (wal_dir / "s1" / "checkpoints").is_dir()
-        assert (wal_dir / "s2" / "wal").is_dir()

@@ -11,7 +11,9 @@ scrape and the ``slowlog`` frame.
 
 from __future__ import annotations
 
+import gc
 import threading
+import time
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.catalog import Catalog
 from repro.engine import Delete, Insert, Move, SpatialEngine
 from repro.engine.queries import RangeQuery
 from repro.errors import ServiceOverloadError
+from repro.experiments.datasets import circuit_dataset
 from repro.geometry.aabb import AABB
 from repro.objects import BoxObject
 from repro.obs import metrics as metrics_module
@@ -32,6 +35,7 @@ from repro.obs.metrics import (
 from repro.obs.slowlog import SlowQueryLog
 from repro.server import Client, serve_in_background
 from repro.service.sharded import ShardedEngine
+from repro.workloads.ranges import density_stratified_queries
 from tests.conftest import grid_boxes
 from tests.test_durability import last_segment
 
@@ -326,6 +330,53 @@ class TestTrace:
         # FLAT's deltas wait for the next FLAT read, which flushes them untraced.
         engine.execute(RangeQuery(AABB(0.0, 0.0, 0.0, 4.0, 4.0, 4.0), strategy="flat"))
         engine.flat_index().validate()
+
+
+# -- the tracing-off overhead budget -------------------------------------------
+class TestTraceOverhead:
+    def test_tracing_off_costs_under_5_percent(self, monkeypatch):
+        """With no trace open, every ``engine.execute`` crosses the
+        ``trace.span`` site as one ContextVar read returning a shared no-op.
+        Each round times the same warmed FLAT range batch with
+        ``trace.span`` stubbed out (no instrumentation at all), then through
+        the real disabled path; the best round's overhead must stay < 5%."""
+        circuit = circuit_dataset(n_neurons=60)
+        engine = SpatialEngine.from_circuit(circuit, page_capacity=512)
+        queries = [
+            RangeQuery(box, strategy="flat")
+            for box in density_stratified_queries(
+                circuit.segments(), 8, 200.0, dense=True, seed=2013
+            )
+        ]
+        for query in queries:
+            engine.execute(query)  # warm the per-partition packs
+
+        def batch_ms() -> float:
+            start = time.perf_counter()
+            for query in queries:
+                engine.execute(query)
+            return (time.perf_counter() - start) * 1000.0
+
+        def stub_span(name, **attrs):
+            return trace._NOOP
+
+        best_pct = float("inf")
+        rounds, timed_ms = 0, 0.0
+        gc.collect()
+        gc.disable()
+        try:
+            # At least 5 rounds and 150 ms of timed signal, at most 60 rounds.
+            while rounds < 5 or (timed_ms < 150.0 and rounds < 60):
+                with monkeypatch.context() as patch:
+                    patch.setattr(trace, "span", stub_span)
+                    stubbed_ms = batch_ms()
+                real_ms = batch_ms()
+                best_pct = min(best_pct, max(0.0, (real_ms - stubbed_ms) / stubbed_ms * 100.0))
+                rounds += 1
+                timed_ms += stubbed_ms + real_ms
+        finally:
+            gc.enable()
+        assert best_pct < 5.0, f"tracing-off overhead measured {best_pct:.2f}%"
 
 
 # -- propagation across pools and error paths ----------------------------------
