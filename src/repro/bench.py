@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro import kernels
+from repro.errors import GeometryError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -646,6 +647,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run_from_args(args: argparse.Namespace) -> int:
     """Run the suite for parsed :func:`build_parser` flags; the exit code."""
     modes = args.modes.split(",") if args.modes else None
+    unknown = [mode for mode in modes or () if mode not in kernels.available_backends()]
+    if unknown:
+        raise GeometryError(
+            f"unknown kernel backend(s) {unknown}; choose from "
+            f"{list(kernels.available_backends())}"
+        )
     suite = "smoke" if args.smoke else "full"
     backends = modes or list(kernels.available_backends())
     print(f"running {suite} benchmark suite (backends: {backends})")

@@ -962,8 +962,12 @@ def _run_datasets(args: argparse.Namespace) -> int:
 
 def _run_bench(args: argparse.Namespace) -> int:
     from repro import bench
+    from repro.errors import ReproError
 
-    return bench.run_from_args(args)
+    try:
+        return bench.run_from_args(args)
+    except ReproError as error:
+        return _fail(error)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

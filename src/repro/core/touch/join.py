@@ -9,6 +9,15 @@ thus lands in at most one bucket — no replication, no duplicate results.
 Phase 3 joins every bucket against the A objects beneath its node, pruning
 with the hierarchy MBRs.  The total work is what the demo's Figure 7 charts
 as "number of pairwise comparisons".
+
+Both phases read the hierarchy only as level arrays
+(:class:`~repro.core.touch.tree.TouchLevels`) and run as batch kernels over
+all of B: :func:`repro.kernels.touch_assign` moves the whole frontier of
+(B object, node) pairs down one level per pass and returns a bucket per B
+object, :func:`repro.kernels.touch_probe` descends every bucket the same way
+and filters the reached leaves' objects.  A bucket is just an entry of that
+per-B array, so nothing is written to the hierarchy and any slice of B can
+be joined against shared level arrays (:mod:`repro.core.touch.parallel`).
 """
 
 from __future__ import annotations
@@ -24,10 +33,10 @@ from repro.core.touch.stats import (
     JoinStats,
     RefineFunc,
 )
-from repro.core.touch.tree import TouchNode, build_touch_tree
+from repro.core.touch.tree import TouchLevels, build_touch_tree, touch_levels
 from repro.objects import SpatialObject
 
-__all__ = ["touch_join"]
+__all__ = ["touch_join", "join_levels"]
 
 
 def touch_join(
@@ -51,133 +60,56 @@ def touch_join(
         Shape of the data-oriented hierarchy on A (ablation A6).
     filtering:
         When False, B objects that intersect no child anywhere are kept in
-        the nearest bucket instead of being dropped (ablation A5); results
-        are identical, only the comparison count changes.
+        the node where they stopped instead of being dropped (ablation
+        A5); results are identical, only the comparison count changes.
     """
     stats = JoinStats(algorithm="TOUCH", n_a=len(objects_a), n_b=len(objects_b))
     if not objects_a or not objects_b:
         return JoinResult(pairs=[], stats=stats)
 
     start = time.perf_counter()
-    root = build_touch_tree(objects_a, leaf_capacity=leaf_capacity, fanout=fanout)
+    levels = touch_levels(
+        build_touch_tree(objects_a, leaf_capacity=leaf_capacity, fanout=fanout)
+    )
     stats.build_ms = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
-    for b in objects_b:
-        _assign(root, b, eps, stats, filtering)
-    assign_ms = (time.perf_counter() - start) * 1000.0
-
-    stats.memory_bytes = (
-        root.structure_bytes() + root.bucket_bytes() + len(objects_a) * REF_BYTES
-    )
-
-    start = time.perf_counter()
     pairs: list[tuple[int, int]] = []
-    candidates = CandidateBatch(refine, stats, pairs)
-    for node in root.iter_nodes():
-        if node.bucket:
-            _probe_bucket(node, node.bucket, eps, stats, candidates)
-    candidates.flush()
-    stats.probe_ms = assign_ms + (time.perf_counter() - start) * 1000.0
+    join_levels(levels, objects_b, eps, refine, filtering, stats, pairs)
+    stats.probe_ms = (time.perf_counter() - start) * 1000.0
+    stats.memory_bytes = (
+        levels.structure_bytes()
+        + (len(objects_b) - stats.filtered) * REF_BYTES  # one bucket entry per kept B
+        + len(objects_a) * REF_BYTES
+    )
     return JoinResult(pairs=pairs, stats=stats)
 
 
-def _assign(
-    root: TouchNode,
-    b: SpatialObject,
+def join_levels(
+    levels: TouchLevels,
+    objects_b: Sequence[SpatialObject],
     eps: float,
-    stats: JoinStats,
+    refine: RefineFunc | None,
     filtering: bool,
-    buckets: dict[int, list[SpatialObject]] | None = None,
-) -> None:
-    """Phase 2: sink ``b`` to the lowest unambiguous node (or filter it).
-
-    When ``buckets`` is given, assignments land in that private overlay
-    (keyed by ``id(node)``) instead of the node's own bucket, leaving the
-    shared hierarchy read-only — this is what lets concurrent workers share
-    one tree (see :mod:`repro.core.touch.parallel`).
-    """
-
-    def drop(node: TouchNode) -> None:
-        if buckets is None:
-            node.bucket.append(b)
-        else:
-            buckets.setdefault(id(node), []).append(b)
-
-    stats.comparisons += 1
-    if not root.mbr.intersects_expanded(b.aabb, eps):
-        # Entirely outside dataset A's extent: no partner can exist.
-        if filtering:
-            stats.filtered += 1
-        else:
-            drop(root)
-        return
-    node = root
-    while not node.is_leaf:
-        box_b = b.aabb
-        hit: TouchNode | None = None
-        ambiguous = False
-        for child in node.children:
-            stats.comparisons += 1
-            if child.mbr.intersects_expanded(box_b, eps):
-                if hit is None:
-                    hit = child
-                else:
-                    ambiguous = True
-                    break
-        if ambiguous:
-            drop(node)
-            return
-        if hit is None:
-            # b sits in the empty space between the children's MBRs.
-            if filtering:
-                stats.filtered += 1
-            else:
-                drop(node)
-            return
-        node = hit
-    drop(node)
-
-
-def _probe_bucket(
-    node: TouchNode,
-    bucket: Sequence[SpatialObject],
-    eps: float,
     stats: JoinStats,
-    candidates: CandidateBatch,
+    pairs: list[tuple[int, int]],
 ) -> None:
-    """Phase 3: join a node's whole bucket against the A objects beneath it.
+    """Phases 2 and 3 for ``objects_b`` against the hierarchy's level arrays.
 
-    Every B object first descends the subtree (scalar MBR pruning, same
-    comparison counts as probing one-by-one), *grouping* the survivors per
-    reached leaf; each leaf is then filtered with a single pairwise batch
-    kernel call over its packed bounds and the group's packed bounds.  The
-    kernel-call count drops from one per (probe, reached leaf) to one per
-    reached leaf — the fixed per-call overhead that made tiny numpy
-    batches lose to pure Python disappears.  Survivors are buffered for
-    batch refinement; pair order is deterministic (leaves in first-reach
-    order, B-major within a leaf).
+    Adds this slice's comparisons, filtered objects, candidates and results
+    to ``stats`` and its pairs to ``pairs`` in B-major order (the order of
+    ``objects_b``, then A objects leaf by leaf).  ``levels`` is only read.
     """
-    groups: dict[int, tuple[TouchNode, list[SpatialObject]]] = {}
-    for b in bucket:
-        box_b = b.aabb
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.is_leaf:
-                stats.comparisons += len(current.objects)
-                groups.setdefault(id(current), (current, []))[1].append(b)
-            else:
-                for child in current.children:
-                    stats.comparisons += 1
-                    if child.mbr.intersects_expanded(box_b, eps):
-                        stack.append(child)
-    for leaf, probes in groups.values():
-        if not leaf.objects:
-            continue
-        indices_a, indices_b = kernels.box_overlap_pairs(
-            leaf.packed_object_bounds(), kernels.pack_objects(probes), eps
-        )
-        objects = leaf.objects
+    packed_b = kernels.pack_objects(objects_b)
+    bucket, comparisons, filtered = kernels.touch_assign(
+        levels.packed, packed_b, eps, filtering
+    )
+    stats.comparisons += comparisons
+    stats.filtered += filtered
+    objects_a = levels.objects
+    candidates = CandidateBatch(refine, stats, pairs)
+    for indices_a, indices_b, tested in kernels.touch_probe(levels.packed, packed_b, bucket, eps):
+        stats.comparisons += tested
         for i, j in zip(indices_a, indices_b):
-            candidates.add(objects[i], probes[j])
+            candidates.add(objects_a[i], objects_b[j])
+    candidates.flush()

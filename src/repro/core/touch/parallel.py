@@ -3,20 +3,20 @@
 "To perform the spatial join at scale, the neuroscientists run it in the
 main memory of either a supercomputer (BlueGene/P) or a cluster" (paper
 §4).  TOUCH parallelises naturally: phase 1's hierarchy over A is built
-once and *shared read-only*; B is split into shards, each worker assigns
-and probes its shard independently, and results concatenate without any
-deduplication (each B object still lands in exactly one bucket of its
-worker's view).
+once, flattened into level arrays and *shared read-only*; B is split into
+shards, each worker assigns and probes its shard independently, and
+results concatenate without any deduplication (each B object still lands
+in exactly one bucket).
 
 Workers run sequentially in the caller's thread; per-shard costs are
 measured and the *makespan* (the slowest shard, i.e. the modelled
 parallel wall-clock) is reported alongside the total work.  Deterministic,
 and the mode every committed claim uses.  The real concurrent path is
 :class:`~repro.service.ShardedEngine`'s thread-mode TOUCH join, which runs
-:func:`probe_shard` on its worker pool: each call keeps its bucket
-assignments in a private overlay (``{id(node): [b, ...]}``), so the shared
-hierarchy is never mutated and no locks are needed, and pairs concatenate
-in shard-id order whatever the thread schedule.
+:func:`probe_shard` on its worker pool.  A bucket is an entry of the
+calling worker's own per-B array, so the shared level arrays are never
+written, no locks are needed, and pairs concatenate in shard-id order
+whatever the thread schedule.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.touch.join import _assign, _probe_bucket
-from repro.core.touch.stats import REF_BYTES, CandidateBatch, JoinStats, RefineFunc
-from repro.core.touch.tree import TouchNode, build_touch_tree
+from repro.core.touch.join import join_levels
+from repro.core.touch.stats import REF_BYTES, JoinStats, RefineFunc
+from repro.core.touch.tree import TouchLevels, build_touch_tree, touch_levels
 from repro.errors import JoinError
 from repro.objects import SpatialObject
 
@@ -78,35 +78,24 @@ class ShardedJoinResult:
 
 
 def probe_shard(
-    root: TouchNode,
-    bucket_nodes: Sequence[TouchNode],
+    levels: TouchLevels,
     shard_b: Sequence[SpatialObject],
-    n_a: int,
     eps: float,
     refine: RefineFunc | None,
     filtering: bool = True,
 ) -> tuple[list[tuple[int, int]], JoinStats, float]:
-    """Run TOUCH phases 2+3 for one B shard against the shared hierarchy.
+    """Run TOUCH phases 2+3 for one B shard against the shared level arrays.
 
-    The tree is only read: assignments go to a worker-private bucket
-    overlay, so any number of these calls may run concurrently on the same
-    ``root`` — once every leaf's ``packed_object_bounds()`` is built, so
-    the concurrent probes only read the cached kernel packs.  Returns
-    ``(pairs, per-shard stats, elapsed_ms)``; the pair order is
-    deterministic (bucket-node order, then assignment order).
+    ``levels`` is only read — each shard's buckets are its own per-B
+    array — so any number of these calls may run concurrently on one
+    :class:`~repro.core.touch.tree.TouchLevels`.  Returns ``(pairs,
+    per-shard stats, elapsed_ms)``; the pair order is a pure function of
+    the shard (B-major, as :func:`~repro.core.touch.join.join_levels`).
     """
-    counter = JoinStats(algorithm="shard", n_a=n_a, n_b=len(shard_b))
+    counter = JoinStats(algorithm="shard", n_a=len(levels.objects), n_b=len(shard_b))
     pairs: list[tuple[int, int]] = []
     start = time.perf_counter()
-    buckets: dict[int, list[SpatialObject]] = {}
-    for b in shard_b:
-        _assign(root, b, eps, counter, filtering, buckets=buckets)
-    candidates = CandidateBatch(refine, counter, pairs)
-    for node in bucket_nodes:
-        assigned = buckets.get(id(node))
-        if assigned:
-            _probe_bucket(node, assigned, eps, counter, candidates)
-    candidates.flush()
+    join_levels(levels, shard_b, eps, refine, filtering, counter, pairs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return pairs, counter, elapsed_ms
 
@@ -134,7 +123,9 @@ def sharded_touch_join(
         return ShardedJoinResult(pairs=[], shards=[], build_ms=0.0, stats=stats)
 
     start = time.perf_counter()
-    root = build_touch_tree(objects_a, leaf_capacity=leaf_capacity, fanout=fanout)
+    levels = touch_levels(
+        build_touch_tree(objects_a, leaf_capacity=leaf_capacity, fanout=fanout)
+    )
     build_ms = (time.perf_counter() - start) * 1000.0
     stats.build_ms = build_ms
 
@@ -142,11 +133,7 @@ def sharded_touch_join(
     for position, b in enumerate(objects_b):
         shard_inputs[position % shards].append(b)
 
-    bucket_nodes = list(root.iter_nodes())
-    outcomes = [
-        probe_shard(root, bucket_nodes, shard_b, len(objects_a), eps, refine)
-        for shard_b in shard_inputs
-    ]
+    outcomes = [probe_shard(levels, shard_b, eps, refine) for shard_b in shard_inputs]
 
     all_pairs: list[tuple[int, int]] = []
     shard_stats: list[ShardStats] = []
@@ -170,7 +157,7 @@ def sharded_touch_join(
         stats.filtered += counter.filtered
         stats.probe_ms += elapsed_ms
 
-    stats.memory_bytes = root.structure_bytes() + len(objects_a) * REF_BYTES
+    stats.memory_bytes = levels.structure_bytes() + len(objects_a) * REF_BYTES
     return ShardedJoinResult(
         pairs=all_pairs, shards=shard_stats, build_ms=build_ms, stats=stats
     )

@@ -18,41 +18,25 @@ from repro.geometry.aabb import AABB
 from repro.objects import SpatialObject
 from repro.rtree.bulk import str_chunks
 
-__all__ = ["TouchNode", "build_touch_tree"]
+__all__ = ["TouchLevels", "TouchNode", "build_touch_tree", "touch_levels"]
 
 
 @dataclass
 class TouchNode:
     """A node of the TOUCH hierarchy over dataset A.
 
-    Leaves hold A objects; every node owns a *bucket* that phase 2 fills
-    with the B objects assigned to it (each B object lives in exactly one
-    bucket — no replication).
+    Leaves hold A objects.  Phases 2 and 3 read the hierarchy as level
+    arrays (:func:`touch_levels`), never these nodes.
     """
 
     level: int
     mbr: AABB
     children: list["TouchNode"] = field(default_factory=list)
     objects: list[SpatialObject] = field(default_factory=list)
-    bucket: list[SpatialObject] = field(default_factory=list)
-    _pack: Any = field(default=None, repr=False, compare=False)
-    _pack_token: str = field(default="", repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def packed_object_bounds(self) -> Any:
-        """This leaf's A-object AABBs packed for :mod:`repro.kernels`.
-
-        The hierarchy is immutable after :func:`build_touch_tree`, so the
-        pack is built once per kernel backend and reused by every probe.
-        """
-        token = kernels.pack_token()
-        if self._pack is None or self._pack_token != token:
-            self._pack = kernels.pack_objects(self.objects)
-            self._pack_token = token
-        return self._pack
 
     def iter_nodes(self) -> Iterator["TouchNode"]:
         stack = [self]
@@ -64,16 +48,61 @@ class TouchNode:
     def subtree_object_count(self) -> int:
         return sum(len(n.objects) for n in self.iter_nodes())
 
-    def structure_bytes(self) -> int:
-        """Modelled memory of the hierarchy itself (boxes + references)."""
-        total = 0
-        for node in self.iter_nodes():
-            total += BOX_BYTES
-            total += REF_BYTES * (len(node.children) + len(node.objects))
-        return total
 
-    def bucket_bytes(self) -> int:
-        return sum(REF_BYTES * len(n.bucket) for n in self.iter_nodes())
+@dataclass(frozen=True)
+class TouchLevels:
+    """The TOUCH hierarchy as level arrays: all that phases 2 and 3 read.
+
+    ``objects`` is dataset A laid out leaf by leaf; ``packed`` is the
+    active kernel backend's :func:`repro.kernels.pack_hierarchy` of the
+    node bounds per level, the child offsets between levels, each leaf's
+    range into ``objects`` and the objects' bounds.  Nothing writes to it
+    after :func:`touch_levels`, so concurrent joins of B slices share one.
+    """
+
+    objects: list[SpatialObject]
+    packed: Any
+    num_nodes: int
+
+    def structure_bytes(self) -> int:
+        """Modelled memory of the hierarchy itself (boxes + references).
+
+        One box per node, one reference per child (every node but the
+        root) and one per A object.
+        """
+        return BOX_BYTES * self.num_nodes + REF_BYTES * (self.num_nodes - 1 + len(self.objects))
+
+
+def touch_levels(root: TouchNode) -> TouchLevels:
+    """Flatten a :func:`build_touch_tree` hierarchy into :class:`TouchLevels`.
+
+    :func:`build_touch_tree` makes balanced trees (every leaf sits at
+    level 0), so the nodes of one depth are either all leaves or all
+    internal.
+    """
+    level = [root]
+    level_bounds = [[root.mbr.bounds()]]
+    child_starts: list[list[int]] = []
+    while not level[0].is_leaf:
+        below: list[TouchNode] = []
+        starts = [0]
+        for node in level:
+            below.extend(node.children)
+            starts.append(len(below))
+        child_starts.append(starts)
+        level = below
+        level_bounds.append([node.mbr.bounds() for node in level])
+    objects: list[SpatialObject] = []
+    leaf_starts = [0]
+    for leaf in level:
+        objects.extend(leaf.objects)
+        leaf_starts.append(len(objects))
+    packed = kernels.pack_hierarchy(
+        level_bounds, child_starts, leaf_starts, [o.aabb.bounds() for o in objects]
+    )
+    return TouchLevels(
+        objects=objects, packed=packed, num_nodes=sum(len(b) for b in level_bounds)
+    )
 
 
 def build_touch_tree(

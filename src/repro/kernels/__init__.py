@@ -58,6 +58,9 @@ __all__ = [
     "segment_distances",
     "capsule_pairs_touch",
     "xsorted_overlap_pairs",
+    "pack_hierarchy",
+    "touch_assign",
+    "touch_probe",
     "hilbert_keys",
     "nonzero",
     "count",
@@ -275,10 +278,9 @@ def box_overlap_pairs(
 ) -> tuple[list[int], list[int]]:
     """Every eps-expanded AABB-overlap pair of two (unsorted) batches.
 
-    The batched TOUCH probe filter: parallel index lists
-    ``(indices_a, indices_b)`` in B-major order, equal to running
-    :func:`box_intersects` once per B box.  Counted as one batch of
-    ``len(a) * len(b)`` pairwise tests.
+    Parallel index lists ``(indices_a, indices_b)`` in B-major order,
+    equal to running :func:`box_intersects` once per B box.  Counted as
+    one batch of ``len(a) * len(b)`` pairwise tests.
     """
     _record(_active.batch_len(packed_a) * _active.batch_len(packed_b))
     return _active.box_overlap_pairs(packed_a, packed_b, eps)
@@ -297,6 +299,58 @@ def xsorted_overlap_pairs(
     result = _active.xsorted_overlap_pairs(packed_a, packed_b, eps)
     _record(result[2])
     return result
+
+
+def pack_hierarchy(
+    level_bounds: Sequence[Sequence[Any]],
+    child_starts: Sequence[Sequence[int]],
+    leaf_starts: Sequence[int],
+    object_bounds: Sequence[Any],
+) -> Any:
+    """Pack a balanced box hierarchy as level arrays (uncounted: pure layout).
+
+    ``level_bounds[d]`` holds the bounds tuples of the nodes at depth ``d``
+    (root first); the children of node ``i`` at depth ``d`` are nodes
+    ``child_starts[d][i]:child_starts[d][i + 1]`` at depth ``d + 1``; the
+    objects of leaf ``i`` are ``object_bounds[leaf_starts[i]:leaf_starts[i + 1]]``.
+    A node's global id is its position in the root-first, depth-by-depth
+    concatenation of ``level_bounds``.
+    """
+    return _active.pack_hierarchy(level_bounds, child_starts, leaf_starts, object_bounds)
+
+
+def touch_assign(
+    hierarchy: Any, packed_b: Any, eps: float, filtering: bool
+) -> tuple[Any, int, int]:
+    """TOUCH phase 2: sink every packed B box to its lowest unambiguous node.
+
+    A box descends while exactly one child (expanded by ``eps``) can hold
+    partners, stops at the node where several can, and falls into empty
+    space where none can — then it is dropped when ``filtering``, else
+    kept at that node.  Returns ``(bucket, comparisons, filtered)``:
+    ``bucket`` holds each box's global node id, ``-1`` for dropped boxes;
+    ``comparisons`` counts node tests up to each node's second hit, as a
+    scalar descent stopping there would.  Counted as one batch.
+    """
+    result = _active.touch_assign(hierarchy, packed_b, eps, filtering)
+    _record(result[1])
+    return result
+
+
+def touch_probe(
+    hierarchy: Any, packed_b: Any, bucket: Any, eps: float
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """TOUCH phase 3: each bucketed B box against the objects under its node.
+
+    Yields ``(indices_a, indices_b, tested)`` chunks: object positions
+    (leaf-by-leaf order) and B indices of every eps-expanded AABB overlap,
+    B-major, ascending object position within a box, plus the comparisons
+    the chunk made (every child of a reached node, every object of a
+    reached leaf).  Each chunk is counted as one batch.
+    """
+    for chunk in _active.touch_probe(hierarchy, packed_b, bucket, eps):
+        _record(chunk[2])
+        yield chunk
 
 
 def hilbert_keys(coords: Sequence[Any], order: int) -> Any:

@@ -15,19 +15,31 @@ Packed representations: a bounds batch is an ``(n, 6)`` float64 array with
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from itertools import chain
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 _EPS = 1e-12
 SegPack = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: Most flattened index pairs one vectorised pass materialises (plane-sweep
+#: windows, TOUCH (node, child) and (B, A object) pairs): bounds a join's
+#: transient arrays whatever the input size.
+PAIR_CHUNK = 1 << 13
+
 
 # -- packing -------------------------------------------------------------------
-def pack_boxes(boxes: Sequence[Any]) -> np.ndarray:
-    if not boxes:
+def _bounds_array(bounds: Iterable[Any], n: int) -> np.ndarray:
+    # fromiter over the flattened tuples skips the per-tuple sequence
+    # conversion np.array does: ~1.4x faster from 100 boxes up, same values.
+    if n == 0:
         return np.empty((0, 6), dtype=float)
-    return np.array([b.bounds() for b in boxes], dtype=float)
+    return np.fromiter(chain.from_iterable(bounds), dtype=float, count=6 * n).reshape(n, 6)
+
+
+def pack_boxes(boxes: Sequence[Any]) -> np.ndarray:
+    return _bounds_array((b.bounds() for b in boxes), len(boxes))
 
 
 def pack_bounds(bounds: Sequence[Any]) -> np.ndarray:
@@ -37,9 +49,7 @@ def pack_bounds(bounds: Sequence[Any]) -> np.ndarray:
 
 
 def pack_objects(objects: Sequence[Any]) -> np.ndarray:
-    if not objects:
-        return np.empty((0, 6), dtype=float)
-    return np.array([o.aabb.bounds() for o in objects], dtype=float)
+    return _bounds_array((o.aabb.bounds() for o in objects), len(objects))
 
 
 def pack_segments(segments: Sequence[Any]) -> SegPack:
@@ -166,6 +176,36 @@ def capsule_pairs_touch(segpack_a: SegPack, segpack_b: SegPack, eps: float = 0.0
     return distances <= ra + rb + eps + 1e-12
 
 
+def _blocks(counts: np.ndarray, chunk: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``[start, stop)`` whose ``counts`` sum to at most ``chunk``.
+
+    A single row whose count alone exceeds ``chunk`` forms its own range.
+    """
+    ends = np.cumsum(counts)
+    start, rows = 0, len(counts)
+    while start < rows:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, base + chunk, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def _flatten(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, position)`` of every element of the ranges ``[starts[r], starts[r] + counts[r])``.
+
+    Row-major, ascending position within a row (the repeat/arange trick).
+    """
+    total = int(counts.sum())
+    row = np.repeat(np.arange(len(counts)), counts)
+    position = np.arange(total)
+    position += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return row, position
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
 def _expand_windows(
     pivot: np.ndarray,
     other: np.ndarray,
@@ -173,25 +213,21 @@ def _expand_windows(
     hi: np.ndarray,
     eps: float,
     pivot_is_a: bool,
-    chunk: int = 1 << 20,
 ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
     """Flatten per-pivot index windows and y/z-filter them in bulk.
 
-    ``lo``/``hi`` delimit each pivot's candidate window in ``other``; the
-    windows are expanded into flat (pivot, other) index pairs with the
-    repeat/arange trick, then masked chunk-wise so the transient gather
-    arrays stay bounded.  ``pivot_is_a`` keeps the eps expansion on the
-    A side in both sweep directions — bitwise identical to the scalar
-    backend's comparisons.
+    ``lo``/``hi`` delimit each pivot's candidate window in ``other``.  The
+    windows are expanded into flat (pivot, other) index pairs one block
+    of pivots at a time, each block's window sizes summing to at most
+    :data:`PAIR_CHUNK`, so the transient index and gather arrays stay
+    bounded however many pairs the sweep tests.  ``pivot_is_a`` keeps the
+    eps expansion on the A side in both sweep directions — bitwise
+    identical to the scalar backend's comparisons.
     """
     counts = np.maximum(hi - lo, 0)  # complementary bounds can cross on empty windows
     total = int(counts.sum())
     if total == 0:
         return [], [], 0
-    piv_idx = np.repeat(np.arange(len(counts)), counts)
-    window_starts = np.repeat(lo, counts)
-    window_bases = np.repeat(np.cumsum(counts) - counts, counts)
-    oth_idx = window_starts + (np.arange(total) - window_bases)
     # Contiguous column copies make the flat gathers below ~3x cheaper
     # than strided 2-D advanced indexing on the (n, 6) packs.
     piv_min_y = np.ascontiguousarray(pivot[:, 1])
@@ -204,9 +240,9 @@ def _expand_windows(
     oth_max_z = np.ascontiguousarray(other[:, 5])
     keep_piv: list[np.ndarray] = []
     keep_oth: list[np.ndarray] = []
-    for start in range(0, total, chunk):
-        pi = piv_idx[start : start + chunk]
-        oi = oth_idx[start : start + chunk]
+    for start, stop in _blocks(counts, PAIR_CHUNK):
+        pi, oi = _flatten(lo[start:stop], counts[start:stop])
+        pi += start
         if pivot_is_a:
             mask = piv_min_y[pi] - eps <= oth_max_y[oi]
             mask &= oth_min_y[oi] <= piv_max_y[pi] + eps
@@ -249,9 +285,7 @@ def xsorted_overlap_pairs(
     hi2 = np.searchsorted(min_x_a, packed_b[:, 3] + eps, side="right")
     b2, a2, tested_2 = _expand_windows(packed_b, packed_a, lo2, hi2, eps, pivot_is_a=False)
 
-    out_a = np.concatenate(a1 + a2) if a1 or a2 else np.empty(0, dtype=np.int64)
-    out_b = np.concatenate(b1 + b2) if b1 or b2 else np.empty(0, dtype=np.int64)
-    return out_a.tolist(), out_b.tolist(), tested_1 + tested_2
+    return _concat(a1 + a2).tolist(), _concat(b1 + b2).tolist(), tested_1 + tested_2
 
 
 def box_overlap_pairs(
@@ -260,7 +294,7 @@ def box_overlap_pairs(
     """All eps-expanded AABB-overlap pairs of two (unsorted) batches.
 
     One broadcast intersect matrix instead of one :func:`box_intersects`
-    call per B box — the batched TOUCH probe filter.  Pair order is
+    call per B box.  Pair order is
     B-major (ascending A index within each B), matching the scalar
     backend exactly; each elementwise test applies the same float
     arithmetic as :func:`box_intersects`.
@@ -275,6 +309,164 @@ def box_overlap_pairs(
     mask &= packed_a[None, :, 5] >= (packed_b[:, 2] - eps)[:, None]
     indices_b, indices_a = np.nonzero(mask)
     return indices_a.tolist(), indices_b.tolist()
+
+
+class Hierarchy(NamedTuple):
+    """A balanced box hierarchy as level arrays (see :func:`pack_hierarchy`).
+
+    Node and object bounds are stored one row per coordinate (``(6, n)``,
+    C-contiguous), so every per-pair gather reads a contiguous column.
+    """
+
+    nodes: list[np.ndarray]  # per depth, root first: (6, n_d) node bounds
+    child_starts: list[np.ndarray]  # per internal depth: CSR offsets into depth + 1
+    leaf_starts: np.ndarray  # CSR offsets of each leaf's objects
+    objects: np.ndarray  # (6, n) object bounds, leaf by leaf
+    offsets: np.ndarray  # global id of each depth's first node (plus the total)
+
+
+def pack_hierarchy(
+    level_bounds: Sequence[Sequence[Any]],
+    child_starts: Sequence[Sequence[int]],
+    leaf_starts: Sequence[int],
+    object_bounds: Sequence[Any],
+) -> Hierarchy:
+    return Hierarchy(
+        nodes=[np.array(level, dtype=float).T.copy() for level in level_bounds],
+        child_starts=[np.asarray(starts, dtype=np.int64) for starts in child_starts],
+        leaf_starts=np.asarray(leaf_starts, dtype=np.int64),
+        objects=_bounds_array(object_bounds, len(object_bounds)).T.copy(),
+        offsets=np.cumsum([0] + [len(level) for level in level_bounds]),
+    )
+
+
+def _expanded_nodes(hierarchy: Hierarchy, eps: float) -> list[np.ndarray]:
+    # node.min - eps and node.max + eps, once per node: the same float
+    # values AABB.intersects_expanded computes per test.
+    return [np.concatenate([nodes[:3] - eps, nodes[3:] + eps]) for nodes in hierarchy.nodes]
+
+
+def _node_hits(nodes: np.ndarray, b: np.ndarray, pos: np.ndarray, bi: np.ndarray) -> np.ndarray:
+    """``AABB.intersects_expanded(node, b, eps)`` for every (eps-expanded node, b) index pair."""
+    mask = nodes[0][pos] <= b[3][bi]
+    mask &= b[0][bi] <= nodes[3][pos]
+    mask &= nodes[1][pos] <= b[4][bi]
+    mask &= b[1][bi] <= nodes[4][pos]
+    mask &= nodes[2][pos] <= b[5][bi]
+    mask &= b[2][bi] <= nodes[5][pos]
+    return mask
+
+
+def touch_assign(
+    hierarchy: Hierarchy, packed_b: np.ndarray, eps: float, filtering: bool
+) -> tuple[np.ndarray, int, int]:
+    """TOUCH phase 2 for every B box at once, one depth of the hierarchy at a time.
+
+    The frontier is a pair of index arrays (B box, node at this depth).
+    Each depth tests every (frontier row, child) pair in blocks of at
+    most :data:`PAIR_CHUNK` pairs; the hit count per row sorts each box
+    into none (empty space), one (descend) or many (bucket here).
+    """
+    b = np.ascontiguousarray(packed_b.T)
+    expanded = _expanded_nodes(hierarchy, eps)
+    bucket = np.full(b.shape[1], -1, dtype=np.int64)
+    hit = _node_hits(expanded[0], b, np.zeros(b.shape[1], dtype=np.int64), np.arange(b.shape[1]))
+    comparisons = b.shape[1]
+    rows_b = np.flatnonzero(hit)
+    rows_node = np.zeros(len(rows_b), dtype=np.int64)
+    empty_b = [np.flatnonzero(~hit)]
+    empty_node = [np.zeros(len(empty_b[0]), dtype=np.int64)]
+    for depth, starts in enumerate(hierarchy.child_starts):
+        nodes, base = expanded[depth + 1], hierarchy.offsets[depth]
+        counts = starts[rows_node + 1] - starts[rows_node]
+        down_b: list[np.ndarray] = []
+        down_node: list[np.ndarray] = []
+        for start, stop in _blocks(counts, PAIR_CHUNK):
+            blk_b, blk_node = rows_b[start:stop], rows_node[start:stop]
+            blk_counts = counts[start:stop]
+            row, pos = _flatten(starts[blk_node], blk_counts)
+            hit = _node_hits(nodes, b, pos, blk_b[row])
+            seen = np.cumsum(hit)
+            first = np.cumsum(blk_counts) - blk_counts
+            before = seen[first] - hit[first]
+            # The scalar descent stops at a node's second hit, so a child
+            # counts as compared while fewer than two hits precede it.
+            comparisons += int(np.count_nonzero(seen - hit - before[row] < 2))
+            hits = seen[first + blk_counts - 1] - before
+            one = hits == 1
+            down_b.append(blk_b[one])
+            down_node.append(pos[hit & one[row]])
+            many = hits > 1
+            bucket[blk_b[many]] = base + blk_node[many]
+            none = hits == 0
+            empty_b.append(blk_b[none])
+            empty_node.append(base + blk_node[none])
+        rows_b, rows_node = _concat(down_b), _concat(down_node)
+    bucket[rows_b] = hierarchy.offsets[-2] + rows_node
+    empty = _concat(empty_b)
+    if filtering:
+        return bucket, comparisons, len(empty)
+    bucket[empty] = _concat(empty_node)
+    return bucket, comparisons, 0
+
+
+def touch_probe(
+    hierarchy: Hierarchy, packed_b: np.ndarray, bucket: np.ndarray, eps: float
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """TOUCH phase 3: every bucketed B box against the objects under its node.
+
+    Descends all buckets together, one depth at a time: a box bucketed at
+    depth ``d`` joins the frontier there, and every child of a frontier
+    node is compared (no early stop).  The reached leaves are expanded
+    into (object, B box) pairs and filtered with the
+    :func:`box_overlap_pairs` arithmetic, both in blocks of at most
+    :data:`PAIR_CHUNK` pairs.  The frontier stays sorted by B index, so
+    survivors come out B-major, ascending object position within a box.
+    """
+    b = np.ascontiguousarray(packed_b.T)
+    expanded = _expanded_nodes(hierarchy, eps)
+    offsets = hierarchy.offsets
+    assigned = np.flatnonzero(bucket >= 0)
+    depth_of = np.searchsorted(offsets, bucket[assigned], side="right") - 1
+    rows_b = np.empty(0, dtype=np.int64)
+    rows_node = np.empty(0, dtype=np.int64)
+    for depth in range(len(hierarchy.nodes)):
+        joining = assigned[depth_of == depth]
+        if len(joining):
+            rows_b = np.concatenate([rows_b, joining])
+            rows_node = np.concatenate([rows_node, bucket[joining] - offsets[depth]])
+            order = np.argsort(rows_b, kind="stable")
+            rows_b, rows_node = rows_b[order], rows_node[order]
+        if depth == len(hierarchy.child_starts):
+            break
+        starts, nodes = hierarchy.child_starts[depth], expanded[depth + 1]
+        counts = starts[rows_node + 1] - starts[rows_node]
+        down_b: list[np.ndarray] = []
+        down_node: list[np.ndarray] = []
+        for start, stop in _blocks(counts, PAIR_CHUNK):
+            row, pos = _flatten(starts[rows_node[start:stop]], counts[start:stop])
+            bi = rows_b[start:stop][row]
+            hit = _node_hits(nodes, b, pos, bi)
+            down_b.append(bi[hit])
+            down_node.append(pos[hit])
+        yield [], [], int(counts.sum())
+        rows_b, rows_node = _concat(down_b), _concat(down_node)
+    starts, a = hierarchy.leaf_starts, hierarchy.objects
+    counts = starts[rows_node + 1] - starts[rows_node]
+    for start, stop in _blocks(counts, PAIR_CHUNK):
+        row, ai = _flatten(starts[rows_node[start:stop]], counts[start:stop])
+        bi = rows_b[start:stop][row]
+        tested = len(ai)
+        # Test x alone first and gather y/z only for its survivors: the
+        # leaf MBR already overlaps the box, yet most objects miss on x.
+        mask = a[0][ai] <= b[3][bi] + eps
+        mask &= a[3][ai] >= b[0][bi] - eps
+        ai, bi = ai[mask], bi[mask]
+        mask = a[1][ai] <= b[4][bi] + eps
+        mask &= a[4][ai] >= b[1][bi] - eps
+        mask &= a[2][ai] <= b[5][bi] + eps
+        mask &= a[5][ai] >= b[2][bi] - eps
+        yield ai[mask].tolist(), bi[mask].tolist(), tested
 
 
 def hilbert_keys(coords: Sequence[Sequence[int]], order: int) -> np.ndarray:

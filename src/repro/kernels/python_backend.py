@@ -13,7 +13,8 @@ Packed representations: a bounds batch is a ``list`` of 6-tuples
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from bisect import bisect_right
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.geometry.distance import segment_segment_distance
 from repro.geometry.vec import Vec3
@@ -215,6 +216,148 @@ def box_overlap_pairs(
                 out_a.append(i)
                 out_b.append(j)
     return out_a, out_b
+
+
+class Hierarchy(NamedTuple):
+    """A balanced box hierarchy as level lists (see :func:`pack_hierarchy`)."""
+
+    nodes: list[list[Bounds]]  # per depth, root first
+    child_starts: list[list[int]]  # per internal depth: CSR offsets into depth + 1
+    leaf_starts: list[int]  # CSR offsets of each leaf's objects
+    objects: list[Bounds]  # object bounds, leaf by leaf
+    offsets: list[int]  # global id of each depth's first node (plus the total)
+
+
+def pack_hierarchy(
+    level_bounds: Sequence[Sequence[Bounds]],
+    child_starts: Sequence[Sequence[int]],
+    leaf_starts: Sequence[int],
+    object_bounds: Sequence[Bounds],
+) -> Hierarchy:
+    offsets = [0]
+    for level in level_bounds:
+        offsets.append(offsets[-1] + len(level))
+    return Hierarchy(
+        nodes=[list(level) for level in level_bounds],
+        child_starts=[list(starts) for starts in child_starts],
+        leaf_starts=list(leaf_starts),
+        objects=list(object_bounds),
+        offsets=offsets,
+    )
+
+
+def _expanded_nodes(hierarchy: Hierarchy, eps: float) -> list[list[Bounds]]:
+    # node.min - eps and node.max + eps, computed once per node, exactly as
+    # AABB.intersects_expanded computes them per test.
+    return [
+        [(n[0] - eps, n[1] - eps, n[2] - eps, n[3] + eps, n[4] + eps, n[5] + eps) for n in level]
+        for level in hierarchy.nodes
+    ]
+
+
+def touch_assign(
+    hierarchy: Hierarchy, packed_b: list[Bounds], eps: float, filtering: bool
+) -> tuple[list[int], int, int]:
+    """TOUCH phase 2, one B box at a time: sink it to its lowest unambiguous node.
+
+    Returns ``(bucket, comparisons, filtered)``: each box's global node id
+    (``-1`` when it fell into empty space and ``filtering`` dropped it).
+    """
+    expanded = _expanded_nodes(hierarchy, eps)
+    child_starts, offsets = hierarchy.child_starts, hierarchy.offsets
+    leaf_depth = len(child_starts)
+    root = expanded[0][0]
+    bucket: list[int] = []
+    comparisons = filtered = 0
+    for b0, b1, b2, b3, b4, b5 in packed_b:
+        comparisons += 1
+        empty = not (
+            root[0] <= b3 and b0 <= root[3] and root[1] <= b4
+            and b1 <= root[4] and root[2] <= b5 and b2 <= root[5]
+        )
+        node = depth = 0
+        while not empty and depth < leaf_depth:
+            level, starts = expanded[depth + 1], child_starts[depth]
+            first = second = -1
+            for child, n in enumerate(level[starts[node] : starts[node + 1]], starts[node]):
+                comparisons += 1
+                if (
+                    n[0] <= b3 and b0 <= n[3] and n[1] <= b4
+                    and b1 <= n[4] and n[2] <= b5 and b2 <= n[5]
+                ):
+                    if first >= 0:
+                        second = child
+                        break
+                    first = child
+            if second >= 0:  # several children may hold partners: bucket here
+                break
+            if first < 0:  # b sits in the empty space between the children
+                empty = True
+                break
+            node, depth = first, depth + 1
+        if empty and filtering:
+            filtered += 1
+            bucket.append(-1)
+        else:
+            bucket.append(offsets[depth] + node)
+    return bucket, comparisons, filtered
+
+
+def touch_probe(
+    hierarchy: Hierarchy, packed_b: list[Bounds], bucket: list[int], eps: float
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """TOUCH phase 3, one bucketed B box at a time.
+
+    Every child of every reached node is compared; each reached leaf's
+    objects are filtered with the :func:`box_overlap_pairs` arithmetic.
+    Survivors come out B-major, ascending object position within a box —
+    the same order as the vectorised backend.
+    """
+    expanded = _expanded_nodes(hierarchy, eps)
+    child_starts, offsets = hierarchy.child_starts, hierarchy.offsets
+    leaf_starts, objects = hierarchy.leaf_starts, hierarchy.objects
+    leaves = [objects[lo:hi] for lo, hi in zip(leaf_starts, leaf_starts[1:])]
+    leaf_depth = len(child_starts)
+    out_a: list[int] = []
+    out_b: list[int] = []
+    tested = 0
+    for j, node in enumerate(bucket):
+        if node < 0:
+            continue
+        b0, b1, b2, b3, b4, b5 = packed_b[j]
+        depth = bisect_right(offsets, node) - 1
+        frontier = [node - offsets[depth]]
+        while depth < leaf_depth:
+            level = expanded[depth + 1]
+            starts = child_starts[depth]
+            reached = []
+            for parent in frontier:
+                first, last = starts[parent], starts[parent + 1]
+                for child, n in enumerate(level[first:last], first):
+                    if (
+                        n[0] <= b3 and b0 <= n[3] and n[1] <= b4
+                        and b1 <= n[4] and n[2] <= b5 and b2 <= n[5]
+                    ):
+                        reached.append(child)
+                tested += last - first
+            frontier = reached
+            depth += 1
+        q_min_x, q_min_y, q_min_z = b0 - eps, b1 - eps, b2 - eps
+        q_max_x, q_max_y, q_max_z = b3 + eps, b4 + eps, b5 + eps
+        for leaf in frontier:
+            tested += len(leaves[leaf])
+            for i, a in enumerate(leaves[leaf], leaf_starts[leaf]):
+                if (
+                    a[0] <= q_max_x
+                    and q_min_x <= a[3]
+                    and a[1] <= q_max_y
+                    and q_min_y <= a[4]
+                    and a[2] <= q_max_z
+                    and q_min_z <= a[5]
+                ):
+                    out_a.append(i)
+                    out_b.append(j)
+    yield out_a, out_b, tested
 
 
 def hilbert_keys(coords: Sequence[Sequence[int]], order: int) -> list[int]:

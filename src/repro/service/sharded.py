@@ -84,8 +84,9 @@ from threading import Condition, Lock
 from typing import Any, Callable, Collection, Sequence
 
 from repro import kernels
-from repro.core.touch.parallel import build_touch_tree, probe_shard
+from repro.core.touch.parallel import probe_shard
 from repro.core.touch.stats import segment_touch_refine
+from repro.core.touch.tree import build_touch_tree, touch_levels
 from repro.engine.engine import SpatialEngine
 from repro.engine.executors import run_join, timed
 from repro.engine.mutations import (
@@ -1167,19 +1168,13 @@ class ShardedEngine:
             pairs.sort()
             return pairs, work, (time.perf_counter() - start) * 1000.0
         if plan.strategy == "touch" and side_a:
-            # Build TOUCH's hierarchy over A once; workers share it
-            # read-only with private bucket overlays (phases 2+3 only).
+            # Build TOUCH's level arrays over A once; workers share them
+            # read-only, each joining its B chunk (phases 2+3 only).
             refine = segment_touch_refine if query.refine else None
-            root = build_touch_tree(side_a)
-            bucket_nodes = list(root.iter_nodes())
-            for node in bucket_nodes:
-                if node.is_leaf and node.objects:
-                    node.packed_object_bounds()
+            levels = touch_levels(build_touch_tree(side_a))
 
             def join_chunk(chunk: tuple[SpatialObject, ...]) -> tuple[list, EngineStats]:
-                pairs, counter, elapsed_ms = probe_shard(
-                    root, bucket_nodes, chunk, len(side_a), query.eps, refine
-                )
+                pairs, counter, elapsed_ms = probe_shard(levels, chunk, query.eps, refine)
                 stats = EngineStats(
                     kind="join",
                     strategy="touch",

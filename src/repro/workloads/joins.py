@@ -9,6 +9,7 @@ ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from repro.errors import WorkloadError
 from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
 from repro.neuro.circuit import Circuit
-from repro.objects import BoxObject
+from repro.objects import BoxObject, SpatialObject
 from repro.utils.rng import make_rng
 
 __all__ = ["JoinWorkload", "uniform_boxes", "clustered_boxes"]
@@ -27,8 +28,8 @@ class JoinWorkload:
     """A named pair of datasets plus the join tolerance."""
 
     name: str
-    objects_a: list
-    objects_b: list
+    objects_a: Sequence[SpatialObject]
+    objects_b: Sequence[SpatialObject]
     eps: float
 
     @staticmethod

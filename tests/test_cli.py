@@ -69,6 +69,13 @@ class TestParser:
         assert main(["bench", "--smoke", "--modes", "python"]) == 0
         assert seen[0].smoke and seen[0].modes == "python"
 
+    def test_bench_unknown_mode_is_a_clean_error(self, capsys, tmp_path):
+        report = tmp_path / "bench.json"
+        assert main(["bench", "--modes", "numpy,bogus", "--json", str(report)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bogus" in err[0]
+        assert not report.exists()  # rejected before any workload ran
+
     def test_query_options(self):
         args = build_parser().parse_args(
             ["query", "range", "--strategy", "flat", "--explain",

@@ -9,6 +9,7 @@ backend is active.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -350,6 +351,30 @@ class TestXSortedOverlapPairs:
                 )
                 assert len(idx_a) == len(brute)
                 assert set(zip(idx_a, idx_b)) == brute
+
+    def test_window_expansion_memory_is_bounded(self):
+        # Long x-extents put ~750k candidates in the sweep windows: expanded
+        # at once, their four index arrays alone would take 24 MB.
+        rng = random.Random(3)
+
+        def side(n: int) -> list[AABB]:
+            boxes = []
+            for _ in range(n):
+                x, y, z = rng.uniform(0, 100), rng.uniform(0, 1000), rng.uniform(0, 1000)
+                boxes.append(AABB(x, y, z, x + 50.0, y + 1.0, z + 1.0))
+            return sorted(boxes, key=lambda b: b.min_x)
+
+        with kernels.use_backend("numpy"):
+            packed_a, packed_b = kernels.pack_boxes(side(1000)), kernels.pack_boxes(side(1000))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _a, _b, tested = kernels.xsorted_overlap_pairs(packed_a, packed_b, 0.5)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert tested > 700_000
+        assert peak < 4 * 1024 * 1024, f"transient peak {peak / 1024:.0f} KB"
 
 
 class TestCandidateBatch:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.touch.join import touch_join
 from repro.core.touch.parallel import probe_shard, sharded_touch_join
-from repro.core.touch.tree import build_touch_tree
+from repro.core.touch.tree import build_touch_tree, touch_levels
 from repro.errors import JoinError
 from repro.geometry.aabb import AABB
 from repro.workloads.joins import uniform_boxes
@@ -53,20 +54,14 @@ def pooled_probes(a, b, eps: float, shards: int):
     """Run :func:`probe_shard` for every round-robin B shard on a real pool.
 
     The same concurrent use :class:`~repro.service.ShardedEngine`'s
-    thread-mode TOUCH join makes of it: one shared hierarchy, leaf packs
-    built up front, each worker with its private bucket overlay.
+    thread-mode TOUCH join makes of it: one shared set of level arrays,
+    each worker joining its own slice of B.
     """
-    root = build_touch_tree(a)
-    nodes = list(root.iter_nodes())
-    for node in nodes:
-        if node.is_leaf and node.objects:
-            node.packed_object_bounds()
+    levels = touch_levels(build_touch_tree(a))
     deals = [b[shard::shards] for shard in range(shards)]
     with ThreadPoolExecutor(max_workers=shards) as pool:
-        outcomes = list(
-            pool.map(lambda deal: probe_shard(root, nodes, deal, len(a), eps, None), deals)
-        )
-    return nodes, outcomes
+        outcomes = list(pool.map(lambda deal: probe_shard(levels, deal, eps, None), deals))
+    return levels, outcomes
 
 
 class TestRealPool:
@@ -76,7 +71,7 @@ class TestRealPool:
     def test_parallel_matches_simulated_exactly(self, shards):
         a, b = make_pair(seed=7)
         simulated = sharded_touch_join(a, b, eps=2.0, shards=shards)
-        _nodes, outcomes = pooled_probes(a, b, eps=2.0, shards=shards)
+        _levels, outcomes = pooled_probes(a, b, eps=2.0, shards=shards)
         # Not just the same set: the same concatenation order (shard order,
         # and within a shard a pure function of its input).
         assert [pair for pairs, _c, _ms in outcomes for pair in pairs] == simulated.pairs
@@ -87,14 +82,15 @@ class TestRealPool:
     def test_parallel_matches_single_node_touch(self):
         a, b = make_pair(seed=8)
         expected = touch_join(a, b, eps=1.5).sorted_pairs()
-        _nodes, outcomes = pooled_probes(a, b, eps=1.5, shards=4)
+        _levels, outcomes = pooled_probes(a, b, eps=1.5, shards=4)
         assert sorted(pair for pairs, _c, _ms in outcomes for pair in pairs) == expected
 
     def test_shared_tree_is_left_clean(self):
-        """Concurrent workers never dirty the shared hierarchy's buckets."""
+        """Concurrent workers never write to the shared level arrays."""
         a, b = make_pair(seed=10)
-        nodes, _outcomes = pooled_probes(a, b, eps=2.0, shards=4)
-        assert all(not node.bucket for node in nodes)
+        fresh = pickle.dumps(touch_levels(build_touch_tree(a)).packed)
+        levels, _outcomes = pooled_probes(a, b, eps=2.0, shards=4)
+        assert pickle.dumps(levels.packed) == fresh
 
 
 class TestExecutionModel:
