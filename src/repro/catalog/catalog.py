@@ -21,10 +21,8 @@ any amount of compaction and reclamation.
 
 Cross-dataset joins open both sides read-only at their resolved epochs
 and run the ordinary :class:`~repro.engine.SpatialJoin` executors with
-explicit sides — one arena builds, the other probes — through either a
-single engine or a :class:`~repro.service.ShardedEngine`
-(``executor="thread" | "process"``); the answer is byte-identical across
-all of them.
+explicit sides — one arena builds, the other probes — on one
+:class:`~repro.engine.SpatialEngine`.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from repro.catalog.manifest import MANIFEST_FILE, CatalogManifest, check_name
 from repro.durability.checkpoint import latest_manifest, list_checkpoints
 from repro.durability.recovery import checkpoints_path, wal_path
 from repro.durability.wal import WriteAheadLog, read_wal
+from repro.engine.engine import SpatialEngine
 from repro.engine.queries import SpatialJoin
 from repro.errors import CatalogError, DurabilityError
 from repro.obs import trace
@@ -441,19 +440,14 @@ class Catalog:
         eps: float,
         strategy: str | None = None,
         refine: bool = False,
-        executor: str | None = None,
-        num_shards: int = 2,
         **engine_kwargs: Any,
     ) -> CrossJoinResult:
         """Spatial distance join across two datasets at their pinned epochs.
 
         Side A builds, side B probes — the existing
         :class:`~repro.engine.SpatialJoin` executors with explicit sides
-        drawn from two different arenas.  ``executor=None`` runs through a
-        single :class:`~repro.engine.SpatialEngine`;
-        ``executor="thread" | "process"`` fans the probe side out through
-        a :class:`~repro.service.ShardedEngine` — the canonical sorted
-        pair merge makes all three answers byte-identical.
+        drawn from two different arenas, run on one
+        :class:`~repro.engine.SpatialEngine` built over side A.
         """
         resolved_a = self.resolve(ref_a)
         resolved_b = self.resolve(ref_b)
@@ -462,44 +456,19 @@ class Catalog:
         query = SpatialJoin(
             eps=eps, side_a=side_a, side_b=side_b, strategy=strategy, refine=refine
         )
-        if executor is None:
-            from repro.engine.engine import SpatialEngine
-
-            engine = SpatialEngine(list(side_a), **engine_kwargs)
-            result = engine.execute(query)
-        else:
-            from repro.service.sharded import ShardedEngine
-
-            service = ShardedEngine(
-                list(side_a),
-                num_shards=num_shards,
-                executor=executor,
-                **engine_kwargs,
-            )
-            try:
-                result = service.execute(query)
-            finally:
-                service.close()
+        result = SpatialEngine(list(side_a), **engine_kwargs).execute(query)
         stats = result.stats
-        if hasattr(stats, "shard_work"):  # ServiceStats: aggregate shard counters
-            ran = sorted({w.strategy for w in stats.shard_work})
-            ran_strategy = "+".join(ran) if ran else (strategy or "auto")
-            comparisons = sum(w.comparisons for w in stats.shard_work)
-        else:
-            ran_strategy = stats.strategy
-            comparisons = stats.comparisons
         return CrossJoinResult(
             a=resolved_a,
             b=resolved_b,
             epoch_a=epoch_a,
             epoch_b=epoch_b,
             eps=eps,
-            strategy=ran_strategy,
-            # Canonical (uid_a, uid_b) sort: the single-engine payload keeps
-            # the executor's emission order, the sharded merge is already
-            # sorted — normalizing here makes every path byte-identical.
+            strategy=stats.strategy,
+            # Canonical (uid_a, uid_b) sort: the engine payload keeps the
+            # executor's emission order.
             pairs=tuple(sorted((int(a), int(b)) for a, b in result.payload)),
-            comparisons=comparisons,
+            comparisons=stats.comparisons,
             elapsed_ms=stats.elapsed_ms,
         )
 

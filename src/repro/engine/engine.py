@@ -134,11 +134,6 @@ class SpatialEngine:
         return cls(objects, **kwargs)
 
     @classmethod
-    def from_arena(cls, arena: ColumnarArena, **kwargs) -> "SpatialEngine":
-        """Bind an engine directly to a :class:`ColumnarArena` (no re-encode)."""
-        return cls(arena, **kwargs)
-
-    @classmethod
     def generate(cls, n_neurons: int = 40, seed: int = 0, **kwargs) -> "SpatialEngine":
         """Generate a synthetic circuit and bind an engine to it."""
         return cls.from_circuit(generate_circuit(n_neurons=n_neurons, seed=seed), **kwargs)

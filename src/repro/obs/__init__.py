@@ -3,8 +3,8 @@
 Three surfaces, one package:
 
 * :mod:`repro.obs.trace` — nested span trees with contextvar propagation
-  across the thread pool, pickled span payloads from process workers, and
-  wire-serialisable trace trees (``repro query --trace``);
+  across the thread pool and wire-serialisable trace trees
+  (``repro query --trace``);
 * :mod:`repro.obs.metrics` — named counters / gauges / histograms with a
   lock-free hot path, registered by every layer (engine, service, WAL,
   server, catalog, kernels) and exported as Prometheus text via the

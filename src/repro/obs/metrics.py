@@ -19,9 +19,9 @@ unregistered counters with :class:`Totals` (fixed names) and
 only it mutates, registered once under the family lock on the thread's
 first touch.  Reads sum the cells — exact at any quiescent point (no
 in-flight updates), which is the conservation contract the stress tests
-assert — and the per-thread layout means process-pool result handlers,
-server executor threads and shard workers can all hammer the same metric
-without a single lost increment.
+assert — and the per-thread layout means server executor threads and
+shard workers can all hammer the same metric without a single lost
+increment.
 
 **Labels.**  A metric created with ``label_names`` is a *family*:
 ``family.labels(type="query")`` returns (and memoises) the child carrying

@@ -19,9 +19,6 @@ Propagation:
   service fan-out does) carries the parent span into worker threads;
   children append to the shared parent (list append is atomic under the
   GIL).
-* **processes** — workers cannot share the parent's span objects, so they
-  capture a local trace and return :meth:`Span.to_dict` payloads, which
-  the parent re-parents under its own span with :func:`attach`.
 * **the wire** — the server serialises the root span into the result
   frame (``to_dict`` is strict-JSON-safe), so a remote ``Client`` query
   receives the full server-side trace.
@@ -50,7 +47,6 @@ __all__ = [
     "start_trace",
     "current_span",
     "active",
-    "attach",
     "from_dict",
 ]
 
@@ -112,12 +108,7 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def adopt(self, child: "Span") -> "Span":
-        """Re-parent a span produced elsewhere (process worker, wire)."""
-        self.children.append(child)
-        return child
-
-    # -- serialisation (process workers, protocol frames) ---------------------
+    # -- serialisation (protocol frames) ---------------------------------------
     def to_dict(self) -> dict[str, Any]:
         record: dict[str, Any] = {
             "name": self.name,
@@ -185,9 +176,6 @@ class _NoopSpan:
     def set(self, **attrs: Any) -> "_NoopSpan":
         return self
 
-    def adopt(self, child: Any) -> Any:
-        return child
-
 
 _NOOP = _NoopSpan()
 
@@ -250,12 +238,3 @@ def current_span() -> Span | None:
 def active() -> bool:
     """Whether a trace is open in the calling context."""
     return _CURRENT.get() is not None
-
-
-def attach(record: dict[str, Any] | None) -> None:
-    """Re-parent a serialised span tree under the current span, if tracing."""
-    if not record:
-        return
-    parent = _CURRENT.get()
-    if parent is not None:
-        parent.adopt(from_dict(record))

@@ -13,7 +13,6 @@ The supporting pieces:
 """
 
 from repro.service.admission import AdmissionController, AdmissionSnapshot
-from repro.service.procpool import ProcessShardExecutor, active_segment_names
 from repro.service.sharded import ShardedEngine
 from repro.service.sharding import ShardSpec, hilbert_shards, round_robin_split
 from repro.service.stats import (
@@ -26,14 +25,12 @@ from repro.service.stats import (
 __all__ = [
     "AdmissionController",
     "AdmissionSnapshot",
-    "ProcessShardExecutor",
     "ServiceResult",
     "ServiceStats",
     "ServiceTelemetry",
     "ShardSpec",
     "ShardWork",
     "ShardedEngine",
-    "active_segment_names",
     "hilbert_shards",
     "round_robin_split",
 ]

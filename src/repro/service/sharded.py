@@ -76,14 +76,12 @@ from __future__ import annotations
 import contextvars
 import heapq
 import time
-import warnings
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Condition, Lock
-from typing import Any, Callable, Collection, Sequence
+from typing import Any, Callable, Sequence
 
-from repro import kernels
 from repro.core.touch.parallel import probe_shard
 from repro.core.touch.stats import segment_touch_refine
 from repro.core.touch.tree import build_touch_tree, touch_levels
@@ -108,15 +106,13 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 from repro.geometry.aabb import AABB
-from repro.geometry.segment import Segment
 from repro.hilbert.curve import HilbertEncoder3D
 from repro.neuro.circuit import Circuit, generate_circuit
 from repro.neuro.persistence import load_circuit
 from repro.obs import trace
 from repro.obs.slowlog import SlowQueryLog
-from repro.objects import BoxObject, SpatialObject
+from repro.objects import SpatialObject
 from repro.service.admission import AdmissionController
-from repro.service.procpool import ProcessShardExecutor
 from repro.service.sharding import ShardSpec, hilbert_shards, round_robin_split
 from repro.service.stats import ServiceResult, ServiceStats, ServiceTelemetry, ShardWork
 
@@ -141,20 +137,17 @@ class _ShardView:
     """The live shard set and the routing state that goes with it.
 
     Changed only under the exclusive side of the epoch gate: an in-place
-    apply bumps ``epoch``, edits ``owner`` and the touched shards, and
-    swaps ``publication``; a re-tile replaces the whole view.  ``owner``
-    maps every live uid to its shard and ``encoder`` quantises insert
-    positions onto the Hilbert curve the shard key intervals were cut from
-    (``None`` for a single shard).
+    apply bumps ``epoch`` and edits ``owner`` and the touched shards; a
+    re-tile replaces the whole view.  ``owner`` maps every live uid to its
+    shard and ``encoder`` quantises insert positions onto the Hilbert
+    curve the shard key intervals were cut from (``None`` for a single
+    shard).
     """
 
     epoch: int
     shards: tuple[_EngineShard, ...]
     owner: dict[int, int]
     encoder: HilbertEncoder3D | None
-    #: Process-mode only: the shared-memory publication of the shards'
-    #: columns (``None`` on thread-mode services).
-    publication: Any = None
 
     @property
     def num_objects(self) -> int:
@@ -261,19 +254,6 @@ class ShardedEngine:
     initial_epoch:
         Epoch of the first published view (used by recovery to resume the
         epoch sequence where a checkpoint left it; defaults to 0).
-    executor:
-        ``"thread"`` (default) fans shard subtasks out on a
-        :class:`~concurrent.futures.ThreadPoolExecutor`; ``"process"``
-        publishes each shard's arena columns into
-        ``multiprocessing.shared_memory`` and fans out to worker
-        *processes* that map them — no GIL contention between shards.
-        Results are byte-identical across the two modes (the differential
-        suite pins this); process mode refuses opaque objects, whose
-        Python payloads cannot cross the process boundary by columns.
-    mp_start:
-        Process-mode start method (``"fork"`` / ``"spawn"``); ``None``
-        picks ``fork`` where available.  See
-        :class:`~repro.service.procpool.ProcessShardExecutor`.
     slow_query_ms:
         Record every query whose wall time crosses this threshold into
         the ring-buffer :attr:`slow_log` (queryable over the wire via the
@@ -297,8 +277,6 @@ class ShardedEngine:
         rebalance_threshold: float = 4.0,
         wal: Any | None = None,
         initial_epoch: int = 0,
-        executor: str = "thread",
-        mp_start: str | None = None,
         slow_query_ms: float | None = None,
         **engine_kwargs: Any,
     ) -> None:
@@ -308,10 +286,6 @@ class ShardedEngine:
             raise ServiceError("rebalance_threshold must be >= 1.0")
         if initial_epoch < 0:
             raise ServiceError("initial_epoch must be >= 0")
-        if executor not in ("thread", "process"):
-            raise ServiceError(
-                f"unknown executor mode {executor!r}; choose 'thread' or 'process'"
-            )
         self.circuit = circuit
         self.default_timeout_s = default_timeout_s
         self._engine_kwargs = dict(engine_kwargs)
@@ -319,23 +293,9 @@ class ShardedEngine:
         self._hilbert_order = hilbert_order
         self.rebalance_threshold = rebalance_threshold
         self.wal = wal
-        self.executor = executor
         self._mutation_lock = Lock()
         self._gate = _EpochGate()
-        self._procpool: ProcessShardExecutor | None = None
-        view = self._build_view(list(objects), epoch=initial_epoch)
-        if executor == "process":
-            self._procpool = ProcessShardExecutor(
-                max_workers=max(len(view.shards), num_shards),
-                mp_start=mp_start,
-                engine_kwargs=self._engine_kwargs,
-            )
-            try:
-                self._publish(view)
-            except BaseException:
-                self._procpool.close()
-                raise
-        self._view = view
+        self._view = self._build_view(list(objects), epoch=initial_epoch)
         # Built on first use: only joins and the public ``profile`` /
         # ``planner`` read it, and every epoch drops it.
         self._planner: Planner | None = None
@@ -377,54 +337,6 @@ class ShardedEngine:
             world = AABB.union_all(spec.mbr for spec, _ in parts)
             encoder = HilbertEncoder3D(world, order=self._hilbert_order)
         return _ShardView(epoch=epoch, shards=shards, owner=owner, encoder=encoder)
-
-    def _publish(self, view: _ShardView, touched: Collection[int] | None = None) -> None:
-        """Publish ``view``'s shard columns into shared memory (process mode).
-
-        ``touched`` names the shards whose arenas changed since the view's
-        current publication; every other shard carries its published
-        segment over.  ``None`` packs every shard, as does a view without
-        a publication.  A superseded publication is retired at once:
-        republishing a live view happens under the exclusive side of the
-        epoch gate, and every reader of the old columns held its shared
-        side.  Thread-mode services publish nothing.
-
-        If publishing fails, the view is left with no publication (a live
-        view's old columns no longer match its arenas) and the error
-        propagates; the next publish packs every shard afresh.
-        """
-        if self._procpool is None:
-            return
-        previous = view.publication
-        arenas: dict[int, Any] = {}
-        for shard in view.shards:
-            shard_id = shard.spec.shard_id
-            fresh = previous is None or touched is None or shard_id in touched
-            arenas[shard_id] = shard.engine.arena if fresh else None
-        view.publication = None
-        try:
-            view.publication = self._procpool.publish(arenas, previous)
-        finally:
-            if previous is not None:
-                self._procpool.retire(previous)
-
-    def _republish(self, view: _ShardView, touched: Collection[int] | None = None) -> None:
-        """:meth:`_publish` a committed batch's view; warns instead of raising.
-
-        The batch is already in the WAL (and, when applied in place, in the
-        shard arenas), so raising would report a committed batch as failed
-        and skip its epoch listeners.  A view left unpublished still
-        answers exactly: queries run on the in-process shard engines until
-        a later batch publishes again.
-        """
-        try:
-            self._publish(view, touched)
-        except Exception as error:
-            warnings.warn(
-                f"shared-memory publish failed ({error!r}); queries run on the "
-                "in-process shard engines until the next batch republishes",
-                RuntimeWarning,
-            )
 
     def _live_objects(self, view: _ShardView) -> list[SpatialObject]:
         """Every live object, shard by shard (caller holds the gate)."""
@@ -521,30 +433,9 @@ class ShardedEngine:
             return profile
 
     def warm(self) -> "ShardedEngine":
-        """Build every shard's indexes up front (benchmarks, latency SLOs).
-
-        In process mode this warms the *workers*: it spawns them, maps the
-        current publication and builds each shard's engine where the
-        queries will actually run, by executing one full-shard range per
-        shard.  Thread mode warms the in-process shard engines.
-        """
+        """Build every shard's indexes up front (benchmarks, latency SLOs)."""
         with self._gate.shared:
-            view = self._view
-            if view.publication is not None:
-                backend = kernels.active_backend()
-                futures = [
-                    self._procpool.submit_query(
-                        view.publication,
-                        shard.spec.shard_id,
-                        RangeQuery(shard.spec.mbr),
-                        backend,
-                    )
-                    for shard in view.shards
-                ]
-                for future in futures:
-                    future.result()
-                return self
-            for shard in view.shards:
+            for shard in self._view.shards:
                 with shard.lock:
                     shard.engine.flat_index()
                     shard.engine.object_rtree()
@@ -583,12 +474,6 @@ class ShardedEngine:
             while self._active:
                 self._lifecycle.wait()
         self._pool.shutdown(wait=True)
-        if self._procpool is not None:
-            # Shuts the worker processes down and unlinks every
-            # shared-memory segment this service ever published — the
-            # parent owns them all, so nothing survives in /dev/shm even
-            # if workers were SIGKILL'd mid-task.
-            self._procpool.close()
         if self.wal is not None:
             self.wal.close()
 
@@ -769,7 +654,6 @@ class ShardedEngine:
                 owner[uid] = shard_id
         view.epoch += 1
         self._planner = None
-        self._republish(view, touched=per_shard)
 
     def _retile(self, view: _ShardView, mutations: Sequence[Mutation]) -> _ShardView:
         """Rebuild the post-batch dataset as fresh Hilbert shards and swap it in.
@@ -784,12 +668,9 @@ class ShardedEngine:
             else:
                 live[mutation.obj.uid] = mutation.obj
         new_view = self._build_view(list(live.values()), epoch=view.epoch + 1)
-        self._republish(new_view)
         with self._gate.exclusive:
             self._view = new_view
             self._planner = None
-            if view.publication is not None:
-                self._procpool.retire(view.publication)
         return new_view
 
     def _route(self, view: _ShardView, changes: dict[int, int | None], mutation: Mutation) -> int:
@@ -801,14 +682,6 @@ class ShardedEngine:
             # wire serde, so a strict parser downstream (a replica) would
             # reject a frame this primary acked.  Reject it here instead.
             validate_finite_geometry(mutation.obj)
-            if self._procpool is not None and not isinstance(
-                mutation.obj, (Segment, BoxObject)
-            ):
-                raise ServiceError(
-                    f"process-mode service cannot store opaque object uid "
-                    f"{mutation.obj.uid} ({type(mutation.obj).__name__}); its "
-                    "payload cannot cross the shared-memory column boundary"
-                )
         if isinstance(mutation, Insert):
             uid = mutation.obj.uid
             if _owner_of(view, changes, uid) is not None:
@@ -989,8 +862,7 @@ class ShardedEngine:
         deadline surfaces as :class:`ServiceTimeoutError`.  Subtasks
         already running are left to finish on their pool (workers cannot
         be interrupted); their results are discarded and the pool is
-        reusable immediately.  Works identically over thread-pool and
-        process-pool futures — both are ``concurrent.futures`` futures.
+        reusable immediately.
         """
         try:
             remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
@@ -1030,36 +902,10 @@ class ShardedEngine:
         deadline: float | None,
         view: _ShardView,
     ) -> list[tuple[ShardWork, Any]]:
-        """Fan ``(shard_id, subquery)`` pairs out on the active executor.
+        """Fan ``(shard_id, subquery)`` pairs out on the thread pool.
 
-        Returns one ``(ShardWork, payload)`` per subtask, in input order —
-        the executor modes are interchangeable above this line, which is
-        what keeps their merged results byte-identical.
+        Returns one ``(ShardWork, payload)`` per subtask, in input order.
         """
-        if self._procpool is not None and view.publication is not None:
-            backend = kernels.active_backend()
-            traced = trace.active()
-            futures = [
-                (
-                    shard_id,
-                    self._procpool.submit_query(
-                        view.publication, shard_id, subquery, backend, traced
-                    ),
-                )
-                for shard_id, subquery in shard_queries
-            ]
-            outcomes = self._collect(futures, deadline)
-            results = []
-            for (shard_id, _), (payload, stats, cpu_ms, span_dict) in zip(
-                shard_queries, outcomes
-            ):
-                # Worker spans come back pickled; re-parent them here so the
-                # process fan-out renders like the thread fan-out.
-                trace.attach(span_dict)
-                results.append(
-                    (_work_from(shard_id, stats, io_model=True, cpu_ms=cpu_ms), payload)
-                )
-            return results
         shards_by_id = {s.spec.shard_id: s for s in view.shards}
         subtasks = [
             (
@@ -1139,34 +985,6 @@ class ShardedEngine:
         side_a, side_b = self._join_sides(query)
         plan = self._current_planner().plan(query, join_sizes=(len(side_a), len(side_b)))
         chunks = round_robin_split(side_b, len(view.shards))
-        if self._procpool is not None:
-            # Joins travel by pickle, not by shared memory: each worker
-            # joins the full build side against one probe chunk, exactly
-            # the thread-mode split, so the sorted pair merge is
-            # byte-identical.
-            backend = kernels.active_backend()
-            traced = trace.active()
-            futures = [
-                (
-                    shard_id,
-                    self._procpool.submit_join_chunk(
-                        plan.strategy, side_a, chunk, query, backend, traced
-                    ),
-                )
-                for shard_id, chunk in enumerate(chunks)
-            ]
-            outcomes = self._collect(futures, deadline)
-            start = time.perf_counter()
-            pairs: list[tuple[int, int]] = []
-            work: list[ShardWork] = []
-            for (shard_id, _), (chunk_pairs, stats, cpu_ms, span_dict) in zip(
-                futures, outcomes
-            ):
-                trace.attach(span_dict)
-                pairs.extend(chunk_pairs)
-                work.append(_work_from(shard_id, stats, io_model=False, cpu_ms=cpu_ms))
-            pairs.sort()
-            return pairs, work, (time.perf_counter() - start) * 1000.0
         if plan.strategy == "touch" and side_a:
             # Build TOUCH's level arrays over A once; workers share them
             # read-only, each joining its B chunk (phases 2+3 only).
@@ -1204,8 +1022,8 @@ class ShardedEngine:
         ]
         outcomes = self._fan_out(subtasks, deadline)
         start = time.perf_counter()
-        pairs = []
-        work = []
+        pairs: list[tuple[int, int]] = []
+        work: list[ShardWork] = []
         for (shard_id, _), (chunk_pairs, stats, cpu_ms) in zip(subtasks, outcomes):
             pairs.extend(chunk_pairs)
             work.append(_work_from(shard_id, stats, io_model=False, cpu_ms=cpu_ms))

@@ -51,11 +51,10 @@ class ShardWork:
     comparisons: int
     num_results: int
     cpu_ms: float = 0.0  # CPU time the subtask burned on its worker
-    # ``cpu_ms`` is measured with the per-thread (thread pool) or
-    # per-worker (process pool) CPU clock, so it excludes GIL waits and
-    # scheduler preemption — the same subtask costs the same CPU no
-    # matter how contended the host is; the telemetry's
-    # ``per_shard_cpu_ms`` sums it per shard.
+    # ``cpu_ms`` is measured with the worker thread's own CPU clock, so
+    # it excludes GIL waits and scheduler preemption — the same subtask
+    # costs the same CPU no matter how contended the host is; the
+    # telemetry's ``per_shard_cpu_ms`` sums it per shard.
 
 
 @dataclass
@@ -155,7 +154,7 @@ _S_ADMISSION = _REGISTRY.histogram(
 )
 _S_SUBTASK_CPU = _REGISTRY.histogram(
     "repro_service_subtask_cpu_ms",
-    "CPU-clock time of one shard subtask (ms), thread or process executor",
+    "CPU-clock time of one shard subtask on its worker thread (ms)",
     buckets=LATENCY_BUCKETS_MS,
 )
 _S_MUTATIONS = _REGISTRY.counter(
@@ -197,8 +196,8 @@ class ServiceTelemetry:
     """Service-lifetime aggregate, safe under concurrent mutation.
 
     Every total is a per-instance :class:`repro.obs.metrics.Counter`, so
-    updates — including the ones issued from process-pool result handler
-    threads — ride the registry's lock-free per-thread cells; only the
+    updates from concurrent client threads ride the registry's lock-free
+    per-thread cells; only the
     epoch high-water mark keeps a lock (it is a max, not a sum).
     :meth:`snapshot` is the one reader and the service's single source of
     truth for conservation checks: ``completed + failed + rejected +

@@ -26,7 +26,6 @@ semantics so dataset profiles and index build layouts are unchanged.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,16 +55,6 @@ KIND_OPAQUE = 2
 
 _ZERO3 = (0.0, 0.0, 0.0)
 _NO_ROWS = np.empty((0, 6))
-
-#: Packed-arena layout (shared-memory publication): magic, ``<epoch,
-#: num_rows>``, then one fixed-width record per live row in live order —
-#: the same ``(kind, uid, 6 bounds, p0, p1, radius, neuron, branch,
-#: order)`` record the binary v2 checkpoint uses.  Live order is part of
-#: the format: an attached arena must rebuild the exact same engine
-#: (profiles, index layouts) the publishing side would.
-_PACK_MAGIC = b"RPRSHM1\n"
-_PACK_HEADER = struct.Struct("<qQ")
-_PACK_ROW = struct.Struct("<qq13dqqq")
 
 
 class BoundsView:
@@ -540,80 +529,6 @@ class ColumnarArena:
         self._world_cache = None
         self._bounds_array, self._array_rows = _NO_ROWS, 0
         self._bump()
-
-    # -- shared-memory publication -----------------------------------------
-
-    def pack_payload(self, *, epoch: int | None = None) -> bytes:
-        """The live rows as one fixed-width binary block (live order kept).
-
-        This is what the process-pool service publishes into a
-        ``multiprocessing.shared_memory`` segment: header (magic, epoch
-        stamp, row count) plus one record per live row.  Opaque rows are
-        refused — they carry arbitrary Python objects that cannot be
-        rebuilt from columns on the other side of a process boundary.
-        """
-        stamp = self._epoch if epoch is None else epoch
-        out = bytearray(_PACK_MAGIC)
-        out += _PACK_HEADER.pack(stamp, len(self._live_rows))
-        for row in self._live_rows:
-            kind = self.kinds[row]
-            if kind == KIND_OPAQUE:
-                raise EngineError(
-                    f"cannot pack opaque object uid {self.uids[row]} for shared "
-                    "memory; process-mode services need box or segment objects"
-                )
-            out += _PACK_ROW.pack(
-                kind,
-                self.uids[row],
-                *self.bounds[row],
-                *self.p0[row],
-                *self.p1[row],
-                self.radius[row],
-                self.neuron[row],
-                self.branch[row],
-                self.order[row],
-            )
-        return bytes(out)
-
-    @classmethod
-    def from_packed(cls, buffer) -> tuple[int, "ColumnarArena"]:
-        """Decode a :meth:`pack_payload` block into ``(epoch, arena)``.
-
-        ``buffer`` may be any buffer-protocol object — typically the
-        mapped view of a shared-memory segment.  The columns are copied out
-        of the buffer (the segment stays read-only and can be unmapped
-        freely once this returns); live order is preserved exactly.
-        """
-        data = bytes(buffer)
-        if not data.startswith(_PACK_MAGIC):
-            raise EngineError("packed arena block has a bad magic")
-        offset = len(_PACK_MAGIC)
-        try:
-            stamp, num_rows = _PACK_HEADER.unpack_from(data, offset)
-            offset += _PACK_HEADER.size
-            expected = offset + num_rows * _PACK_ROW.size
-            if len(data) < expected:
-                raise EngineError("packed arena block is truncated")
-            arena = cls()
-            for fields in _PACK_ROW.iter_unpack(data[offset:expected]):
-                kind, uid = fields[0], fields[1]
-                arena.uids.append(uid)
-                arena.kinds.append(kind)
-                arena.bounds.append(fields[2:8])
-                arena.p0.append(fields[8:11])
-                arena.p1.append(fields[11:14])
-                arena.radius.append(fields[14])
-                arena.neuron.append(fields[15])
-                arena.branch.append(fields[16])
-                arena.order.append(fields[17])
-        except struct.error as error:
-            raise EngineError(f"packed arena block is undecodable: {error}") from error
-        arena._objects = [None] * num_rows
-        arena._live_rows = list(range(num_rows))
-        arena._pos_of_uid = {uid: i for i, uid in enumerate(arena.uids)}
-        if len(arena._pos_of_uid) != num_rows:
-            raise EngineError("packed arena block contains duplicate uids")
-        return stamp, arena
 
     def rows_for(self, uids: Sequence[int]) -> list[int]:
         """Row indices of the given live uids (in the given order)."""

@@ -11,7 +11,7 @@ a half-written checkpoint must read as "never happened".
 from __future__ import annotations
 
 import json
-import multiprocessing
+import math
 import struct
 import threading
 
@@ -34,20 +34,34 @@ from repro.durability import (
     write_checkpoint,
 )
 from repro.durability.serde import decode_mutation, decode_object, encode_mutation, encode_object
-from repro.engine import Delete, Insert, KNNQuery, Move, RangeQuery, SpatialJoin, Walkthrough
+from repro.durability.wal import _encode_record
+from repro.engine import (
+    Delete,
+    Insert,
+    KNNQuery,
+    Move,
+    RangeQuery,
+    SpatialEngine,
+    SpatialJoin,
+    Walkthrough,
+)
+from repro.engine.mutations import validate_finite_geometry
 from repro.errors import (
     CheckpointMismatchError,
     DurabilityError,
     EngineError,
+    ProtocolError,
     WalCorruptionError,
 )
 from repro.geometry.aabb import AABB
 from repro.geometry.segment import Segment
 from repro.geometry.vec import Vec3
+from repro.neuro.circuit import generate_circuit
 from repro.objects import BoxObject
-from repro.service import active_segment_names
+from repro.server.protocol import encode_frame
+from repro.service import ShardedEngine
 from repro.utils.rng import derive_seed
-from tests.conftest import grid_boxes
+from tests.conftest import grid_boxes, write_v1_checkpoint
 from tests.test_mutation_oracle import (
     WORLD,
     MutationScript,
@@ -801,29 +815,120 @@ class TestDurableEngine:
         with pytest.raises(DurabilityError, match="durable tip"):
             repro.open(root, page_capacity=12)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_sharded_open_refuses_when_recovery_cannot_reach_the_tip(
-        self, tmp_path, executor
-    ):
+    def test_sharded_open_refuses_when_recovery_cannot_reach_the_tip(self, tmp_path):
         """The same diverged root, sharded: the writable open must refuse
         too — not resume at the recovered epoch and let WAL tail repair
         cut away acknowledged batches 5-12 — and must leave no worker
-        pool or shared-memory segment behind."""
+        pool behind."""
         root = tmp_path / "d"
         diverged_tip_root(root, sharded=True, num_shards=2)
         before = wal_bytes(root)
         threads = {t.name for t in threading.enumerate()}
-        children = {p.pid for p in multiprocessing.active_children()}
-        segments = set(active_segment_names())
         with pytest.raises(DurabilityError, match="durable tip"):
-            repro.open(root, sharded=True, executor=executor, page_capacity=12)
+            repro.open(root, sharded=True, page_capacity=12)
         assert wal_bytes(root) == before
         assert wal_record_seqs(wal_path(root)) == list(range(1, 13))
         assert durable_tip(root) == (8, 12)
         lingering = {t.name for t in threading.enumerate()} - threads
         assert not {name for name in lingering if name.startswith("repro-shard")}
-        assert not {p.pid for p in multiprocessing.active_children()} - children
-        assert not set(active_segment_names()) - segments
+
+
+# -- non-finite geometry at mutation ingress ----------------------------------
+def crafted_segment(uid: int, **overrides) -> Segment:
+    """A Segment whose validated ``__post_init__`` never saw ``overrides``.
+
+    Models the two real bypasses — unpickling and direct
+    ``object.__setattr__`` — both of which keep the stale *finite*
+    cached AABB computed from the original fields.
+    """
+    seg = Segment(uid=uid, p0=Vec3(0.0, 0.0, 0.0), p1=Vec3(1.0, 0.0, 0.0), radius=0.5)
+    for name, value in overrides.items():
+        object.__setattr__(seg, name, value)
+    return seg
+
+
+class TestNonFiniteIngress:
+    """Non-finite geometry (NaN/inf smuggled past ``__post_init__``) is
+    rejected at mutation ingress, before the WAL, the wire or a checkpoint
+    can see it."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"radius": float("nan")},
+            {"radius": float("inf")},
+            {"p0": Vec3(float("nan"), 0.0, 0.0)},
+            {"p1": Vec3(0.0, float("-inf"), 0.0)},
+        ],
+        ids=["nan-radius", "inf-radius", "nan-p0", "inf-p1"],
+    )
+    def test_validate_finite_geometry_checks_raw_fields(self, overrides):
+        bad = crafted_segment(uid=4242, **overrides)
+        # The cached AABB is stale but finite — exactly the hole: a
+        # bounds-only check would wave this object through.
+        assert all(math.isfinite(v) for v in (
+            bad.aabb.min_x, bad.aabb.min_y, bad.aabb.min_z,
+            bad.aabb.max_x, bad.aabb.max_y, bad.aabb.max_z,
+        ))
+        with pytest.raises(EngineError, match="non-finite"):
+            validate_finite_geometry(bad)
+
+    def test_single_engine_rejects_on_insert_and_move(self):
+        engine = SpatialEngine(grid_boxes(2), page_capacity=8)
+        bad = crafted_segment(uid=999, radius=float("nan"))
+        with pytest.raises(EngineError, match="non-finite"):
+            engine.apply(Insert(bad))
+        assert 999 not in engine.arena
+        live_uid = grid_boxes(2)[0].uid
+        moved = crafted_segment(uid=live_uid, radius=float("inf"))
+        with pytest.raises(EngineError, match="non-finite"):
+            engine.apply(Move(live_uid, moved))
+
+    def test_sharded_service_rejects_before_the_wal(self):
+        bad = crafted_segment(uid=31337, radius=float("nan"))
+        circuit = generate_circuit(n_neurons=6, seed=99)
+        with ShardedEngine.from_circuit(circuit, num_shards=3, max_queued=64) as service:
+            epoch = service.epoch
+            with pytest.raises(EngineError, match="non-finite"):
+                service.apply_many([Insert(bad)])
+            assert service.epoch == epoch  # nothing published
+            assert 31337 not in {o.uid for o in service.objects}
+
+    def test_durable_engine_rejects_before_the_wal(self, tmp_path):
+        durable = repro.create(grid_boxes(2), tmp_path / "d", page_capacity=8)
+        live_uid = grid_boxes(2)[0].uid
+        for mutation in (
+            Insert(crafted_segment(uid=31337, radius=float("inf"))),
+            Move(live_uid, crafted_segment(uid=live_uid, radius=float("nan"))),
+        ):
+            with pytest.raises(EngineError, match="non-finite"):
+                durable.apply_many([mutation])
+        assert durable.epoch == 0  # nothing acknowledged ...
+        assert durable.wal.last_seq == 0  # ... and nothing logged
+        assert 31337 not in {o.uid for o in durable.objects}
+        durable.close()
+
+    def test_wal_encoder_is_strict_json(self):
+        bad = crafted_segment(uid=77, p0=Vec3(float("nan"), 0.0, 0.0))
+        with pytest.raises(ValueError):
+            _encode_record(1, [Insert(bad)])
+
+    def test_wire_frames_are_strict_json(self):
+        with pytest.raises(ProtocolError, match="strict JSON"):
+            encode_frame({"k": "q", "x": float("inf")})
+
+    @pytest.mark.parametrize("format", ["binary", "json"])
+    def test_checkpoints_round_trip_tricky_finite_floats(self, tmp_path, format):
+        seg = Segment(
+            uid=1000, p0=Vec3(-0.0, 1e-308, 0.25), p1=Vec3(1e12, -1e-300, 0.75),
+            radius=2.0 ** -30,
+        )
+        writer = write_checkpoint if format == "binary" else write_v1_checkpoint
+        path = writer(tmp_path / format, grid_boxes(2) + [seg], epoch=0, wal_seq=0)
+        loaded, _ = load_checkpoint(path)
+        back = {o.uid: o for o in loaded}[1000]
+        assert back.p0 == seg.p0 and back.p1 == seg.p1
+        assert back.radius == seg.radius
 
 
 # -- time travel ---------------------------------------------------------------
@@ -977,8 +1082,6 @@ class TestRecoveredEngineDifferential:
     """Single-engine recovery answers like a never-crashed SpatialEngine."""
 
     def test_recovered_engine_matches_oracle(self, backend, tmp_path):
-        from repro.engine import SpatialEngine
-
         with kernels.use_backend(backend):
             seed = derive_seed(2013, "engine-diff", backend)
             script = MutationScript(seed=seed, n_objects=48)

@@ -49,14 +49,6 @@ BATCH_SIZE = 8
 WORLD = 60.0
 N_OBJECTS = 96
 
-# Guards against Python >= 3.12's "This process ... is multi-threaded, use of
-# fork() may lead to deadlocks in the child" DeprecationWarning from
-# multiprocessing.  This module runs thread-mode services only, and on Python
-# 3.11 it raises no DeprecationWarning at all (it passes without this mark
-# under -W error::DeprecationWarning), so the mark hides nothing there.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-
 # -- the independent oracle ----------------------------------------------------
 def point_box_distance(box: AABB, point) -> float:
     """Euclidean point-to-AABB distance, written from scratch on purpose."""

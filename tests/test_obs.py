@@ -3,7 +3,7 @@
 Covers the unified registry (kind/label contracts, Prometheus text
 exposition, the lock-free conservation guarantee under an 8-thread
 hammer), the span API (nesting, error paths, serialisation), trace
-propagation across thread pools and process workers, the edge cases
+propagation across the thread pool, the edge cases
 (admission reject, torn WAL tail, busy frame), and the wire surfaces —
 ``Client.query(trace=True)`` incl. ``cross_join``, the ``metrics``
 scrape and the ``slowlog`` frame.
@@ -286,15 +286,6 @@ class TestTrace:
         assert rebuilt.children[0].attrs == {"shard": 2}
         assert rebuilt.to_dict() == record
 
-    def test_attach_reparents_under_the_open_span(self):
-        payload = {"name": "worker", "ms": 1.5, "kb": 3}
-        trace.attach(payload)  # no trace open: a no-op, not an error
-        with trace.start_trace("q") as root:
-            trace.attach(payload)
-            trace.attach(None)
-        assert [c.name for c in root.children] == ["worker"]
-        assert root.children[0].kernel_batches == 3
-
     def test_render_is_a_connector_tree(self):
         with trace.start_trace("q") as root:
             with trace.span("a"):
@@ -403,16 +394,6 @@ class TestTracePropagation:
             if c.name == "shard.subtask"
         ]
         assert {c.attrs["shard"] for c in subtasks} == {0, 1, 2}
-
-    def test_process_workers_ship_pickled_span_payloads(self):
-        with _fresh_service(num_shards=2, executor="process") as svc:
-            root = self._traced_range(svc)
-            # Same query untraced: spans must not leak into the payload path.
-            untraced = svc.execute(RangeQuery(WORLD))
-            assert untraced is not None
-        names = self._span_names(root)
-        assert "service.execute" in names
-        assert "shard.worker" in names  # re-parented from the worker's payload
 
     def test_admission_reject_is_an_error_span(self):
         svc = _fresh_service(max_in_flight=1, max_queued=0, queue_timeout_s=0.5)

@@ -1,10 +1,8 @@
 """Differential oracle: sharded answers == single-engine answers, exactly.
 
 Every query answered by a :class:`ShardedEngine` — any shard count, either
-kernel backend, either executor mode (GIL-bound thread pool or
-shared-memory process pool) — must match the single :class:`SpatialEngine`
-answer on the same dataset: same uids, same distances, same join pairs.
-Payloads are
+kernel backend — must match the single :class:`SpatialEngine` answer on
+the same dataset: same uids, same distances, same join pairs.  Payloads are
 canonicalized (sorted uids / ``(distance, uid)`` / sorted pairs) before
 comparison; the service's own payloads are asserted to *already* be in
 canonical order, because that ordering is part of its contract.
@@ -28,13 +26,6 @@ from repro.workloads.walks import branch_walk
 
 BACKENDS = kernels.available_backends()
 SHARD_COUNTS = (1, 2, 4, 7)
-EXECUTORS = ("thread", "process")
-
-# Hides Python >= 3.12's "This process ... is multi-threaded, use of fork()
-# may lead to deadlocks in the child" DeprecationWarning, which multiprocessing
-# raises when the process-executor cells fork their worker pool from this
-# already-threaded test process.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture(scope="module")
@@ -66,19 +57,16 @@ def canonical_knn(payload):
     return sorted(((round(d, 9), uid) for uid, d in payload))
 
 
-def service_for(circuit, shards, executor="thread"):
-    return ShardedEngine.from_circuit(
-        circuit, num_shards=shards, max_queued=64, executor=executor
-    )
+def service_for(circuit, shards):
+    return ShardedEngine.from_circuit(circuit, num_shards=shards, max_queued=64)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 class TestDifferential:
-    def test_range_matches(self, circuit, single, windows, shards, backend, executor):
+    def test_range_matches(self, circuit, single, windows, shards, backend):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 for window in windows:
                     expected = sorted(single.execute(RangeQuery(window)).payload)
                     got = service.execute(RangeQuery(window))
@@ -91,19 +79,19 @@ class TestDifferential:
                     assert got.payload == brute
 
     def test_range_matches_forced_strategies(
-        self, circuit, single, windows, shards, backend, executor
+        self, circuit, single, windows, shards, backend
     ):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 for strategy in ("flat", "rtree"):
                     query = RangeQuery(windows[0], strategy=strategy)
                     expected = sorted(single.execute(query).payload)
                     assert service.execute(query).payload == expected
 
-    def test_knn_matches(self, circuit, single, windows, shards, backend, executor):
+    def test_knn_matches(self, circuit, single, windows, shards, backend):
         points = [w.center() for w in windows]
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 for point in points:
                     for k in (1, 7, 64):
                         expected = single.execute(KNNQuery(point, k)).payload
@@ -121,19 +109,19 @@ class TestDifferential:
                         assert canonical_knn(got) == brute
 
     def test_knn_exceeding_dataset_returns_everything(
-        self, circuit, single, shards, backend, executor
+        self, circuit, single, shards, backend
     ):
         point = circuit.bounding_box().center()
         k = len(circuit.segments()) + 10
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 got = service.execute(KNNQuery(point, k)).payload
         assert len(got) == len(circuit.segments())
         assert sorted(uid for uid, _ in got) == sorted(o.uid for o in circuit.segments())
 
-    def test_join_matches(self, circuit, single, shards, backend, executor):
+    def test_join_matches(self, circuit, single, shards, backend):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 for eps in (0.5, 3.0):
                     expected = sorted(single.execute(SpatialJoin(eps=eps)).payload)
                     got = service.execute(SpatialJoin(eps=eps))
@@ -141,27 +129,27 @@ class TestDifferential:
                     assert got.payload == sorted(got.payload)
 
     def test_join_matches_forced_strategies(
-        self, circuit, single, shards, backend, executor
+        self, circuit, single, shards, backend
     ):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 for strategy in ("touch", "plane-sweep", "pbsm"):
                     query = SpatialJoin(eps=2.0, strategy=strategy)
                     expected = sorted(single.execute(query).payload)
                     assert service.execute(query).payload == expected
 
-    def test_join_refined_matches(self, circuit, single, shards, backend, executor):
+    def test_join_refined_matches(self, circuit, single, shards, backend):
         query = SpatialJoin(eps=1.0, refine=True)
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 expected = sorted(single.execute(query).payload)
                 assert service.execute(query).payload == expected
 
-    def test_walk_matches(self, circuit, single, shards, backend, executor):
+    def test_walk_matches(self, circuit, single, shards, backend):
         walk = branch_walk(circuit, window_extent=80.0, seed=5)
         query = Walkthrough(tuple(walk.queries))
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, executor) as service:
+            with service_for(circuit, shards) as service:
                 got = service.execute(query)
         metrics = single.execute(query).payload
         assert [len(step) for step in got.payload] == [
@@ -171,12 +159,11 @@ class TestDifferential:
             assert step_uids == sorted(single.execute(RangeQuery(window)).payload)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_traffic_workload_differential(circuit, single, shards, executor):
+def test_traffic_workload_differential(circuit, single, shards):
     """A whole mixed traffic batch answers identically through the service."""
     queries = traffic_workload(circuit.segments(), 20, extent=100.0, seed=11)
-    with service_for(circuit, shards, executor) as service:
+    with service_for(circuit, shards) as service:
         results = service.query_many(queries)
     for query, result in zip(queries, results):
         expected = single.execute(query)

@@ -11,11 +11,8 @@ fan-out inside a single epoch.  This file pins:
   arrives while the writer waits queues behind it; a write waits for a
   subtask abandoned by a missed deadline; a query that raises releases
   the gate;
-* **process mode** — a batch that touches one shard republishes only that
-  shard's shared-memory segment, and answers stay exact;
 * **committed batches** — a batch that drains a shard part way through
-  (and refills it) applies whole and replays on recovery, and a batch
-  whose shared-memory publish fails still commits, with exact reads.
+  (and refills it) applies whole and replays on recovery.
 """
 
 from __future__ import annotations
@@ -33,8 +30,7 @@ from repro.errors import ServiceError, ServiceTimeoutError
 from repro.geometry.aabb import AABB
 from repro.neuro.circuit import generate_circuit
 from repro.objects import BoxObject
-from repro.service import ShardedEngine, active_segment_names
-from repro.service.procpool import SEGMENT_PREFIX, ProcessShardExecutor
+from repro.service import ShardedEngine
 from repro.storage.arena import ColumnarArena
 from repro.utils.rng import derive_seed, make_rng
 
@@ -57,12 +53,6 @@ def live_uids(circuit, deleted=(), inserted=()) -> list[int]:
 
 def fresh_box(uid: int, near: AABB) -> BoxObject:
     return BoxObject(uid=uid, box=AABB.from_center_extent(near.center(), 1.0))
-
-
-def service_segments(service: ShardedEngine) -> set[str]:
-    """The service's live segments (named rpr-<service token>-<shard>-<generation>)."""
-    prefix = f"{SEGMENT_PREFIX}{service._procpool._token}-"
-    return {name for name in active_segment_names() if name.startswith(prefix)}
 
 
 def wait_until(predicate, timeout_s: float = JOIN_S) -> None:
@@ -318,28 +308,6 @@ class TestEpochGate:
             payload = service.execute(RangeQuery(everything(circuit))).payload
             assert payload == live_uids(circuit, deleted=[victim])
 
-    def test_process_mode_republishes_only_the_touched_shard(self, circuit):
-        with ShardedEngine.from_circuit(circuit, num_shards=3, executor="process") as service:
-
-            def segments() -> set[str]:
-                return service_segments(service)
-
-            window = everything(circuit)
-            assert service.execute(RangeQuery(window)).payload == live_uids(circuit)
-            before = segments()
-            victim = service.shards[1].engine.objects[0].uid
-            mover = service.shards[1].engine.objects[1]
-            service.apply_many([Delete(victim), Move(mover.uid, fresh_box(mover.uid, mover.aabb))])
-            after = segments()
-            assert len(after) == len(before) == service.num_shards
-            (dropped,) = before - after
-            (published,) = after - before
-            assert dropped.split("-")[2] == published.split("-")[2] == "1"
-            result = service.execute(RangeQuery(window))
-            assert result.stats.epoch == 1
-            assert result.payload == live_uids(circuit, deleted=[victim])
-        assert segments() == set()
-
 
 class TestCommittedBatches:
     def test_a_batch_that_drains_a_shard_part_way_applies_whole(self, tmp_path):
@@ -373,34 +341,3 @@ class TestCommittedBatches:
             assert recovered.execute(RangeQuery(world)).payload == expected
         finally:
             recovered.close()
-
-    def test_a_failed_publish_commits_and_reads_stay_exact(self, circuit, monkeypatch):
-        window = everything(circuit)
-        with ShardedEngine.from_circuit(circuit, num_shards=3, executor="process") as service:
-            epochs = []
-            service.add_epoch_listener(lambda epoch, batch: epochs.append(epoch))
-            first = service.shards[1].engine.objects[0].uid
-            second = service.shards[2].engine.objects[0].uid
-
-            def no_space(*args, **kwargs):
-                raise OSError(28, "No space left on device")
-
-            with monkeypatch.context() as patch:
-                patch.setattr(ProcessShardExecutor, "_pack_segment", no_space)
-                with pytest.warns(RuntimeWarning, match="publish failed"):
-                    result = service.apply_many([Delete(first)])
-            assert result.stats.epoch == 1
-            # The pre-batch columns are stale: retired, not read.
-            assert service_segments(service) == set()
-            hits = service.execute(RangeQuery(window))
-            assert hits.stats.epoch == 1
-            assert hits.payload == live_uids(circuit, deleted=[first])
-
-            # The next batch packs every shard afresh.
-            service.apply_many([Delete(second)])
-            assert len(service_segments(service)) == service.num_shards
-            hits = service.execute(RangeQuery(window))
-            assert hits.stats.epoch == 2
-            assert hits.payload == live_uids(circuit, deleted=[first, second])
-            assert epochs == [1, 2]
-        assert service_segments(service) == set()

@@ -24,8 +24,6 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
 from repro.engine import Delete, Insert, KNNQuery, Move, RangeQuery
 from repro.errors import ServiceOverloadError
 from repro.geometry.aabb import AABB
@@ -39,14 +37,6 @@ BATCH_SIZE = 6
 N_OBJECTS = 80
 WORLD = 50.0
 SEED = 20260731
-
-# Guards against Python >= 3.12's "This process ... is multi-threaded, use of
-# fork() may lead to deadlocks in the child" DeprecationWarning from
-# multiprocessing.  This module runs thread-mode services only, and on Python
-# 3.11 it raises no DeprecationWarning at all (it passes without this mark
-# under -W error::DeprecationWarning), so the mark hides nothing there.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def random_object(uid: int, rng) -> BoxObject:
     center = tuple(float(v) for v in rng.uniform(0.0, WORLD, size=3))

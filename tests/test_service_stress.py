@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.engine import KNNQuery, RangeQuery, SpatialJoin
+from repro.engine import Delete, KNNQuery, RangeQuery, SpatialJoin
 from repro.errors import ServiceError, ServiceOverloadError, ServiceTimeoutError
 from repro.neuro.circuit import generate_circuit
 from repro.service import AdmissionController, ShardedEngine
@@ -198,6 +198,19 @@ class TestAdmissionControl:
         snap = gate.snapshot()
         assert snap.admitted == 5 and snap.rejected == 0
         assert snap.in_flight == 0 and snap.queued == 0
+
+
+class TestLifecycle:
+    def test_close_is_idempotent_and_post_close_raises(self, circuit):
+        service = ShardedEngine.from_circuit(circuit, num_shards=3, max_queued=64)
+        window = circuit.bounding_box()
+        assert service.execute(RangeQuery(window)).num_results > 0
+        service.close()
+        service.close()  # double close: no-op, no error
+        with pytest.raises(ServiceError, match="closed"):
+            service.execute(RangeQuery(window))
+        with pytest.raises(ServiceError, match="closed"):
+            service.apply_many([Delete(circuit.segments()[0].uid)])
 
 
 class TestDeadlines:

@@ -5,9 +5,9 @@ The join assigns and probes all of B level by level through batch kernels
 The reference below is the per-object descent those kernels replace, one
 ``AABB.intersects_expanded`` call per test: every path to a TOUCH answer —
 :func:`touch_join`, :func:`probe_shard`, :func:`sharded_touch_join` and the
-sharded service's thread and process joins — must return its pairs, and the
-join its ``comparisons``, ``filtered``, ``candidates`` and ``memory_bytes``,
-under every kernel backend.
+sharded service's join — must return its pairs, and the join its
+``comparisons``, ``filtered``, ``candidates`` and ``memory_bytes``, under
+every kernel backend.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import tracemalloc
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,17 +203,14 @@ def test_backends_return_pairs_in_the_same_order():
     assert len(orders) == 1
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_sharded_service_joins_match_the_reference(executor):
+def test_sharded_service_joins_match_the_reference():
     rng = random.Random(11)
     objects_a, objects_b = random_objects(rng, 300, 0), random_objects(rng, 350, 10_000)
     expected, _ref = reference_join(objects_a, objects_b, eps=1.0)
     query = SpatialJoin(
         eps=1.0, strategy="touch", side_a=tuple(objects_a), side_b=tuple(objects_b)
     )
-    with ShardedEngine.from_objects(
-        objects_a + objects_b, num_shards=2, executor=executor
-    ) as service:
+    with ShardedEngine.from_objects(objects_a + objects_b, num_shards=2) as service:
         assert service.execute(query).payload == expected
 
 
