@@ -14,6 +14,8 @@ engines.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import kernels
@@ -26,6 +28,9 @@ from repro.workloads.walks import branch_walk
 
 BACKENDS = kernels.available_backends()
 SHARD_COUNTS = (1, 2, 4, 7)
+# The service's fan-out, named in each cell's id, and the pool type that
+# ``service_for`` checks the engine under test really fans out on.
+FAN_OUTS = {"thread": ThreadPoolExecutor}
 
 
 @pytest.fixture(scope="module")
@@ -57,16 +62,19 @@ def canonical_knn(payload):
     return sorted(((round(d, 9), uid) for uid, d in payload))
 
 
-def service_for(circuit, shards):
-    return ShardedEngine.from_circuit(circuit, num_shards=shards, max_queued=64)
+def service_for(circuit, shards, fan_out="thread"):
+    service = ShardedEngine.from_circuit(circuit, num_shards=shards, max_queued=64)
+    assert isinstance(service._pool, FAN_OUTS[fan_out])
+    return service
 
 
+@pytest.mark.parametrize("fan_out", FAN_OUTS)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 class TestDifferential:
-    def test_range_matches(self, circuit, single, windows, shards, backend):
+    def test_range_matches(self, circuit, single, windows, shards, backend, fan_out):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 for window in windows:
                     expected = sorted(single.execute(RangeQuery(window)).payload)
                     got = service.execute(RangeQuery(window))
@@ -79,19 +87,19 @@ class TestDifferential:
                     assert got.payload == brute
 
     def test_range_matches_forced_strategies(
-        self, circuit, single, windows, shards, backend
+        self, circuit, single, windows, shards, backend, fan_out
     ):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 for strategy in ("flat", "rtree"):
                     query = RangeQuery(windows[0], strategy=strategy)
                     expected = sorted(single.execute(query).payload)
                     assert service.execute(query).payload == expected
 
-    def test_knn_matches(self, circuit, single, windows, shards, backend):
+    def test_knn_matches(self, circuit, single, windows, shards, backend, fan_out):
         points = [w.center() for w in windows]
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 for point in points:
                     for k in (1, 7, 64):
                         expected = single.execute(KNNQuery(point, k)).payload
@@ -109,19 +117,19 @@ class TestDifferential:
                         assert canonical_knn(got) == brute
 
     def test_knn_exceeding_dataset_returns_everything(
-        self, circuit, single, shards, backend
+        self, circuit, single, shards, backend, fan_out
     ):
         point = circuit.bounding_box().center()
         k = len(circuit.segments()) + 10
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 got = service.execute(KNNQuery(point, k)).payload
         assert len(got) == len(circuit.segments())
         assert sorted(uid for uid, _ in got) == sorted(o.uid for o in circuit.segments())
 
-    def test_join_matches(self, circuit, single, shards, backend):
+    def test_join_matches(self, circuit, single, shards, backend, fan_out):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 for eps in (0.5, 3.0):
                     expected = sorted(single.execute(SpatialJoin(eps=eps)).payload)
                     got = service.execute(SpatialJoin(eps=eps))
@@ -129,27 +137,27 @@ class TestDifferential:
                     assert got.payload == sorted(got.payload)
 
     def test_join_matches_forced_strategies(
-        self, circuit, single, shards, backend
+        self, circuit, single, shards, backend, fan_out
     ):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 for strategy in ("touch", "plane-sweep", "pbsm"):
                     query = SpatialJoin(eps=2.0, strategy=strategy)
                     expected = sorted(single.execute(query).payload)
                     assert service.execute(query).payload == expected
 
-    def test_join_refined_matches(self, circuit, single, shards, backend):
+    def test_join_refined_matches(self, circuit, single, shards, backend, fan_out):
         query = SpatialJoin(eps=1.0, refine=True)
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 expected = sorted(single.execute(query).payload)
                 assert service.execute(query).payload == expected
 
-    def test_walk_matches(self, circuit, single, shards, backend):
+    def test_walk_matches(self, circuit, single, shards, backend, fan_out):
         walk = branch_walk(circuit, window_extent=80.0, seed=5)
         query = Walkthrough(tuple(walk.queries))
         with kernels.use_backend(backend):
-            with service_for(circuit, shards) as service:
+            with service_for(circuit, shards, fan_out) as service:
                 got = service.execute(query)
         metrics = single.execute(query).payload
         assert [len(step) for step in got.payload] == [
@@ -159,11 +167,12 @@ class TestDifferential:
             assert step_uids == sorted(single.execute(RangeQuery(window)).payload)
 
 
+@pytest.mark.parametrize("fan_out", FAN_OUTS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_traffic_workload_differential(circuit, single, shards):
+def test_traffic_workload_differential(circuit, single, shards, fan_out):
     """A whole mixed traffic batch answers identically through the service."""
     queries = traffic_workload(circuit.segments(), 20, extent=100.0, seed=11)
-    with service_for(circuit, shards) as service:
+    with service_for(circuit, shards, fan_out) as service:
         results = service.query_many(queries)
     for query, result in zip(queries, results):
         expected = single.execute(query)

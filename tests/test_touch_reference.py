@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,7 +205,12 @@ def test_backends_return_pairs_in_the_same_order():
     assert len(orders) == 1
 
 
-def test_sharded_service_joins_match_the_reference():
+# The service's fan-out, named in the cell id, and the pool type it must use.
+FAN_OUTS = {"thread": ThreadPoolExecutor}
+
+
+@pytest.mark.parametrize("fan_out", FAN_OUTS)
+def test_sharded_service_joins_match_the_reference(fan_out):
     rng = random.Random(11)
     objects_a, objects_b = random_objects(rng, 300, 0), random_objects(rng, 350, 10_000)
     expected, _ref = reference_join(objects_a, objects_b, eps=1.0)
@@ -211,6 +218,7 @@ def test_sharded_service_joins_match_the_reference():
         eps=1.0, strategy="touch", side_a=tuple(objects_a), side_b=tuple(objects_b)
     )
     with ShardedEngine.from_objects(objects_a + objects_b, num_shards=2) as service:
+        assert isinstance(service._pool, FAN_OUTS[fan_out])
         assert service.execute(query).payload == expected
 
 
