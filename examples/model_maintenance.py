@@ -84,7 +84,7 @@ def main() -> None:
     exactness_check(durable, "after fix")
 
     # Stage 4: checkpoint, keep editing... and then the process dies.
-    durable.checkpoint()
+    repro.checkpoint(model_dir, durable)
     durable.apply(repro.Delete(inserted[-1].uid))
     before_crash = exactness_check(durable, "after one more edit")
     epoch_before, count_before = durable.epoch, durable.num_objects

@@ -13,7 +13,7 @@ Neuroscience: Enabling Breakthroughs Via Innovative Data Management"*
   baselines),
 
 together with every substrate they run on: a 3-D geometry kernel, Hilbert
-curves, an R-tree with STR/Hilbert bulk loading, a paged-storage simulator
+curves, an R-tree with STR bulk loading, a paged-storage simulator
 with an LRU buffer pool, and a synthetic neural-circuit generator standing
 in for the proprietary Blue Brain datasets.
 
@@ -80,11 +80,7 @@ from repro.engine import (
     SpatialJoin,
     Walkthrough,
 )
-from repro.durability import (
-    DurableEngine,
-    WriteAheadLog,
-    recover_engine,
-)
+from repro.durability import WriteAheadLog, checkpoint, recover_engine
 from repro.errors import (
     CatalogError,
     CheckpointMismatchError,
@@ -113,7 +109,7 @@ from repro.neuro import (
 from repro.neuro.morphometry import circuit_morphometry, sholl_analysis
 from repro.neuro.persistence import load_circuit, save_circuit
 from repro.objects import BoxObject, SpatialObject
-from repro.rtree import RTree, hilbert_bulk_load, str_bulk_load
+from repro.rtree import RTree, str_bulk_load
 from repro.server import Client, ReproServer, bootstrap_replica, serve_in_background
 from repro.service import (
     AdmissionController,
@@ -144,7 +140,6 @@ __all__ = [
     "Disk",
     "DiskParameters",
     "DurabilityError",
-    "DurableEngine",
     "EngineError",
     "EngineResult",
     "EngineStats",
@@ -198,10 +193,10 @@ __all__ = [
     "__version__",
     "bootstrap_replica",
     "branch_walk",
+    "checkpoint",
     "circuit_morphometry",
     "create",
     "generate_circuit",
-    "hilbert_bulk_load",
     "hilbert_shards",
     "load_circuit",
     "nested_loop_join",

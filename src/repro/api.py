@@ -12,11 +12,14 @@ One constructor family is the only way in, for every engine kind:
 Every writable open goes through one rule
 (:func:`~repro.durability.recovery.open_durable`): the durable tip is
 read before anything else, and an open that cannot recover exactly to it
-is refused instead of truncating acknowledged batches.
+is refused instead of truncating acknowledged batches.  A durable engine
+is the same engine class as an in-memory one, with its ``wal`` attribute
+set; :func:`repro.checkpoint` snapshots either kind.
 
 >>> engine = repro.create(circuit.segments())                   # in-memory
 >>> durable = repro.create(circuit.segments(), "model_dir")     # + WAL
 >>> service = repro.create(objs, "svc_dir", sharded=True, num_shards=4)
+>>> repro.checkpoint("model_dir", durable)                      # bound replay
 >>> durable = repro.open("model_dir")                           # pre-crash epoch
 >>> past = repro.open("model_dir", durable=False, at_epoch=3)   # time-travel
 """
@@ -95,8 +98,8 @@ def open(
     """Attach to an existing durability directory.
 
     ``durable=True`` (the default) returns a *writable* engine with the WAL
-    reattached: a :class:`~repro.durability.DurableEngine`, or a journaling
-    :class:`~repro.service.ShardedEngine` when ``sharded=True`` — recovered
+    reattached as ``engine.wal``: a :class:`~repro.engine.SpatialEngine`, or
+    a :class:`~repro.service.ShardedEngine` when ``sharded=True`` — recovered
     to the exact pre-crash epoch, appending where it left off.
 
     ``durable=False`` returns a *read-only* recovered engine: no WAL handle

@@ -16,10 +16,13 @@ acknowledged mutation batch reconstructible:
   (:func:`recover_engine`, read-only, either engine kind), and the only
   two ways to take a directory's WAL for writing: :func:`create_durable`
   (fresh directory) and :func:`open_durable` (resume, under one
-  write-open rule).  :func:`repro.create` / :func:`repro.open` are the
-  front door over them;
-* :mod:`repro.durability.engine` — :class:`DurableEngine`, the
-  log → apply → ack wrapper over one :class:`~repro.engine.SpatialEngine`.
+  write-open rule), and :func:`checkpoint` for either engine kind.
+  :func:`repro.create` / :func:`repro.open` are the front door over them.
+
+There is no durable wrapper type: a durable engine is a
+:class:`~repro.engine.SpatialEngine` or :class:`~repro.service.ShardedEngine`
+whose ``wal`` attribute is set, and both journal a validated batch before
+they apply it.
 
 Failures surface under one root: :class:`~repro.errors.DurabilityError`
 (with :class:`~repro.errors.WalCorruptionError` and
@@ -37,11 +40,10 @@ from repro.durability.checkpoint import (
     read_manifest,
     write_checkpoint,
 )
-from repro.durability.engine import DurableEngine
 from repro.durability.recovery import (
     Recovery,
-    checkpoint_engine,
-    checkpoint_sharded,
+    attach_journal,
+    checkpoint,
     checkpoints_path,
     create_durable,
     durable_tip,
@@ -53,13 +55,12 @@ from repro.durability.wal import WalScan, WalStats, WriteAheadLog, read_wal
 
 __all__ = [
     "CheckpointManifest",
-    "DurableEngine",
     "Recovery",
     "WalScan",
     "WalStats",
     "WriteAheadLog",
-    "checkpoint_engine",
-    "checkpoint_sharded",
+    "attach_journal",
+    "checkpoint",
     "checkpoints_path",
     "create_durable",
     "durable_tip",

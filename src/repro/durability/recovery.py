@@ -20,7 +20,10 @@ or time-travelled to any epoch at or after the oldest checkpoint
 and :func:`open_durable` are the only ways to take a directory's WAL for
 writing — the first on a fresh directory, the second resuming one under a
 single write-open rule for both engine kinds; :func:`repro.create` and
-:func:`repro.open` call them.  Torn WAL tails and corrupt records are
+:func:`repro.open` call them.  Either returns the engine itself with its
+``wal`` attribute set: both engine kinds validate a batch, journal it,
+apply it and count it as one epoch, in that order.  :func:`checkpoint`
+snapshots either kind.  Torn WAL tails and corrupt records are
 tolerated — recovery lands on the last *durable* batch instead of raising.
 """
 
@@ -50,8 +53,8 @@ __all__ = [
     "recover_engine",
     "create_durable",
     "open_durable",
-    "checkpoint_engine",
-    "checkpoint_sharded",
+    "attach_journal",
+    "checkpoint",
 ]
 
 
@@ -159,6 +162,7 @@ def recover_engine(
         )
     else:
         engine = SpatialEngine(objects, **engine_kwargs)
+        engine.epoch = manifest.epoch
     try:
         budget = None if at_epoch is None else at_epoch - manifest.epoch
         batches, mutations, replay_ms = _replay(engine, scan, manifest.wal_seq, budget)
@@ -169,8 +173,7 @@ def recover_engine(
                 f"plus the durable WAL only reaches epoch {epoch}"
             )
     except BaseException:
-        if sharded:
-            engine.close()  # don't leak the worker pool on a failed recovery
+        engine.close()  # don't leak a sharded worker pool on a failed recovery
         raise
     return Recovery(
         engine=engine,
@@ -195,10 +198,9 @@ def create_durable(
 ) -> Any:
     """Start a fresh journaling engine under ``root`` (must hold no state).
 
-    Writes the epoch-0 base checkpoint and opens the WAL.  Returns a
-    :class:`~repro.durability.DurableEngine`, or with ``sharded=True`` a
-    :class:`~repro.service.ShardedEngine` that journals every batch before
-    publishing it (``num_shards`` defaults to 4).
+    Builds a :class:`~repro.engine.SpatialEngine`, or with ``sharded=True``
+    a :class:`~repro.service.ShardedEngine` (``num_shards`` defaults to 4),
+    and hands it to :func:`attach_journal`: epoch-0 base checkpoint, WAL.
     """
     root = Path(root)
     if list_checkpoints(checkpoints_path(root)):
@@ -213,22 +215,33 @@ def create_durable(
     if sharded:
         from repro.service.sharded import ShardedEngine
 
-        if not objects:
-            raise DurabilityError(
-                f"{root} holds no durable state yet; pass the initial objects"
-            )
         num_shards = 4 if num_shards is None else num_shards
-        write_checkpoint(
-            checkpoints_path(root), objects, epoch=0, wal_seq=0, num_shards=num_shards
-        )
-        wal = WriteAheadLog(wal_path(root), **(wal_kwargs or {}))
-        return ShardedEngine(objects, num_shards=num_shards, wal=wal, **engine_kwargs)
-    from repro.durability.engine import DurableEngine
+        engine = ShardedEngine(objects, num_shards=num_shards, **engine_kwargs)
+    else:
+        engine = SpatialEngine(objects, **engine_kwargs)
+    return attach_journal(root, engine, wal_kwargs)
 
-    engine = SpatialEngine(objects, **engine_kwargs)
-    wal = WriteAheadLog(wal_path(root), **(wal_kwargs or {}))
-    checkpoint_engine(root, engine, epoch=0, wal=wal)
-    return DurableEngine(engine=engine, wal=wal, root=root, epoch=0)
+
+def attach_journal(
+    root: str | Path, engine: Any, wal_kwargs: dict[str, Any] | None = None
+) -> Any:
+    """Make a WAL-less ``engine`` durable under ``root`` from its epoch on.
+
+    Writes the engine's state as the base checkpoint at its epoch, then
+    attaches a WAL anchored there, so the next batch is logged as seq
+    ``epoch + 1``.  A fresh :func:`create_durable` engine starts at epoch
+    0; a replica bootstrapped from a primary's snapshot starts at the
+    snapshot's epoch.  A failure closes the engine.
+    """
+    try:
+        checkpoint(root, engine)
+        engine.wal = WriteAheadLog(
+            wal_path(root), **{"anchor_seq": engine.epoch, **(wal_kwargs or {})}
+        )
+    except BaseException:
+        engine.close()
+        raise
+    return engine
 
 
 def _read_only_open(root: Path, at_epoch: int | None = None) -> str:
@@ -270,8 +283,8 @@ def open_durable(
     3. The WAL opens with the caller's ``wal_kwargs``, anchored at the
        newest checkpoint's position, and resumes right after the tip.
 
-    Returns a :class:`~repro.durability.DurableEngine`, or with
-    ``sharded=True`` a journaling :class:`~repro.service.ShardedEngine`.
+    Returns the recovered :class:`~repro.engine.SpatialEngine`, or with
+    ``sharded=True`` :class:`~repro.service.ShardedEngine`, with ``wal`` set.
     """
     root = Path(root)
     if not list_checkpoints(checkpoints_path(root)):
@@ -295,62 +308,37 @@ def open_durable(
             )
         wal = WriteAheadLog(wal_path(root), **{"anchor_seq": anchor, **(wal_kwargs or {})})
     except BaseException:
-        if sharded:
-            recovery.engine.close()  # no worker pool outlives a refused open
+        recovery.engine.close()  # no worker pool outlives a refused open
         raise
-    if sharded:
-        recovery.engine.wal = wal
-        return recovery.engine
-    from repro.durability.engine import DurableEngine
-
-    return DurableEngine(engine=recovery.engine, wal=wal, root=root, epoch=recovery.epoch)
+    recovery.engine.wal = wal
+    return recovery.engine
 
 
-def checkpoint_engine(
-    root: str | Path,
-    engine: SpatialEngine,
-    epoch: int,
-    wal: WriteAheadLog | None = None,
-) -> Path:
-    """Checkpoint a single engine's dataset at ``epoch``.
+def checkpoint(root: str | Path, engine: Any) -> Path:
+    """Snapshot ``engine`` (either kind) at its epoch; restarts replay only newer batches.
 
-    When a WAL is given its group-commit window is flushed first, so the
+    An attached WAL's group-commit window is flushed first, so the
     recorded ``wal_seq`` is genuinely durable.  Without one, the batch
     seq == epoch invariant of the durability layout stands in: the
     checkpoint claims exactly the first ``epoch`` WAL batches, so
     checkpointing a recovered (WAL-less) engine never causes replay of
     batches it already folds in.
     """
-    if wal is not None:
-        wal.flush()
-        wal_seq = wal.last_durable_seq
+    if engine.wal is not None:
+        engine.wal.flush()
+        wal_seq = engine.wal.last_durable_seq
     else:
-        wal_seq = epoch
+        wal_seq = engine.epoch
+    if isinstance(engine, SpatialEngine):
+        # Columns dump straight to the binary format.
+        data, num_shards, page_capacity = engine.arena, None, engine.page_capacity
+    else:
+        data, num_shards, page_capacity = engine.objects, engine.num_shards, None
     return write_checkpoint(
         checkpoints_path(root),
-        engine.arena,  # columns dump straight to the binary format
-        epoch=epoch,
+        data,
+        epoch=engine.epoch,
         wal_seq=wal_seq,
-        num_shards=None,
-        page_capacity=engine.page_capacity,
-    )
-
-
-def checkpoint_sharded(root: str | Path, service: Any) -> Path:
-    """Checkpoint a (WAL-attached or plain) sharded service at its epoch.
-
-    Without an attached WAL the seq == epoch invariant stands in for the
-    durable position, exactly as in :func:`checkpoint_engine`.
-    """
-    if service.wal is not None:
-        service.wal.flush()
-        wal_seq = service.wal.last_durable_seq
-    else:
-        wal_seq = service.epoch
-    return write_checkpoint(
-        checkpoints_path(root),
-        service.objects,
-        epoch=service.epoch,
-        wal_seq=wal_seq,
-        num_shards=service.num_shards,
+        num_shards=num_shards,
+        page_capacity=page_capacity,
     )

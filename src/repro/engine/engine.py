@@ -80,8 +80,11 @@ class SpatialEngine:
         Buffer-pool size in pages (shared by all paged queries).
     disk_params:
         Latency constants of the simulated disk.
-    planner:
-        Custom planner; by default one is built over the dataset profile.
+
+    ``epoch`` counts the mutation batches applied (recovery starts it at a
+    checkpoint's epoch).  ``wal`` is ``None`` for an in-memory engine;
+    :func:`repro.create` / :func:`repro.open` attach a write-ahead log, and
+    then every batch is journaled before it is applied.
     """
 
     def __init__(
@@ -91,7 +94,6 @@ class SpatialEngine:
         page_capacity: int | None = None,
         pool_capacity: int = 256,
         disk_params: DiskParameters | None = None,
-        planner: Planner | None = None,
         seed_fanout: int = 16,
     ) -> None:
         if isinstance(objects, ColumnarArena):
@@ -109,8 +111,9 @@ class SpatialEngine:
         self.disk_params = disk_params if disk_params is not None else DiskParameters()
         self.seed_fanout = seed_fanout
         self._profile: DatasetProfile | None = None
-        self._planner_is_default = planner is None
-        self._planner = planner
+        self._planner: Planner | None = None
+        self.epoch = 0
+        self.wal = None  # a WriteAheadLog once repro.create / repro.open attach one
         self.telemetry = EngineTelemetry()
         self._flat_index: FLATIndex | None = None
         self._object_rtree: RTree | None = None
@@ -164,15 +167,13 @@ class SpatialEngine:
         """The dataset profile (rebuilt from the arena columns after mutations)."""
         if self._profile is None:
             self._profile = DatasetProfile.from_arena(self.arena, self.page_capacity)
-            if self._planner_is_default:
-                self._planner = Planner(self._profile)
+            self._planner = Planner(self._profile)
         return self._profile
 
     @property
     def planner(self) -> Planner:
-        """The query planner (default planners track the live profile)."""
-        if self._planner is None or (self._planner_is_default and self._profile is None):
-            _ = self.profile
+        """The query planner over the live dataset profile (rebuilt with it)."""
+        _ = self.profile
         assert self._planner is not None
         return self._planner
 
@@ -234,7 +235,17 @@ class SpatialEngine:
         return self.apply_many((mutation,))
 
     def apply_many(self, mutations: Sequence[Mutation]) -> MutationResult:
-        """Apply a batch of mutations as arena column operations.
+        """Validate, journal, apply and count a batch as one new epoch.
+
+        The batch is all-or-nothing: every mutation is validated against
+        the pre-batch arena plus the batch's earlier mutations (duplicate
+        insert, unknown uid, deleting the last object, non-finite
+        geometry) before anything is applied, so an invalid batch raises
+        :class:`~repro.errors.EngineError` and leaves the engine untouched.
+        A valid batch then reaches the attached WAL (if any) before the
+        arena, so a crash between the two replays it on recovery, and
+        ``epoch`` advances by one (``result.stats.epoch``).  An empty batch
+        is a no-op, not an epoch, and never reaches the WAL.
 
         The arena (the source of truth) is updated synchronously —
         ``engine.objects`` and every validation read reflect the batch the
@@ -244,7 +255,7 @@ class SpatialEngine:
         next access (the buffer pool, walks and FLAT kNN go through FLAT).
         Insert-then-delete churn between queries therefore costs pure
         column work and never touches an index; the dataset profile (and
-        the default planner over it) is likewise rebuilt lazily.
+        the planner over it) is likewise rebuilt lazily.
 
         The first read after a batch pays the deferred work of the index it
         reads.  A range read on the R-tree right after an 8-mutation batch,
@@ -263,56 +274,73 @@ class SpatialEngine:
         (range, kNN or walk), which applies the net deltas of every batch
         since its last read in one flush (1.76 ms after each batch here).
 
-        Mutations apply in order; an invalid one (duplicate insert,
-        unknown uid, deleting the last object) raises
-        :class:`~repro.errors.EngineError` and leaves the batch's earlier
-        mutations applied — the engine stays consistent either way.
-
         The bound ``circuit`` (if any) is *not* edited: the engine mutates
         its flattened object dataset, so the default synapse-discovery
         sides of :class:`SpatialJoin` keep reflecting the original
         circuit.  Joins over live data should pass explicit sides.
         """
+        if not mutations:
+            return MutationResult(
+                stats=MutationStats(epoch=self.epoch), num_objects=self.arena.num_live
+            )
         start = time.perf_counter()
+        self._validate(mutations)
+        if self.wal is not None:
+            self.wal.append(mutations)
         stats = MutationStats()
-        applied: list[Mutation] = []
-        try:
-            for mutation in mutations:
-                self._apply_one(mutation)
-                stats.count(mutation)
-                applied.append(mutation)
-        finally:
-            if applied:
-                self._profile = None
-                self.arena.maybe_compact()
-            stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
-            self.telemetry.record_mutations(stats)
-        return MutationResult(stats=stats, num_objects=self.arena.num_live, applied=applied)
-
-    def _apply_one(self, mutation: Mutation) -> None:
         arena = self.arena
-        if isinstance(mutation, Insert):
-            obj = mutation.obj
-            validate_finite_geometry(obj)
-            if arena.contains(obj.uid):
-                raise EngineError(f"cannot insert duplicate uid {obj.uid}")
-            arena.append(obj)
-            self._note_delta(obj.uid, None, obj)
-        elif isinstance(mutation, Delete):
-            if not arena.contains(mutation.uid):
-                raise EngineError(f"cannot delete unknown uid {mutation.uid}")
-            if arena.num_live == 1:
-                raise EngineError("cannot delete the last object of an engine dataset")
-            old = arena.tombstone(mutation.uid)
-            self._note_delta(mutation.uid, old, None)
-        elif isinstance(mutation, Move):
-            validate_finite_geometry(mutation.obj)
-            if not arena.contains(mutation.uid):
-                raise EngineError(f"cannot move unknown uid {mutation.uid}")
-            old = arena.replace(mutation.obj)
-            self._note_delta(mutation.uid, old, mutation.obj)
-        else:
-            raise EngineError(f"cannot apply mutation of type {type(mutation).__name__}")
+        for mutation in mutations:
+            if isinstance(mutation, Insert):
+                arena.append(mutation.obj)
+                self._note_delta(mutation.obj.uid, None, mutation.obj)
+            elif isinstance(mutation, Delete):
+                self._note_delta(mutation.uid, arena.tombstone(mutation.uid), None)
+            else:
+                self._note_delta(mutation.uid, arena.replace(mutation.obj), mutation.obj)
+            stats.count(mutation)
+        self._profile = None
+        arena.maybe_compact()
+        self.epoch += 1
+        stats.epoch = self.epoch
+        stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        self.telemetry.record_mutations(stats)
+        return MutationResult(stats=stats, num_objects=arena.num_live, applied=list(mutations))
+
+    def _validate(self, mutations: Sequence[Mutation]) -> None:
+        """Refuse a batch any mutation of which the arena could not apply.
+
+        Reads the arena through an O(batch) overlay of the batch's own
+        earlier mutations (``uid -> live?`` plus a running live count), so
+        validating never copies the live uid set.  Non-finite geometry is
+        refused too: the WAL's and the wire's strict JSON could not carry it.
+        """
+        arena = self.arena
+        overlay: dict[int, bool] = {}
+        live = arena.num_live
+
+        def is_live(uid: int) -> bool:
+            return overlay[uid] if uid in overlay else arena.contains(uid)
+
+        for mutation in mutations:
+            if isinstance(mutation, Insert):
+                validate_finite_geometry(mutation.obj)
+                if is_live(mutation.obj.uid):
+                    raise EngineError(f"cannot insert duplicate uid {mutation.obj.uid}")
+                overlay[mutation.obj.uid] = True
+                live += 1
+            elif isinstance(mutation, Delete):
+                if not is_live(mutation.uid):
+                    raise EngineError(f"cannot delete unknown uid {mutation.uid}")
+                if live == 1:
+                    raise EngineError("cannot delete the last object of an engine dataset")
+                overlay[mutation.uid] = False
+                live -= 1
+            elif isinstance(mutation, Move):
+                validate_finite_geometry(mutation.obj)
+                if not is_live(mutation.uid):
+                    raise EngineError(f"cannot move unknown uid {mutation.uid}")
+            else:
+                raise EngineError(f"cannot apply mutation of type {type(mutation).__name__}")
 
     def _note_delta(
         self, uid: int, old: SpatialObject | None, new: SpatialObject | None
@@ -350,8 +378,7 @@ class SpatialEngine:
         self._object_rtree = None
         self._pool = None
         self._profile = None
-        if self._planner_is_default:
-            self._planner = None
+        self._planner = None
 
     def _flush(self, name: str, index: FLATIndex | RTree) -> None:
         """Apply index ``name``'s queued deltas to it (a traced span).
@@ -489,3 +516,15 @@ class SpatialEngine:
             f"page capacity {self.page_capacity}, pool {self.pool_capacity} pages; "
             f"structures built: {built}"
         )
+
+    # -- lifecycle -------------------------------------------------------------
+    def close(self) -> None:
+        """Flush and close the attached WAL, if any (idempotent)."""
+        if self.wal is not None:
+            self.wal.close()
+
+    def __enter__(self) -> "SpatialEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -143,7 +143,7 @@ class MutationStats:
     deletes: int = 0
     moves: int = 0
     elapsed_ms: float = 0.0  # wall-clock application time
-    epoch: int = 0  # service epoch the batch published (0 on a single engine)
+    epoch: int = 0  # the engine's epoch after the batch (batches applied so far)
     rebalanced: bool = False  # did the service re-tile its shards afterwards
     # Service shards the batch wrote to: applied in place under the epoch
     # gate, or every shard of the new tiling when the batch re-tiled

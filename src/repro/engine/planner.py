@@ -49,6 +49,16 @@ _RESOLUTION_FLOOR = 8
 #: Linear expansion factor of the smoothing window (volume ratio = cube).
 _SMOOTH_EXPANSION = 3.0
 
+#: kNN over at most this many pages descends the in-memory R-tree.
+_TINY_DATASET_PAGES = 4
+
+#: Joins with at most this many candidate pairs plane-sweep instead of TOUCH.
+_TINY_JOIN_PAIRS = 250_000
+
+#: Walks whose mean step exceeds this multiple of their window extent
+#: prefetch in Hilbert order instead of following the structure (SCOUT).
+_JUMP_RATIO_THRESHOLD = 1.0
+
 
 @dataclass(frozen=True)
 class QueryPlan:
@@ -184,23 +194,10 @@ class DatasetProfile:
 
 
 class Planner:
-    """Strategy selection over one :class:`DatasetProfile`.
+    """Strategy selection over one :class:`DatasetProfile`."""
 
-    Thresholds are constructor knobs so tests and benchmarks can probe the
-    decision boundaries without patching module state.
-    """
-
-    def __init__(
-        self,
-        profile: DatasetProfile,
-        tiny_dataset_pages: int = 4,
-        tiny_join_pairs: int = 250_000,
-        jump_ratio_threshold: float = 1.0,
-    ) -> None:
+    def __init__(self, profile: DatasetProfile) -> None:
         self.profile = profile
-        self.tiny_dataset_pages = tiny_dataset_pages
-        self.tiny_join_pairs = tiny_join_pairs
-        self.jump_ratio_threshold = jump_ratio_threshold
 
     # -- dispatch -------------------------------------------------------------
     def plan(self, query: Query, join_sizes: tuple[int, int] | None = None) -> QueryPlan:
@@ -266,7 +263,7 @@ class Planner:
     def _plan_knn(self, query: KNNQuery) -> QueryPlan:
         dataset_pages = self.profile.n_objects / self.profile.page_capacity
         estimates = {"dataset_pages": round(dataset_pages, 2), "k": float(query.k)}
-        if dataset_pages <= self.tiny_dataset_pages:
+        if dataset_pages <= _TINY_DATASET_PAGES:
             chosen = "rtree"
             reason = (
                 f"tiny dataset (~{dataset_pages:.1f} pages): in-memory best-first "
@@ -287,7 +284,7 @@ class Planner:
             "n_b": float(n_b),
             "candidate_pairs": float(candidate_pairs),
         }
-        if candidate_pairs <= self.tiny_join_pairs:
+        if candidate_pairs <= _TINY_JOIN_PAIRS:
             chosen = "plane-sweep"
             reason = (
                 f"tiny inputs ({n_a} x {n_b}): sorting both sides costs less "
@@ -308,7 +305,7 @@ class Planner:
         if steps < 3:
             chosen = "none"
             reason = f"only {steps} step(s): no prefetcher can pay off"
-        elif jump_ratio > self.jump_ratio_threshold:
+        elif jump_ratio > _JUMP_RATIO_THRESHOLD:
             chosen = "hilbert"
             reason = (
                 f"windows jump {jump_ratio:.2f}x their extent between steps: "

@@ -73,8 +73,8 @@ class DurabilityError(EngineError):
     """Raised by the durability subsystem (:mod:`repro.durability`) on invalid
     configuration or unrecoverable on-disk state.  Deriving from
     :class:`EngineError` keeps the one-``except`` contract: a caller that
-    treats a :class:`~repro.durability.DurableEngine` as just another engine
-    catches its failures with the same clause."""
+    writes through a WAL-attached engine catches the journal's failures
+    with the same clause as the engine's own."""
 
 
 class WalCorruptionError(DurabilityError):

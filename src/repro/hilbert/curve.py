@@ -4,7 +4,7 @@ The Hilbert curve underpins three pieces of the reproduction:
 
 * the object store clusters segments into disk pages in Hilbert order
   (spatial locality on "disk"),
-* ``rtree.bulk.hilbert_bulk_load`` packs R-tree leaves in Hilbert order, and
+* the sharded service tiles the dataset into Hilbert-key shards, and
 * the Hilbert prefetching baseline of the SCOUT demo (Park & Kim style)
   prefetches pages adjacent in curve order.
 

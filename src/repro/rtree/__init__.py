@@ -4,10 +4,10 @@ Implemented from scratch: Guttman insertion with quadratic split, deletion
 with tree condensation, exact range queries with per-level node-access
 statistics (the demo's Figure 3 shows "how many nodes are retrieved on each
 level"), early-exit seed search (used by FLAT), best-first k-nearest-
-neighbour, and STR / Hilbert bulk loading.
+neighbour, and STR bulk loading.
 """
 
-from repro.rtree.bulk import hilbert_bulk_load, str_bulk_load, str_chunks
+from repro.rtree.bulk import str_bulk_load, str_chunks
 from repro.rtree.node import ENTRY_BYTES, NODE_HEADER_BYTES, Entry, Node
 from repro.rtree.stats import RangeQueryStats, SeedSearchStats
 from repro.rtree.tree import RTree
@@ -20,7 +20,6 @@ __all__ = [
     "RangeQueryStats",
     "RTree",
     "SeedSearchStats",
-    "hilbert_bulk_load",
     "str_bulk_load",
     "str_chunks",
 ]

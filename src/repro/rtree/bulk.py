@@ -1,10 +1,8 @@
-"""Bulk loading: Sort-Tile-Recursive (STR) and Hilbert packing.
+"""Bulk loading: Sort-Tile-Recursive (STR).
 
 STR (Leutenegger, Lopez & Edgington, ICDE'97 — reference [9] of the paper)
 is the bulk loading FLAT uses for its seed index, and the loader for the
-baseline R-tree in the demo.  Hilbert packing sorts by the curve key of box
-centres and chunks sequentially; it is used for ablations and for the object
-store's page clustering counterpart.
+baseline R-tree in the demo.
 """
 
 from __future__ import annotations
@@ -14,11 +12,10 @@ from typing import Callable, Sequence, TypeVar
 
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
-from repro.hilbert.curve import HilbertEncoder3D
 from repro.rtree.node import Entry, Node
 from repro.rtree.tree import RTree
 
-__all__ = ["str_bulk_load", "hilbert_bulk_load", "str_chunks"]
+__all__ = ["str_bulk_load", "str_chunks"]
 
 T = TypeVar("T")
 
@@ -66,16 +63,12 @@ def _entry_center(entry: Entry) -> tuple[float, float, float]:
     return (c.x, c.y, c.z)
 
 
-def _build_levels(
-    leaves: list[Node],
-    fanout: int,
-    pack: Callable[[Sequence[Entry], int], list[list[Entry]]],
-) -> Node:
-    """Stack packed levels on top of ``leaves`` until a single root remains."""
+def _build_levels(leaves: list[Node], fanout: int) -> Node:
+    """Stack STR-packed levels on top of ``leaves`` until a single root remains."""
     nodes = leaves
     while len(nodes) > 1:
         entries = [Entry(mbr=node.mbr(), child=node) for node in nodes]
-        groups = pack(entries, fanout)
+        groups = str_chunks(entries, fanout, _entry_center)
         nodes = [Node(level=nodes[0].level + 1, entries=group) for group in groups]
     return nodes[0]
 
@@ -98,47 +91,7 @@ def str_bulk_load(
     leaf_entries = [Entry(mbr=mbr, uid=uid) for uid, mbr in items]
     leaf_groups = str_chunks(leaf_entries, leaf_cap, _entry_center)
     leaves = [Node(level=0, entries=group) for group in leaf_groups]
-    root = _build_levels(
-        leaves,
-        max_entries,
-        lambda entries, cap: str_chunks(entries, cap, _entry_center),
-    )
-    return RTree._from_root(
-        root,
-        size=len(items),
-        max_entries=max_entries,
-        min_entries=min_entries,
-        leaf_capacity=leaf_capacity,
-    )
-
-
-def hilbert_bulk_load(
-    items: Sequence[tuple[int, AABB]],
-    max_entries: int = 16,
-    min_entries: int | None = None,
-    leaf_capacity: int | None = None,
-    hilbert_order: int = 10,
-) -> RTree:
-    """Build an R-tree by sorting on the Hilbert key of box centres."""
-    if not items:
-        return RTree(max_entries=max_entries, min_entries=min_entries, leaf_capacity=leaf_capacity)
-    leaf_cap = leaf_capacity if leaf_capacity is not None else max_entries
-
-    world = AABB.union_all(mbr for _, mbr in items)
-    encoder = HilbertEncoder3D(world, order=hilbert_order)
-    keys = encoder.keys_of_boxes([mbr for _, mbr in items])
-    ordered = [item for _, _, item in sorted(zip(keys, range(len(keys)), items))]
-
-    leaf_entries = [Entry(mbr=mbr, uid=uid) for uid, mbr in ordered]
-    leaves = [
-        Node(level=0, entries=leaf_entries[i : i + leaf_cap])
-        for i in range(0, len(leaf_entries), leaf_cap)
-    ]
-
-    def sequential_pack(entries: Sequence[Entry], cap: int) -> list[list[Entry]]:
-        return [list(entries[i : i + cap]) for i in range(0, len(entries), cap)]
-
-    root = _build_levels(leaves, max_entries, sequential_pack)
+    root = _build_levels(leaves, max_entries)
     return RTree._from_root(
         root,
         size=len(items),

@@ -100,6 +100,12 @@ class Subscription:
             yield int(frame["seq"]), decode_batch(frame["mutations"])
 
     def close(self) -> None:
+        # A close alone does not wake a recv blocked on another thread
+        # (Linux); a shutdown does, so the tail thread sees end-of-stream.
+        try:
+            self._client._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
         self._client.close()
 
 

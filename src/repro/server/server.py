@@ -39,7 +39,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Sequence
 
-from repro.durability.recovery import checkpoint_sharded
+from repro.durability.recovery import attach_journal, checkpoint
 from repro.durability.serde import decode_batch, encode_batch, encode_object
 from repro.engine.mutations import Mutation
 from repro.errors import (
@@ -395,7 +395,7 @@ class ReproServer:
                 return self._error_frame(
                     frame, "no-durability", "server runs without a durability root"
                 )
-            path = await self._run_blocking(checkpoint_sharded, self.root, self.service)
+            path = await self._run_blocking(checkpoint, self.root, self.service)
             return self._reply(
                 frame, "checkpointed", epoch=self.service.epoch, path=str(path)
             )
@@ -845,10 +845,12 @@ def bootstrap_replica(
     primary's tiling; answers are canonical across shard counts either
     way.
 
-    ``wal_root`` makes the follower *durable in its own right*: the
-    snapshot is written as a base checkpoint at the bootstrap epoch and a
-    WAL anchored there journals every applied batch — so a promoted
-    follower starts its primary life with a complete local history.
+    ``wal_root`` makes the follower *durable in its own right*: through
+    :func:`~repro.durability.recovery.attach_journal`, as for a fresh
+    :func:`repro.create` root, the snapshot is written as a base checkpoint
+    at the bootstrap epoch and a WAL anchored there journals every applied
+    batch — so a promoted follower starts its primary life with a complete
+    local history.
     """
     from repro.service.sharded import ShardedEngine
 
@@ -864,25 +866,16 @@ def bootstrap_replica(
         raise ServerError("primary did not send a bootstrap snapshot")
     if num_shards is None:
         num_shards = int(welcome["num_shards"])
-    wal = None
-    if wal_root is not None:
-        from repro.durability.checkpoint import write_checkpoint
-        from repro.durability.recovery import checkpoints_path, wal_path
-        from repro.durability.wal import WriteAheadLog
-
-        write_checkpoint(
-            checkpoints_path(wal_root),
-            subscription.objects,
-            epoch=subscription.snapshot_epoch,
-            wal_seq=subscription.snapshot_epoch,
-            num_shards=num_shards,
-        )
-        wal = WriteAheadLog(wal_path(wal_root), anchor_seq=subscription.snapshot_epoch)
     service = ShardedEngine(
         subscription.objects,
         num_shards=num_shards,
         initial_epoch=subscription.snapshot_epoch,
-        wal=wal,
         **service_kwargs,
     )
+    if wal_root is not None:
+        try:
+            attach_journal(wal_root, service)
+        except BaseException:
+            client.close()
+            raise
     return service, ReplicaTail(service, subscription)

@@ -245,12 +245,6 @@ class ShardedEngine:
         share (or any shard drains empty, even part way through the
         batch), the whole dataset is re-tiled into fresh Hilbert shards
         before the new epoch is published.
-    wal:
-        Optional :class:`~repro.durability.WriteAheadLog`.  When attached,
-        every validated mutation batch is appended to the log *before* its
-        epoch is published (write-ahead), so
-        :func:`repro.open` (``sharded=True``) can rebuild the service at
-        the exact pre-crash epoch.  Reads are never logged.
     initial_epoch:
         Epoch of the first published view (used by recovery to resume the
         epoch sequence where a checkpoint left it; defaults to 0).
@@ -261,6 +255,12 @@ class ShardedEngine:
     engine_kwargs:
         Forwarded to every per-shard :class:`SpatialEngine`
         (``page_capacity``, ``pool_capacity``, ``disk_params``, ...).
+
+    ``wal`` is ``None`` for an in-memory service; :func:`repro.create` /
+    :func:`repro.open` attach a write-ahead log, and then every validated
+    batch is appended to it *before* its epoch is published, so
+    :func:`repro.open` (``sharded=True``) can rebuild the service at the
+    exact pre-crash epoch.  Reads are never logged.
     """
 
     def __init__(
@@ -275,7 +275,6 @@ class ShardedEngine:
         default_timeout_s: float | None = None,
         hilbert_order: int = 10,
         rebalance_threshold: float = 4.0,
-        wal: Any | None = None,
         initial_epoch: int = 0,
         slow_query_ms: float | None = None,
         **engine_kwargs: Any,
@@ -292,7 +291,7 @@ class ShardedEngine:
         self._shards_requested = num_shards
         self._hilbert_order = hilbert_order
         self.rebalance_threshold = rebalance_threshold
-        self.wal = wal
+        self.wal = None  # a WriteAheadLog once repro.create / repro.open attach one
         self._mutation_lock = Lock()
         self._gate = _EpochGate()
         self._view = self._build_view(list(objects), epoch=initial_epoch)

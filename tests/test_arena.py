@@ -462,6 +462,28 @@ class TestFrontDoorAPI:
         assert 50 in {o.uid for o in reopened.objects}
         reopened.close()
 
+    def test_durable_engine_is_a_spatial_engine_with_a_wal(self, tmp_path):
+        """One write contract: a durable single engine and a durable sharded
+        service count the same history as the same epochs."""
+        history = [[repro.Insert(box(300, 40.0))], [], [repro.Delete(300), repro.Delete(1)]]
+        single = repro.create(grid_boxes(3), tmp_path / "one")
+        service = repro.create(grid_boxes(3), tmp_path / "svc", sharded=True, num_shards=2)
+        try:
+            assert isinstance(single, SpatialEngine)
+            assert single.wal is not None
+            for batch in history:
+                assert single.apply_many(batch).stats.epoch == service.apply_many(batch).stats.epoch
+            assert single.epoch == service.epoch == 2  # the empty batch is no epoch
+            assert single.wal.last_durable_seq == service.wal.last_durable_seq == 2
+        finally:
+            single.close()
+            service.close()
+        reopened = repro.open(tmp_path / "one")
+        with reopened:
+            assert isinstance(reopened, SpatialEngine)
+            assert reopened.wal is not None and reopened.epoch == 2
+        assert repro.open(tmp_path / "one", durable=False).epoch == 2
+
     def test_open_read_only_attaches_recovery_record(self, tmp_path):
         root = tmp_path / "d"
         repro.create(grid_boxes(2), root).close()
@@ -509,11 +531,16 @@ class TestDeprecatedShims:
     def test_removed_entry_points_are_gone(self):
         import repro.durability
 
-        for name in ("durable_sharded", "recover_sharded", "open_at_epoch"):
+        for name in (
+            "durable_sharded",
+            "recover_sharded",
+            "open_at_epoch",
+            "DurableEngine",
+            "checkpoint_engine",
+            "checkpoint_sharded",
+        ):
             assert not hasattr(repro, name), name
             assert not hasattr(repro.durability, name), name
-        assert not hasattr(repro.DurableEngine, "create")
-        assert not hasattr(repro.DurableEngine, "open")
 
     def test_front_door_is_warning_free(self, tmp_path, recwarn):
         import warnings

@@ -20,7 +20,7 @@ import repro
 from repro import kernels
 from repro.catalog import Catalog, CatalogError, CatalogManifest, dataset_lineage
 from repro.cli import main as cli_main
-from repro.durability import checkpoints_path, list_checkpoints, wal_path
+from repro.durability import checkpoint, checkpoints_path, list_checkpoints, wal_path
 from repro.engine import Insert, KNNQuery, Move, RangeQuery, SpatialJoin, Walkthrough
 from repro.geometry.aabb import AABB
 from repro.objects import BoxObject
@@ -135,7 +135,7 @@ class TestTags:
         engine = catalog.create("circuit", boxes(6))
         catalog.tag("circuit", "v1")
         engine.apply_many([Move(uid=2, obj=moved_box(2, 30.0))])
-        engine.checkpoint()
+        checkpoint(catalog.dataset_root("circuit"), engine)
         catalog.tag("circuit", "v2")
         engine.close()
         # A fresh Catalog over the same directory is "the restart".
@@ -227,7 +227,7 @@ class TestDiff:
                 Move(uid=1, obj=moved_box(1, 40.0)),
             ]
         )
-        engine.checkpoint()
+        checkpoint(catalog.dataset_root("circuit"), engine)
         catalog.tag("circuit", "v2")
         engine.close()
         diff = catalog.diff("circuit@v1", "circuit@v2")
@@ -243,7 +243,7 @@ class TestDiff:
         engine = catalog.create("circuit", boxes(8))
         catalog.tag("circuit", "v1")
         engine.apply_many([Move(uid=u, obj=moved_box(u, 50.0 + u)) for u in (2, 5, 7)])
-        engine.checkpoint()
+        checkpoint(catalog.dataset_root("circuit"), engine)
         catalog.tag("circuit", "v2")
         engine.close()
         first = catalog.diff("circuit@v1", "circuit@v2")
@@ -260,7 +260,7 @@ class TestCrossJoin:
         engine = catalog.create("circuit", boxes(20))
         catalog.tag("circuit", "v1")
         engine.apply_many([Move(uid=u, obj=moved_box(u, 200.0 + u)) for u in (1, 2, 3)])
-        engine.checkpoint()
+        checkpoint(catalog.dataset_root("circuit"), engine)
         engine.close()
         catalog.create("atlas", boxes(15, offset=0.5, first_uid=1000)).close()
         catalog.tag("atlas", "v1")
@@ -341,11 +341,11 @@ class TestPrune:
             "circuit", boxes(10), wal_kwargs={"segment_bytes": segment_bytes}
         )
         engine.apply_many([Insert(moved_box(100, 90.0))])
-        engine.checkpoint()  # checkpoint at epoch 1
+        checkpoint(catalog.dataset_root("circuit"), engine)  # checkpoint at epoch 1
         catalog.tag("circuit", "pinned")  # tag -> epoch 1
         for step in range(6):
             engine.apply_many([Move(uid=100, obj=moved_box(100, 95.0 + step))])
-        engine.checkpoint()  # checkpoint at epoch 7
+        checkpoint(catalog.dataset_root("circuit"), engine)  # checkpoint at epoch 7
         engine.close()
         return engine
 
@@ -416,8 +416,8 @@ class TestPrune:
         engine = catalog.create("circuit", boxes(8))
         catalog.tag("circuit", "v1")
         engine.apply_many([Delete(uid=2)])
-        engine.engine.arena.compact()
-        engine.checkpoint()
+        engine.arena.compact()
+        checkpoint(catalog.dataset_root("circuit"), engine)
         engine.close()
         catalog.prune("circuit")
         assert sorted(o.uid for o in catalog.open("circuit@v1").objects) == list(
@@ -437,7 +437,7 @@ class TestMixedFormatThroughCatalog:
         write_v1_checkpoint(checkpoints_path(root), engine.objects, epoch=2, wal_seq=2)
         catalog.tag("circuit", "json-era")
         engine.apply_many([Insert(moved_box(101, 80.0))])
-        engine.checkpoint()  # binary v2 at epoch 3
+        checkpoint(catalog.dataset_root("circuit"), engine)  # binary v2 at epoch 3
         catalog.tag("circuit", "tip-era")
         engine.close()
         return root
@@ -490,9 +490,7 @@ class TestShardedAtEpochGuards:
         root = tmp_path / "svc"
         service = repro.create(boxes(12), root, sharded=True, num_shards=2)
         service.apply_many([Move(uid=1, obj=moved_box(1, 60.0))])
-        from repro.durability import checkpoint_sharded
-
-        checkpoint_sharded(root, service)
+        checkpoint(root, service)
         service.close()
         return root
 

@@ -21,7 +21,7 @@ import repro
 from repro import kernels
 from repro.durability import (
     WriteAheadLog,
-    checkpoint_sharded,
+    checkpoint,
     checkpoints_path,
     durable_tip,
     latest_checkpoint,
@@ -146,10 +146,7 @@ def diverged_tip_root(root, **create_kwargs) -> None:
     engine = repro.create(script.initial_objects(), root, page_capacity=12, **create_kwargs)
     for _ in range(8):
         engine.apply_many(script.next_batch(3))
-    if create_kwargs.get("sharded"):
-        checkpoint_sharded(root, engine)
-    else:
-        engine.checkpoint()
+    checkpoint(root, engine)
     for _ in range(4):
         engine.apply_many(script.next_batch(3))
     engine.close()
@@ -455,7 +452,7 @@ class TestCheckpointAnchoredDamage:
         )
         for _ in range(3):
             durable.apply_many(script.next_batch(4))
-        durable.checkpoint()  # folds batches 1-3 in
+        checkpoint(root, durable)  # folds batches 1-3 in
         for _ in range(3):
             durable.apply_many(script.next_batch(4))
         durable.close()
@@ -669,7 +666,7 @@ class TestDurableEngine:
         durable = repro.create(script.initial_objects(), tmp_path / "d")
         for _ in range(3):
             durable.apply_many(script.next_batch(4))
-        durable.checkpoint()
+        checkpoint(tmp_path / "d", durable)
         durable.apply_many(script.next_batch(4))
         durable.close()
         recovery = recover_engine(tmp_path / "d")
@@ -733,7 +730,7 @@ class TestDurableEngine:
         durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(8):
             durable.apply_many(script.next_batch(3))
-        durable.checkpoint()  # epoch 8 folds seqs 1-8 in
+        checkpoint(root, durable)  # epoch 8 folds seqs 1-8 in
         for _ in range(4):
             durable.apply_many(script.next_batch(3))
         durable.close()  # durable tip: epoch 12
@@ -752,8 +749,8 @@ class TestDurableEngine:
 
     def test_group_commit_window_defers_durability_until_flush(self, tmp_path):
         """With flush_batches > 1 an acknowledged epoch may still be
-        buffered: last_durable_epoch reports the durable frontier and
-        flush() closes the window."""
+        buffered: wal.last_durable_seq reports the durable frontier and
+        wal.flush() closes the window."""
         script = MutationScript(seed=82, n_objects=24)
         durable = repro.create(
             script.initial_objects(),
@@ -764,12 +761,12 @@ class TestDurableEngine:
         for _ in range(2):
             durable.apply_many(script.next_batch(3))
         assert durable.epoch == 2
-        assert durable.last_durable_epoch == 0  # acknowledged, not yet durable
+        assert durable.wal.last_durable_seq == 0  # acknowledged, not yet durable
         # A crash here loses the buffered epochs — that is the documented
         # group-commit trade, visible through the durable frontier.
         assert recover_engine(tmp_path / "d", page_capacity=12).epoch == 0
-        durable.flush()
-        assert durable.last_durable_epoch == 2
+        durable.wal.flush()
+        assert durable.wal.last_durable_seq == 2
         assert recover_engine(tmp_path / "d", page_capacity=12).epoch == 2
         durable.close()
 
@@ -783,7 +780,7 @@ class TestDurableEngine:
         durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(8):
             durable.apply_many(script.next_batch(3))
-        durable.checkpoint()  # epoch 8 folds seqs 1-8 in
+        checkpoint(root, durable)  # epoch 8 folds seqs 1-8 in
         durable.close()
         flip_payload_bit(wal_path(root), target_seq=8)  # covered, at the tail
         reopened = repro.open(root, page_capacity=12)
@@ -941,7 +938,7 @@ class TestTimeTravel:
             durable.apply_many(script.next_batch(4))
             snapshots[epoch] = sorted(script.model)
             if epoch == 2:
-                durable.checkpoint()
+                checkpoint(tmp_path / "d", durable)
         durable.close()
         for epoch, expected_uids in snapshots.items():
             recovery = recover(tmp_path / "d", at_epoch=epoch)
@@ -1091,7 +1088,7 @@ class TestRecoveredEngineDifferential:
                 batch = script.next_batch(5)
                 durable.apply_many(batch)
                 oracle.apply_many(batch)
-            durable.checkpoint()
+            checkpoint(tmp_path / "d", durable)
             for _ in range(3):
                 batch = script.next_batch(5)
                 durable.apply_many(batch)
@@ -1172,7 +1169,7 @@ class TestShardedWalHook:
         try:
             for _ in range(3):
                 service.apply_many(script.next_batch(3))
-            checkpoint_sharded(tmp_path / "d", service)
+            checkpoint(tmp_path / "d", service)
             service.apply_many(script.next_batch(3))
         finally:
             service.close()
@@ -1215,7 +1212,7 @@ class TestShardedWalHook:
         service.close()
         recovery = recover(tmp_path / "d", sharded=True, page_capacity=12)
         assert recovery.engine.wal is None
-        checkpoint_sharded(tmp_path / "d", recovery.engine)
+        checkpoint(tmp_path / "d", recovery.engine)
         recovery.engine.close()
         again = recover(tmp_path / "d", sharded=True, page_capacity=12)
         assert again.checkpoint_epoch == 2

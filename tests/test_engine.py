@@ -8,7 +8,6 @@ import repro
 from repro.engine import (
     DatasetProfile,
     KNNQuery,
-    Planner,
     RangeQuery,
     SpatialEngine,
     SpatialJoin,
@@ -333,12 +332,6 @@ class TestFromObjects:
         assert sorted(result.payload) == expected
         nearest = eng.execute(KNNQuery(Vec3(0.0, 0.0, 0.0), k=1))
         assert nearest.payload[0][0] == 0
-
-    def test_planner_knobs_are_tunable(self, grid27):
-        profile = DatasetProfile.from_objects(grid27, page_capacity=8)
-        greedy = Planner(profile, tiny_join_pairs=0)
-        plan = greedy.plan(SpatialJoin(eps=1.0, side_a=tuple(grid27), side_b=tuple(grid27)))
-        assert plan.strategy == "touch"
 
 
 class TestKNNCanonicalTieBreak:

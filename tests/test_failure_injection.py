@@ -162,7 +162,7 @@ class TestResourcePressure:
     def test_durable_state_survives_crash_damage_combinations(self, tmp_path):
         """Torn tail on top of a mid-run checkpoint: recovery lands on the
         last durable batch, anchored to the newest valid checkpoint."""
-        from repro.durability import checkpoint_sharded, wal_path
+        from repro.durability import checkpoint, wal_path
         from tests.test_mutation_oracle import MutationScript
 
         script = MutationScript(seed=77, n_objects=30)
@@ -172,7 +172,7 @@ class TestResourcePressure:
         )
         for _ in range(2):
             service.apply_many(script.next_batch(3))
-        checkpoint_sharded(root, service)
+        checkpoint(root, service)
         service.apply_many(script.next_batch(3))
         durable_uids = sorted(script.model)
         service.apply_many(script.next_batch(3))  # will be torn away
@@ -215,7 +215,12 @@ class TestResourcePressure:
         recovery anchors to the base checkpoint and replays the full WAL."""
         import shutil
 
-        from repro.durability import checkpoints_path, list_checkpoints, recover_engine
+        from repro.durability import (
+            checkpoint,
+            checkpoints_path,
+            list_checkpoints,
+            recover_engine,
+        )
         from tests.test_mutation_oracle import MutationScript
 
         script = MutationScript(seed=79, n_objects=24)
@@ -223,7 +228,7 @@ class TestResourcePressure:
         durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(3):
             durable.apply_many(script.next_batch(3))
-        committed = durable.checkpoint()
+        committed = checkpoint(root, durable)
         durable.apply_many(script.next_batch(3))
         durable.close()
         # Demote the committed mid-run checkpoint to a half-written one:

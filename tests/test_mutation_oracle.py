@@ -398,6 +398,19 @@ class TestMetamorphicRelations:
         with pytest.raises(EngineError):
             Move(1, BoxObject(uid=2, box=AABB(0, 0, 0, 1, 1, 1)))  # uid mismatch
 
+    def test_single_engine_batch_is_all_or_nothing(self):
+        script = MutationScript(seed=11)
+        engine = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
+        whole = AABB.from_center_extent((WORLD / 2,) * 3, WORLD * 3)
+        before = engine.execute(RangeQuery(whole)).payload
+        fresh = BoxObject(uid=5_000, box=AABB.from_center_extent((5.0, 5.0, 5.0), 2.0))
+        with pytest.raises(EngineError):
+            engine.apply_many([Insert(fresh), Delete(777_777)])
+        assert not engine.arena.contains(5_000)  # the valid prefix was not applied
+        assert engine.execute(RangeQuery(whole)).payload == before
+        assert engine.epoch == 0
+        assert engine.apply_many([Insert(fresh)]).stats.epoch == engine.epoch == 1
+
     def test_sharded_batch_is_all_or_nothing(self):
         script = MutationScript(seed=11)
         with ShardedEngine.from_objects(

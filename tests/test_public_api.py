@@ -128,10 +128,6 @@ class TestEndToEnd:
         ]
         tree = repro.str_bulk_load(items, max_entries=8)
         assert len(tree.range_query(repro.AABB(0, -1, -1, 10, 1, 1))) > 0
-        tree2 = repro.hilbert_bulk_load(items, max_entries=8)
-        assert sorted(tree2.range_query(repro.AABB(-10, -10, -10, 100, 10, 10))) == [
-            i for i, _ in items
-        ]
 
     def test_box_object_protocol(self):
         box = repro.BoxObject(uid=1, box=repro.AABB(0, 0, 0, 1, 1, 1))

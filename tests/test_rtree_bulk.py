@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
-from repro.rtree.bulk import hilbert_bulk_load, str_bulk_load, str_chunks
+from repro.rtree.bulk import str_bulk_load, str_chunks
 from repro.utils.rng import make_rng
 
 
@@ -52,7 +52,7 @@ class TestStrChunks:
             assert spread <= 4.0
 
 
-@pytest.mark.parametrize("loader", [str_bulk_load, hilbert_bulk_load])
+@pytest.mark.parametrize("loader", [str_bulk_load])
 class TestBulkLoaders:
     def test_queries_match_brute_force(self, loader):
         items = random_items(500, seed=1)

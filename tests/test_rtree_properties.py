@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.aabb import AABB
-from repro.rtree.bulk import hilbert_bulk_load, str_bulk_load
+from repro.rtree.bulk import str_bulk_load
 from repro.rtree.tree import RTree
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -37,15 +37,6 @@ def test_dynamic_tree_matches_brute_force(item_boxes: list[AABB], query: AABB):
 def test_str_bulk_matches_brute_force(item_boxes: list[AABB], query: AABB):
     items = list(enumerate(item_boxes))
     tree = str_bulk_load(items, max_entries=5)
-    tree.validate()
-    expected = sorted(uid for uid, mbr in items if mbr.intersects(query))
-    assert sorted(tree.range_query(query)) == expected
-
-
-@given(item_lists, boxes())
-def test_hilbert_bulk_matches_brute_force(item_boxes: list[AABB], query: AABB):
-    items = list(enumerate(item_boxes))
-    tree = hilbert_bulk_load(items, max_entries=5)
     tree.validate()
     expected = sorted(uid for uid, mbr in items if mbr.intersects(query))
     assert sorted(tree.range_query(query)) == expected

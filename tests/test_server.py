@@ -613,6 +613,50 @@ class TestReplicationInProcess:
                     assert rc.mutate([Delete(700_000)]) == epoch + 1
             assert tail.error is None
 
+    def test_promote_stops_the_tail_before_it_returns(self):
+        """Closing the subscription wakes the tail's blocked recv, so the
+        tail thread is dead before the replica accepts a local write."""
+        primary = _fresh_service()
+        with serve_in_background(primary) as phandle:
+            replica, tail = bootstrap_replica(phandle.host, phandle.port)
+            tail.start()
+            with serve_in_background(replica, role="replica", tail=tail) as rhandle:
+                with Client(rhandle.host, rhandle.port) as rc:
+                    rc.hello()
+                    start = time.perf_counter()
+                    rc.promote()
+                    assert time.perf_counter() - start < 1.0
+                    assert not tail._thread.is_alive()
+            assert tail.error is None
+
+    def test_journaled_replica_recovers_its_own_history(self, tmp_path):
+        """``wal_root`` starts the replica's journal at the snapshot epoch,
+        as ``repro.create`` starts a fresh root at epoch 0."""
+        primary = _fresh_service()
+        with serve_in_background(primary) as phandle:
+            primary.apply(Insert(BoxObject(uid=900_000, box=AABB(0, 0, 0, 1, 1, 1))))
+            replica, tail = bootstrap_replica(
+                phandle.host, phandle.port, wal_root=tmp_path / "r"
+            )
+            assert replica.epoch == replica.wal.anchor_seq == 1
+            tail.start()
+            with serve_in_background(replica, role="replica", tail=tail):
+                epoch = primary.apply(Delete(900_000)).stats.epoch
+                deadline = time.monotonic() + 10.0
+                while replica.epoch < epoch and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert replica.epoch == epoch == 2
+            replica.close()
+        recovered = repro.open(tmp_path / "r", sharded=True, durable=False)
+        try:
+            assert recovered.last_recovery.checkpoint_epoch == 1
+            assert recovered.epoch == 2
+            assert sorted(o.uid for o in recovered.objects) == sorted(
+                o.uid for o in primary.objects
+            )
+        finally:
+            recovered.close()
+
     def test_subscription_snapshot_is_epoch_consistent(self):
         primary = _fresh_service()
         with serve_in_background(primary) as handle:
