@@ -22,7 +22,7 @@ Run:  python examples/model_maintenance.py
 
 from __future__ import annotations
 
-from tempfile import mkdtemp
+from tempfile import TemporaryDirectory
 
 import repro
 from repro.neuro.circuit import generate_circuit
@@ -39,10 +39,9 @@ def exactness_check(engine, label: str) -> list[int]:
     return got
 
 
-def main() -> None:
+def maintain(model_dir: str) -> None:
     # Stage 1: the initial model, made durable from the first epoch.
     base = generate_circuit(n_neurons=12, seed=7)
-    model_dir = mkdtemp(prefix="repro_model_")
     durable = repro.create(base.segments(), model_dir)
     print(f"initial model: {base.num_neurons} neurons, "
           f"{durable.num_objects:,} segments -> durable in {model_dir}")
@@ -106,6 +105,12 @@ def main() -> None:
     print(f"\ntime travel to epoch 1: {rerun.num_objects:,} segments "
           f"(the just-grown model, branch still mis-placed)")
     restored.close()
+
+
+def main() -> None:
+    # The durable root lives only as long as the run.
+    with TemporaryDirectory(prefix="repro_model_") as model_dir:
+        maintain(model_dir)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ memory footprint and number of pairwise comparisons.
 
 from repro.core.touch.join import touch_join
 from repro.core.touch.nested_loop import nested_loop_join
-from repro.core.touch.parallel import ShardedJoinResult, sharded_touch_join
 from repro.core.touch.pbsm import pbsm_join
 from repro.core.touch.plane_sweep import plane_sweep_join
 from repro.core.touch.s3 import s3_join
@@ -19,7 +18,6 @@ from repro.core.touch.tree import TouchNode, build_touch_tree
 __all__ = [
     "JoinResult",
     "JoinStats",
-    "ShardedJoinResult",
     "TouchNode",
     "build_touch_tree",
     "nested_loop_join",
@@ -27,6 +25,5 @@ __all__ = [
     "plane_sweep_join",
     "s3_join",
     "segment_touch_refine",
-    "sharded_touch_join",
     "touch_join",
 ]

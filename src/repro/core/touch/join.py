@@ -17,7 +17,8 @@ all of B: :func:`repro.kernels.touch_assign` moves the whole frontier of
 object, :func:`repro.kernels.touch_probe` descends every bucket the same way
 and filters the reached leaves' objects.  A bucket is just an entry of that
 per-B array, so nothing is written to the hierarchy and any slice of B can
-be joined against shared level arrays (:mod:`repro.core.touch.parallel`).
+be joined against shared level arrays (:func:`probe_shard`, which
+:class:`~repro.service.ShardedEngine`'s join fans out on its worker pool).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.core.touch.stats import (
 from repro.core.touch.tree import TouchLevels, build_touch_tree, touch_levels
 from repro.objects import SpatialObject
 
-__all__ = ["touch_join", "join_levels"]
+__all__ = ["touch_join", "join_levels", "probe_shard"]
 
 
 def touch_join(
@@ -113,3 +114,26 @@ def join_levels(
         for i, j in zip(indices_a, indices_b):
             candidates.add(objects_a[i], objects_b[j])
     candidates.flush()
+
+
+def probe_shard(
+    levels: TouchLevels,
+    shard_b: Sequence[SpatialObject],
+    eps: float,
+    refine: RefineFunc | None,
+    filtering: bool = True,
+) -> tuple[list[tuple[int, int]], JoinStats, float]:
+    """Run TOUCH phases 2+3 for one B shard against the shared level arrays.
+
+    ``levels`` is only read — each shard's buckets are its own per-B
+    array — so any number of these calls may run concurrently on one
+    :class:`~repro.core.touch.tree.TouchLevels`.  Returns ``(pairs,
+    per-shard stats, elapsed_ms)``; the pair order is a pure function of
+    the shard (B-major, as :func:`join_levels`).
+    """
+    counter = JoinStats(algorithm="shard", n_a=len(levels.objects), n_b=len(shard_b))
+    pairs: list[tuple[int, int]] = []
+    start = time.perf_counter()
+    join_levels(levels, shard_b, eps, refine, filtering, counter, pairs)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return pairs, counter, elapsed_ms

@@ -317,28 +317,29 @@ def open_durable(
 def checkpoint(root: str | Path, engine: Any) -> Path:
     """Snapshot ``engine`` (either kind) at its epoch; restarts replay only newer batches.
 
-    An attached WAL's group-commit window is flushed first, so the
-    recorded ``wal_seq`` is genuinely durable.  Without one, the batch
-    seq == epoch invariant of the durability layout stands in: the
-    checkpoint claims exactly the first ``epoch`` WAL batches, so
-    checkpointing a recovered (WAL-less) engine never causes replay of
-    batches it already folds in.
+    The epoch and objects come from one read (a sharded engine's
+    ``snapshot_objects()``, which a batch publishing on another thread
+    cannot tear), and the checkpoint claims exactly the first ``epoch``
+    WAL batches — the batch seq == epoch invariant of the durability
+    layout.  Each of those was appended before it published, so flushing
+    an attached WAL after the snapshot makes them durable; a later batch
+    lands only in the replayed WAL suffix.  A recovered (WAL-less) engine
+    is checkpointed the same way.
     """
-    if engine.wal is not None:
-        engine.wal.flush()
-        wal_seq = engine.wal.last_durable_seq
-    else:
-        wal_seq = engine.epoch
     if isinstance(engine, SpatialEngine):
         # Columns dump straight to the binary format.
-        data, num_shards, page_capacity = engine.arena, None, engine.page_capacity
+        epoch, data = engine.epoch, engine.arena
+        num_shards, page_capacity = None, engine.page_capacity
     else:
-        data, num_shards, page_capacity = engine.objects, engine.num_shards, None
+        epoch, data = engine.snapshot_objects()
+        num_shards, page_capacity = engine.num_shards, None
+    if engine.wal is not None:
+        engine.wal.flush()
     return write_checkpoint(
         checkpoints_path(root),
         data,
-        epoch=engine.epoch,
-        wal_seq=wal_seq,
+        epoch=epoch,
+        wal_seq=epoch,
         num_shards=num_shards,
         page_capacity=page_capacity,
     )

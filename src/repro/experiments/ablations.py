@@ -6,6 +6,7 @@ moves, using the same datasets as the main experiments.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from statistics import mean
 from typing import Sequence
@@ -242,7 +243,6 @@ def a7_flat_incremental_maintenance(
     resulting query cost.
     """
     from repro.neuro.circuit import generate_circuit
-    from repro.utils.timers import Stopwatch
 
     base = circuit_dataset(n_neurons=n_neurons, seed=seed)
     grown = generate_circuit(
@@ -272,16 +272,17 @@ def a7_flat_incremental_maintenance(
 
     rows = []
     for strategy in ("incremental", "rebuild"):
-        stopwatch = Stopwatch()
         if strategy == "incremental":
             index = FLATIndex(shared_segments, page_capacity=48)
-            with stopwatch:
-                for segment in new_segments:
-                    index.insert(segment)
+            start = time.perf_counter()
+            for segment in new_segments:
+                index.insert(segment)
+            maintenance_s = time.perf_counter() - start
             index.validate()
         else:
-            with stopwatch:
-                index = FLATIndex(grown.segments(), page_capacity=48)
+            start = time.perf_counter()
+            index = FLATIndex(grown.segments(), page_capacity=48)
+            maintenance_s = time.perf_counter() - start
         pages, recalls = [], []
         for box, truth in zip(queries, expected):
             result = index.query(box)
@@ -290,7 +291,7 @@ def a7_flat_incremental_maintenance(
             recalls.append(len(got & set(truth)) / max(len(truth), 1))
         row = {
             "strategy": strategy,
-            "maintenance_ms": stopwatch.elapsed * 1000.0,
+            "maintenance_ms": maintenance_s * 1000.0,
             "partitions": sum(1 for p in index.partitions if p.num_objects > 0),
             "pages": mean(pages),
             "recall": mean(recalls),

@@ -19,6 +19,7 @@ regime where MBR overlap degrades range queries.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from statistics import mean
 from typing import Sequence
@@ -31,7 +32,6 @@ from repro.experiments.datasets import (
 )
 from repro.storage.disk import DiskParameters
 from repro.utils.tables import Table
-from repro.utils.timers import time_call
 from repro.workloads.ranges import density_stratified_queries, grid_queries
 
 __all__ = [
@@ -138,13 +138,17 @@ def flat_vs_rtree_experiment(
     rt_data, rt_dir, rt_wall, rt_results = [], [], [], []
     level_acc: dict[int, int] = {}
     for box in queries:
-        result, elapsed = time_call(index.query, box, verify=False)
+        start = time.perf_counter()
+        result = index.query(box, verify=False)
+        elapsed = time.perf_counter() - start
         flat_data.append(result.stats.partitions_fetched)
         flat_dir.append(result.stats.seed_nodes_visited)
         flat_wall.append(elapsed * 1000.0)
         flat_results.append(result.stats.num_results)
 
-        (uids, stats), elapsed = time_call(rtree.range_query_with_stats, box)
+        start = time.perf_counter()
+        uids, stats = rtree.range_query_with_stats(box)
+        elapsed = time.perf_counter() - start
         rt_data.append(stats.leaf_nodes_visited)
         rt_dir.append(stats.internal_nodes_visited)
         rt_wall.append(elapsed * 1000.0)

@@ -8,9 +8,8 @@ regenerated on the current machine.  Exposed on the CLI as
 
 from __future__ import annotations
 
+import time
 from typing import Callable
-
-from repro.utils.timers import Stopwatch
 
 __all__ = ["generate_report"]
 
@@ -94,19 +93,18 @@ def generate_report(quick: bool = True, progress: Callable[[str], None] | None =
         ("Headline claims", lambda: headline_claims(quick=quick).render()),
     ]
 
-    stopwatch = Stopwatch()
     chunks = [
         "repro experiment report",
         f"mode: {'quick' if quick else 'full'}",
         _RULE,
     ]
-    with stopwatch:
-        for title, run in sections:
-            text = run()
-            chunks.append(f"\n### {title}\n")
-            chunks.append(text)
-            chunks.append("\n" + _RULE)
-            if progress is not None:
-                progress(f"done: {title}")
-    chunks.append(f"\ntotal wall time: {stopwatch.elapsed:.1f} s")
+    start = time.perf_counter()
+    for title, run in sections:
+        text = run()
+        chunks.append(f"\n### {title}\n")
+        chunks.append(text)
+        chunks.append("\n" + _RULE)
+        if progress is not None:
+            progress(f"done: {title}")
+    chunks.append(f"\ntotal wall time: {time.perf_counter() - start:.1f} s")
     return "\n".join(chunks)

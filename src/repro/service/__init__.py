@@ -8,8 +8,9 @@ The supporting pieces:
 * :mod:`repro.service.sharding` — the Hilbert-order partitioner,
 * :mod:`repro.service.admission` — backpressure (in-flight limit, bounded
   queue, rejection over deadlock),
-* :mod:`repro.service.stats` — per-query :class:`ServiceStats` (makespan
-  vs total work) and thread-safe :class:`ServiceTelemetry`.
+* :mod:`repro.service.stats` — per-query :class:`ServiceStats` (measured
+  wall time, per-shard wall and CPU time) and thread-safe
+  :class:`ServiceTelemetry`.
 """
 
 from repro.service.admission import AdmissionController, AdmissionSnapshot

@@ -82,7 +82,7 @@ from pathlib import Path
 from threading import Condition, Lock
 from typing import Any, Callable, Sequence
 
-from repro.core.touch.parallel import probe_shard
+from repro.core.touch.join import probe_shard
 from repro.core.touch.stats import segment_touch_refine
 from repro.core.touch.tree import build_touch_tree, touch_levels
 from repro.engine.engine import SpatialEngine
@@ -365,18 +365,6 @@ class ShardedEngine:
     ) -> "ShardedEngine":
         """Bind a service to an arbitrary set of spatial objects."""
         return cls(objects, **kwargs)
-
-    @classmethod
-    def from_engine(cls, engine: SpatialEngine, **kwargs: Any) -> "ShardedEngine":
-        """Shard an existing single engine's dataset (same engine knobs)."""
-        merged = {
-            "page_capacity": engine.page_capacity,
-            "pool_capacity": engine.pool_capacity,
-            "disk_params": engine.disk_params,
-            "seed_fanout": engine.seed_fanout,
-        }
-        merged.update(kwargs)
-        return cls(engine.objects, circuit=engine.circuit, **merged)
 
     @classmethod
     def generate(
@@ -890,10 +878,7 @@ class ShardedEngine:
         cpu_start = time.thread_time()
         result = shard.execute_locked(query)
         cpu_ms = (time.thread_time() - cpu_start) * 1000.0
-        work = _work_from(
-            shard.spec.shard_id, result.stats, io_model=True, cpu_ms=cpu_ms
-        )
-        return work, result.payload
+        return _work_from(shard.spec.shard_id, result.stats, cpu_ms), result.payload
 
     def _query_fan_out(
         self,
@@ -1025,7 +1010,7 @@ class ShardedEngine:
         work: list[ShardWork] = []
         for (shard_id, _), (chunk_pairs, stats, cpu_ms) in zip(subtasks, outcomes):
             pairs.extend(chunk_pairs)
-            work.append(_work_from(shard_id, stats, io_model=False, cpu_ms=cpu_ms))
+            work.append(_work_from(shard_id, stats, cpu_ms))
         pairs.sort()
         return pairs, work, (time.perf_counter() - start) * 1000.0
 
@@ -1047,7 +1032,6 @@ class ShardedEngine:
             ShardWork(
                 shard_id=shard_id,
                 strategy="range-fanout",
-                service_ms=sum(w.service_ms for w in items),
                 elapsed_ms=sum(w.elapsed_ms for w in items),
                 pages_read=sum(w.pages_read for w in items),
                 comparisons=sum(w.comparisons for w in items),
@@ -1077,20 +1061,11 @@ def _traced_thunk(shard_id: int, thunk: Callable[[], Any]) -> Any:
         return thunk()
 
 
-def _work_from(
-    shard_id: int, stats: EngineStats, io_model: bool, cpu_ms: float = 0.0
-) -> ShardWork:
-    """Map one shard subtask's engine stats into the service breakdown.
-
-    ``io_model`` selects the modelled cost: simulated I/O for the paged
-    query paths, measured CPU for the in-memory joins (which perform no
-    simulated I/O at all) — mirroring how the experiments report each
-    subsystem.
-    """
+def _work_from(shard_id: int, stats: EngineStats, cpu_ms: float) -> ShardWork:
+    """Map one shard subtask's engine stats and CPU time into the service breakdown."""
     return ShardWork(
         shard_id=shard_id,
         strategy=stats.strategy,
-        service_ms=stats.io_time_ms if io_model else stats.elapsed_ms,
         elapsed_ms=stats.elapsed_ms,
         pages_read=stats.pages_read,
         comparisons=stats.comparisons,

@@ -1,17 +1,18 @@
 """Service-level result envelopes and thread-safe telemetry.
 
-Per query the service reports two clocks:
+Every time the service reports is a clock reading on a real run:
 
-* **real wall time** (``elapsed_ms``) — what this process actually spent,
-  including Python/GIL effects of the worker pool, and
-* **modelled service time** (``makespan_ms`` vs ``total_work_ms``) — the
-  deterministic cost model every experiment in this repo reports (simulated
-  I/O per shard; compare :attr:`ShardedJoinResult.makespan_ms`).  The
-  makespan is the slowest shard, i.e. the parallel service latency on a
-  cluster with one node per shard; the total work is what a single node
-  would pay.  Both are exact and machine-independent, but they model I/O
-  only: the fan-out, merge and wire costs a real sharded read pays are
-  measured on a CPU clock by ``perfbench/run.py``, not here.
+* **wall time** (``elapsed_ms``) — what this process actually spent on a
+  query, fan-out and merge included, admission wait excluded; each
+  shard subtask's own wall time is its :attr:`ShardWork.elapsed_ms`, and
+* **CPU time** (:attr:`ShardWork.cpu_ms`) — the worker thread's own CPU
+  clock for one subtask, which excludes GIL waits and preemption, summed
+  per shard by the telemetry's ``per_shard_cpu_ms``.
+
+The service keeps no modelled clock: a shard engine's simulated-disk
+``io_time_ms`` (the paper's page/I/O model) stays in that engine's own
+stats.  The wire and codec costs a served read pays on top are measured
+by ``perfbench/run.py``.
 
 :class:`ServiceTelemetry` aggregates across queries *and threads*: every
 count rides the metrics registry's lock-free per-thread cells, so counters
@@ -45,7 +46,6 @@ class ShardWork:
 
     shard_id: int
     strategy: str  # strategy the shard's engine actually ran
-    service_ms: float  # modelled cost (simulated I/O) of the shard subtask
     elapsed_ms: float  # real wall time on the worker thread
     pages_read: int
     comparisons: int
@@ -70,24 +70,6 @@ class ServiceStats:
     elapsed_ms: float = 0.0  # real wall clock, admission excluded
     merge_ms: float = 0.0  # deterministic merge of shard partials
     shard_work: list[ShardWork] = field(default_factory=list)
-
-    @property
-    def makespan_ms(self) -> float:
-        """Modelled parallel latency: the slowest shard subtask."""
-        return max((w.service_ms for w in self.shard_work), default=0.0)
-
-    @property
-    def total_work_ms(self) -> float:
-        """Modelled single-node latency: every shard subtask, serialised."""
-        return sum(w.service_ms for w in self.shard_work)
-
-    @property
-    def balance(self) -> float:
-        """Mean/max shard service time — 1.0 is a perfectly balanced fleet."""
-        times = [w.service_ms for w in self.shard_work]
-        if not times or max(times) == 0.0:
-            return 1.0
-        return (sum(times) / len(times)) / max(times)
 
     @property
     def pages_read(self) -> int:
@@ -120,7 +102,7 @@ class ServiceResult:
     def render(self) -> str:
         s = self.stats
         table = Table(
-            ["kind", "results", "shards", "makespan ms", "total work ms", "balance", "wall ms"],
+            ["kind", "results", "shards", "wall ms"],
             title="service result",
         )
         table.add_row(
@@ -128,9 +110,6 @@ class ServiceResult:
                 s.kind,
                 s.num_results,
                 f"{s.shards_used}/{s.shards_total}",
-                round(s.makespan_ms, 3),
-                round(s.total_work_ms, 3),
-                round(s.balance, 3),
                 round(s.elapsed_ms, 3),
             ]
         )
@@ -181,8 +160,6 @@ _COMPLETED_TOTALS = (
     ("results_returned", "num_results"),
     ("shard_subtasks", "shards_used"),
     ("admission_wait_ms", "admission_wait_ms"),
-    ("makespan_ms", "makespan_ms"),
-    ("total_work_ms", "total_work_ms"),
 )
 # Only a re-tile rebuilds shards; every other batch applies in place on
 # the touched shards' warm engines.
@@ -210,7 +187,6 @@ class ServiceTelemetry:
             _OUTCOME_TOTALS, _COMPLETED_TOTALS, MUTATION_TOTALS, _REBALANCE_TOTALS
         )
         self._by_kind = Breakdown("by_kind")
-        self._per_shard_service_ms = Breakdown("per_shard_service_ms")
         self._per_shard_cpu_ms = Breakdown("per_shard_cpu_ms")
         self._epoch_lock = threading.Lock()
         self._current_epoch = 0
@@ -236,7 +212,6 @@ class ServiceTelemetry:
         self._totals.add(stats, _COMPLETED_TOTALS)
         self._by_kind.inc(stats.kind)
         for work in stats.shard_work:
-            self._per_shard_service_ms.inc(work.shard_id, work.service_ms)
             if work.cpu_ms:
                 self._per_shard_cpu_ms.inc(work.shard_id, work.cpu_ms)
                 _S_SUBTASK_CPU.observe(work.cpu_ms)
@@ -272,7 +247,6 @@ class ServiceTelemetry:
         return {
             **self._totals.snapshot(),
             "by_kind": self._by_kind.snapshot(),
-            "per_shard_service_ms": self._per_shard_service_ms.snapshot(),
             "per_shard_cpu_ms": self._per_shard_cpu_ms.snapshot(),
             "current_epoch": current_epoch,
         }
@@ -291,8 +265,6 @@ class ServiceTelemetry:
         ):
             table.add_row([key.replace("_", " "), snap[key]])
         table.add_row(["admission wait (ms)", round(snap["admission_wait_ms"], 2)])
-        table.add_row(["modelled makespan (ms)", round(snap["makespan_ms"], 2)])
-        table.add_row(["modelled total work (ms)", round(snap["total_work_ms"], 2)])
         if snap["mutation_batches"]:
             table.add_row(["mutation batches", snap["mutation_batches"]])
             table.add_row(["mutations applied", snap["mutations_applied"]])
@@ -304,6 +276,4 @@ class ServiceTelemetry:
             table.add_row(["current epoch", snap["current_epoch"]])
         for kind, count in snap["by_kind"].items():
             table.add_row([f"  {kind} queries", count])
-        for shard_id, service_ms in snap["per_shard_service_ms"].items():
-            table.add_row([f"  shard {shard_id} service (ms)", round(service_ms, 2)])
         return table.render()

@@ -1,15 +1,12 @@
-"""Small shared utilities: deterministic RNG, timers and text tables."""
+"""Small shared utilities: deterministic RNG and text tables."""
 
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.tables import Table, format_float, format_int
-from repro.utils.timers import Stopwatch, time_call
 
 __all__ = [
-    "Stopwatch",
     "Table",
     "derive_seed",
     "format_float",
     "format_int",
     "make_rng",
-    "time_call",
 ]

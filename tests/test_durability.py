@@ -1221,6 +1221,42 @@ class TestShardedWalHook:
         assert sorted(o.uid for o in again.engine.objects) == sorted(script.model)
         again.engine.close()
 
+    def test_checkpoint_is_exact_when_a_batch_publishes_mid_call(self, tmp_path):
+        """A server checkpoints on an executor thread while other sessions'
+        batches apply.  A batch that publishes during the call must land
+        either in the checkpoint or in the WAL suffix recovery replays,
+        never in both: the checkpoint's epoch, objects and ``wal_seq`` come
+        from one snapshot."""
+        script = MutationScript(seed=59, n_objects=30)
+        root = tmp_path / "d"
+        # Group commit: a published batch need not be durable yet.
+        service = repro.create(
+            script.initial_objects(),
+            root,
+            sharded=True,
+            num_shards=2,
+            page_capacity=12,
+            wal_kwargs={"flush_batches": 8},
+        )
+        try:
+            service.apply_many(script.next_batch(3))
+            racing_batch = script.next_batch(3)
+            real_flush = service.wal.flush
+
+            def flush_then_publish():
+                service.wal.flush = real_flush  # one shot
+                real_flush()
+                service.apply_many(racing_batch)
+
+            service.wal.flush = flush_then_publish
+            checkpoint(root, service)
+            assert service.epoch == 2
+        finally:
+            service.close()
+        with repro.open(root, sharded=True, page_capacity=12) as reopened:
+            assert reopened.epoch == 2
+            assert sorted(o.uid for o in reopened.objects) == sorted(script.model)
+
     def test_resume_with_explicit_shard_count_retiles(self, tmp_path):
         script = MutationScript(seed=58, n_objects=30)
         service = repro.create(

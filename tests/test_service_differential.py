@@ -204,5 +204,3 @@ def test_service_stats_shape(circuit):
     assert stats.shards_total == 4
     assert 1 <= stats.shards_used <= 4
     assert stats.num_results == len(result.payload)
-    assert stats.makespan_ms <= stats.total_work_ms + 1e-9
-    assert 0.0 < stats.balance <= 1.0

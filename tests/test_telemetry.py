@@ -39,12 +39,12 @@ def record_service_sequence() -> ServiceTelemetry:
     telemetry = ServiceTelemetry()
     for _ in range(5):
         telemetry.record_submitted()
-    # ShardWork: shard, strategy, service ms, wall ms, pages, comparisons, results, cpu ms
+    # ShardWork: shard, strategy, wall ms, pages, comparisons, results, cpu ms
     range_work = [
-        ShardWork(0, "flat", 2.5, 0.5, 3, 10, 5, cpu_ms=0.375),
-        ShardWork(1, "rtree", 1.25, 0.25, 1, 4, 4),
+        ShardWork(0, "flat", 0.5, 3, 10, 5, cpu_ms=0.375),
+        ShardWork(1, "rtree", 0.25, 1, 4, 4),
     ]
-    knn_work = [ShardWork(2, "flat", 0.0, 0.125, 0, 2, 2, cpu_ms=0.5)]
+    knn_work = [ShardWork(2, "flat", 0.125, 0, 2, 2, cpu_ms=0.5)]
     telemetry.record_completed(
         ServiceStats("range", 3, 2, num_results=9, admission_wait_ms=0.25, shard_work=range_work)
     )
@@ -111,31 +111,26 @@ ENGINE_SNAPSHOT = {
 
 SERVICE_RENDER = """\
 service telemetry
-                  metric  value
-------------------------  -----
-               submitted      5
-               completed      2
-                rejected      1
-               timed out      1
-                  failed      1
-        results returned     11
-          shard subtasks      3
-     admission wait (ms)  0.750
-  modelled makespan (ms)  2.500
-modelled total work (ms)  3.750
-        mutation batches      2
-       mutations applied      8
-                 inserts      6
-                 deletes      1
-                   moves      1
-          shards rebuilt      3
-              rebalances      1
-           current epoch      2
-             knn queries      1
-           range queries      1
-    shard 0 service (ms)  2.500
-    shard 1 service (ms)  1.250
-    shard 2 service (ms)  0.000"""
+             metric  value
+-------------------  -----
+          submitted      5
+          completed      2
+           rejected      1
+          timed out      1
+             failed      1
+   results returned     11
+     shard subtasks      3
+admission wait (ms)  0.750
+   mutation batches      2
+  mutations applied      8
+            inserts      6
+            deletes      1
+              moves      1
+     shards rebuilt      3
+         rebalances      1
+      current epoch      2
+        knn queries      1
+      range queries      1"""
 
 SERVICE_SNAPSHOT = {
     "submitted": 5,
@@ -146,10 +141,7 @@ SERVICE_SNAPSHOT = {
     "results_returned": 11,
     "shard_subtasks": 3,
     "admission_wait_ms": 0.75,
-    "makespan_ms": 2.5,
-    "total_work_ms": 3.75,
     "by_kind": {"knn": 1, "range": 1},
-    "per_shard_service_ms": {0: 2.5, 1: 1.25, 2: 0.0},
     "per_shard_cpu_ms": {0: 0.375, 2: 0.5},
     "mutation_batches": 2,
     "mutations_applied": 8,
@@ -239,7 +231,7 @@ class TestGolden:
             " planning wall (ms)      0",
         ]
         service = ServiceTelemetry()
-        assert len(service.render().splitlines()) == 3 + 10
+        assert len(service.render().splitlines()) == 3 + 8
         snapshot = service.snapshot()
         assert snapshot["by_kind"] == snapshot["per_shard_cpu_ms"] == {}
         assert snapshot["current_epoch"] == 0

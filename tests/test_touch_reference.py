@@ -4,10 +4,10 @@ The join assigns and probes all of B level by level through batch kernels
 (:func:`repro.kernels.touch_assign` / :func:`repro.kernels.touch_probe`).
 The reference below is the per-object descent those kernels replace, one
 ``AABB.intersects_expanded`` call per test: every path to a TOUCH answer —
-:func:`touch_join`, :func:`probe_shard`, :func:`sharded_touch_join` and the
-sharded service's join — must return its pairs, and the join its
-``comparisons``, ``filtered``, ``candidates`` and ``memory_bytes``, under
-every kernel backend.
+:func:`touch_join`, :func:`probe_shard` over any deal of B and the sharded
+service's join, which fans those probes out on its pool — must return its
+pairs, and the join its ``comparisons``, ``filtered``, ``candidates`` and
+``memory_bytes``, under every kernel backend.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.touch.join import touch_join
-from repro.core.touch.parallel import probe_shard, sharded_touch_join
+from repro.core.touch.join import probe_shard, touch_join
 from repro.core.touch.stats import BOX_BYTES, REF_BYTES, JoinStats
 from repro.core.touch.tree import TouchNode, build_touch_tree, touch_levels
 from repro.engine.queries import SpatialJoin
@@ -184,15 +183,6 @@ def test_every_path_matches_the_scalar_reference(
             assert sorted(p for pairs, _c, _ms in outcomes for p in pairs) == expected
             assert sum(c.comparisons for _p, c, _ms in outcomes) == ref.comparisons
             assert sum(c.filtered for _p, c, _ms in outcomes) == ref.filtered
-
-            if filtering:  # sharded_touch_join always filters
-                sharded = sharded_touch_join(
-                    objects_a, objects_b, eps=eps, shards=shards,
-                    leaf_capacity=leaf_capacity, fanout=fanout,
-                )
-                assert sharded.sorted_pairs() == expected
-                assert sharded.stats.comparisons == ref.comparisons
-                assert sharded.stats.filtered == ref.filtered
 
 
 def test_backends_return_pairs_in_the_same_order():

@@ -1,15 +1,12 @@
-"""Unit tests for rng, timers and tables utilities."""
+"""Unit tests for rng and tables utilities."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.tables import Table, format_float, format_int
-from repro.utils.timers import Stopwatch, time_call
 
 
 class TestRng:
@@ -33,40 +30,6 @@ class TestRng:
         seed = derive_seed(2**62, "x" * 100)
         assert 0 <= seed < 2**63
         make_rng(seed)  # must be accepted
-
-
-class TestStopwatch:
-    def test_accumulates_over_blocks(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed > first >= 0.01
-
-    def test_double_start_raises(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-        assert not sw.running
-
-    def test_time_call(self):
-        result, elapsed = time_call(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0.0
 
 
 class TestTables:
