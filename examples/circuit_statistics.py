@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from tempfile import mkdtemp
+from tempfile import TemporaryDirectory
 
 import repro
 from repro.experiments import tissue_statistics_experiment
@@ -65,10 +65,10 @@ def main() -> None:
 
     # Exercise the interchange substrates on one neuron.
     neuron = circuit.neurons[0]
-    out_dir = Path(mkdtemp(prefix="repro_stats_"))
-    swc_path = out_dir / f"neuron_{neuron.gid}.swc"
-    repro.write_swc(neuron.morphology, swc_path)
-    reread = repro.read_swc(swc_path)
+    with TemporaryDirectory(prefix="repro_stats_") as out_dir:
+        swc_path = Path(out_dir) / f"neuron_{neuron.gid}.swc"
+        repro.write_swc(neuron.morphology, swc_path)
+        reread = repro.read_swc(swc_path)
     mesh = neuron_surface_mesh(neuron.morphology, sides=6)
     print(
         f"\nneuron {neuron.gid}: {neuron.morphology.num_sections} sections, "

@@ -2,12 +2,12 @@
 """Quickstart: one tour through all three systems via the SpatialEngine.
 
 Generates a synthetic cortical microcircuit, binds a :class:`SpatialEngine`
-to it, and asks declarative questions: a range window, the nearest
-segments to a point, a SCOUT-prefetched walkthrough, and synapse placement
-as a spatial join.  The engine's planner picks the execution strategy per
-query (``explain`` shows the decision); the same low-level constructors
-remain available for hand-wired pipelines (see the kernel section at the
-end).
+to it with :func:`repro.create`, and asks declarative questions: a range
+window, the nearest segments to a point, a SCOUT-prefetched walkthrough,
+and synapse placement as a spatial join.  The engine's planner picks the
+execution strategy per query (``explain`` shows the decision); the same
+low-level constructors remain available for hand-wired pipelines (see the
+kernel section at the end).
 
 Run:  python examples/quickstart.py
 """
@@ -20,7 +20,7 @@ import repro
 def main() -> None:
     # ------------------------------------------------------------------ data
     circuit = repro.generate_circuit(n_neurons=25, seed=42)
-    engine = repro.SpatialEngine.from_circuit(circuit, page_capacity=48)
+    engine = repro.create(circuit.segments(), circuit=circuit, page_capacity=48)
     print(engine.describe())
     print()
 

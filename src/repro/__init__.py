@@ -20,16 +20,18 @@ in for the proprietary Blue Brain datasets.
 The primary entry points are :func:`repro.create` (a fresh engine —
 in-memory, durable with a directory, sharded with ``sharded=True``) and
 :func:`repro.open` (resume an existing durability directory, writable or
-read-only/time-travelled).  Both return engines speaking the same
-declarative query API; a planner lazily builds the structures above and
-picks the execution strategy per query.  The low-level constructors remain
-public as the kernel layer.
+read-only/time-travelled).  They, and the engine class constructors they
+call, are the only way to build or reopen an engine; a saved model is a
+durability directory (CRC-checked checkpoints + WAL).  Both return engines
+speaking the same declarative query API; a planner lazily builds the
+structures above and picks the execution strategy per query.  The
+low-level constructors remain public as the kernel layer.
 
 Quickstart
 ----------
 >>> import repro
 >>> circuit = repro.generate_circuit(n_neurons=20, seed=7)
->>> engine = repro.SpatialEngine.from_circuit(circuit)
+>>> engine = repro.create(circuit.segments(), circuit=circuit)
 >>> window = repro.AABB.from_center_extent(circuit.bounding_box().center(), 100.0)
 >>> hits = engine.execute(repro.RangeQuery(window))
 >>> nearest = engine.execute(repro.KNNQuery(window.center(), k=8))
@@ -107,7 +109,6 @@ from repro.neuro import (
     write_swc,
 )
 from repro.neuro.morphometry import circuit_morphometry, sholl_analysis
-from repro.neuro.persistence import load_circuit, save_circuit
 from repro.objects import BoxObject, SpatialObject
 from repro.rtree import RTree, str_bulk_load
 from repro.server import Client, ReproServer, bootstrap_replica, serve_in_background
@@ -198,7 +199,6 @@ __all__ = [
     "create",
     "generate_circuit",
     "hilbert_shards",
-    "load_circuit",
     "nested_loop_join",
     "open",
     "pbsm_join",
@@ -211,7 +211,6 @@ __all__ = [
     "render_walk",
     "s3_join",
     "serve_in_background",
-    "save_circuit",
     "sholl_analysis",
     "str_bulk_load",
     "touch_join",

@@ -2,12 +2,16 @@
 
 The paper demos FLAT, SCOUT and TOUCH as three stations of *one* data
 management system; this facade is that system's service surface.  An engine
-is bound to a dataset once (a circuit, a plain object list, or a saved
-circuit directory) and then answers declarative queries:
+is bound to a dataset once (a plain object list or a columnar arena, with
+an optional source circuit) and then answers declarative queries:
 
->>> engine = SpatialEngine.from_circuit(circuit)
+>>> engine = SpatialEngine(circuit.segments(), circuit=circuit)
 >>> hits = engine.execute(RangeQuery(window))
 >>> sites = engine.execute(SpatialJoin(eps=3.0))
+
+:func:`repro.create` builds the same engine (durable when given a
+directory) and :func:`repro.open` reopens a durable directory; a saved model
+is always such a directory (checkpoints + write-ahead log).
 
 Indexes are built lazily, cached for the engine's lifetime, and shared by
 every query — a batch via :meth:`query_many` reuses the warm buffer pool
@@ -24,7 +28,6 @@ engine only composes them.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Sequence
 
 from repro.core.flat.index import FLATIndex
@@ -50,9 +53,8 @@ from repro.engine.planner import DatasetProfile, Planner, QueryPlan
 from repro.engine.queries import KNNQuery, Query, RangeQuery, SpatialJoin, Walkthrough
 from repro.engine.stats import EngineResult, EngineTelemetry
 from repro.errors import EngineError
-from repro.neuro.circuit import Circuit, generate_circuit
+from repro.neuro.circuit import Circuit
 from repro.obs import trace
-from repro.neuro.persistence import load_circuit, save_circuit
 from repro.objects import SpatialObject
 from repro.rtree.bulk import str_bulk_load
 from repro.rtree.tree import RTree
@@ -73,7 +75,7 @@ class SpatialEngine:
         The dataset every query runs against.
     circuit:
         Optional source circuit; enables the default synapse-discovery
-        sides of :class:`SpatialJoin` and :meth:`save`.
+        sides of :class:`SpatialJoin`.
     page_capacity:
         Objects per partition/page for the paged structures.
     pool_capacity:
@@ -124,33 +126,6 @@ class SpatialEngine:
         # (see _flush).  A range read on the R-tree after a batch thus no
         # longer pays FLAT's flush (2.50 -> 0 ms, see apply_many).
         self._pending: dict[str, dict[int, list]] = {"flat": {}, "rtree": {}}
-
-    # -- constructors ----------------------------------------------------------
-    @classmethod
-    def from_circuit(cls, circuit: Circuit, **kwargs) -> "SpatialEngine":
-        """Bind an engine to a circuit's flattened segment dataset."""
-        return cls(circuit.segments(), circuit=circuit, **kwargs)
-
-    @classmethod
-    def from_objects(cls, objects: Sequence[SpatialObject], **kwargs) -> "SpatialEngine":
-        """Bind an engine to an arbitrary set of spatial objects."""
-        return cls(objects, **kwargs)
-
-    @classmethod
-    def generate(cls, n_neurons: int = 40, seed: int = 0, **kwargs) -> "SpatialEngine":
-        """Generate a synthetic circuit and bind an engine to it."""
-        return cls.from_circuit(generate_circuit(n_neurons=n_neurons, seed=seed), **kwargs)
-
-    @classmethod
-    def open(cls, path: str | Path, **kwargs) -> "SpatialEngine":
-        """Open a circuit saved with :func:`repro.save_circuit` / :meth:`save`."""
-        return cls.from_circuit(load_circuit(path), **kwargs)
-
-    def save(self, path: str | Path) -> Path:
-        """Persist the bound circuit so ``SpatialEngine.open(path)`` restores it."""
-        if self.circuit is None:
-            raise EngineError("engine is not bound to a circuit; nothing to save")
-        return save_circuit(self.circuit, path)
 
     # -- dataset views ---------------------------------------------------------
     @property

@@ -13,7 +13,6 @@ from repro.neuro.connectome import build_connectome, summarize_connectome
 from repro.neuro.generator import MorphologyConfig, MorphologyGenerator
 from repro.neuro.morphology import Morphology, Section, SectionType
 from repro.neuro.morphometry import circuit_morphometry, sholl_analysis
-from repro.neuro.persistence import load_circuit, save_circuit
 from repro.neuro.surface import circuit_surface_mesh, neuron_surface_mesh
 from repro.neuro.swc import read_swc, write_swc
 from repro.neuro.synapses import Synapse, find_touches_brute_force
@@ -32,10 +31,8 @@ __all__ = [
     "circuit_surface_mesh",
     "find_touches_brute_force",
     "generate_circuit",
-    "load_circuit",
     "neuron_surface_mesh",
     "read_swc",
-    "save_circuit",
     "sholl_analysis",
     "summarize_connectome",
     "write_swc",

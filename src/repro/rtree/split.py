@@ -2,8 +2,7 @@
 
 ``quadratic_split`` is Guttman's original quadratic-cost algorithm: pick the
 two entries that waste the most space together as seeds, then greedily assign
-the remainder by strongest preference, honouring the minimum fill.  A cheaper
-``linear_split`` is provided for ablation.
+the remainder by strongest preference, honouring the minimum fill.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
 from repro.rtree.node import Entry
 
-__all__ = ["quadratic_split", "linear_split"]
+__all__ = ["quadratic_split"]
 
 
 def quadratic_split(entries: Sequence[Entry], min_entries: int) -> tuple[list[Entry], list[Entry]]:
@@ -128,58 +127,3 @@ def _enlargements(lo: np.ndarray, hi: np.ndarray, box: AABB) -> np.ndarray:
     box_hi = np.array((box.max_x, box.max_y, box.max_z))
     return _volumes(np.minimum(box_lo, lo), np.maximum(box_hi, hi)) - box.volume()
 
-
-def linear_split(entries: Sequence[Entry], min_entries: int) -> tuple[list[Entry], list[Entry]]:
-    """Guttman's linear split: seeds by greatest normalised separation."""
-    if len(entries) < 2:
-        raise IndexError_("cannot split fewer than two entries")
-    if len(entries) < 2 * min_entries:
-        raise IndexError_(
-            f"cannot split {len(entries)} entries with min fill {min_entries}"
-        )
-
-    best_axis = 0
-    best_separation = -1.0
-    best_pair = (0, 1)
-    lows = [(e.mbr.min_x, e.mbr.min_y, e.mbr.min_z) for e in entries]
-    highs = [(e.mbr.max_x, e.mbr.max_y, e.mbr.max_z) for e in entries]
-    for axis in range(3):
-        highest_low = max(range(len(entries)), key=lambda i: lows[i][axis])
-        lowest_high = min(range(len(entries)), key=lambda i: highs[i][axis])
-        if highest_low == lowest_high:
-            continue
-        width = max(h[axis] for h in highs) - min(low[axis] for low in lows)
-        if width <= 0:
-            continue
-        separation = (lows[highest_low][axis] - highs[lowest_high][axis]) / width
-        if separation > best_separation:
-            best_separation = separation
-            best_axis = axis
-            best_pair = (lowest_high, highest_low)
-    del best_axis
-    seed_a, seed_b = best_pair
-    if seed_a == seed_b:  # all boxes identical; arbitrary seeds
-        seed_a, seed_b = 0, 1
-
-    group_a = [entries[seed_a]]
-    group_b = [entries[seed_b]]
-    mbr_a = entries[seed_a].mbr
-    mbr_b = entries[seed_b].mbr
-    others = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
-    for idx, entry in enumerate(others):
-        remaining = len(others) - idx  # including ``entry``
-        # Force-assign when a group needs every remaining entry to reach
-        # the minimum fill.
-        if len(group_a) + remaining <= min_entries:
-            group_a.extend(others[idx:])
-            break
-        if len(group_b) + remaining <= min_entries:
-            group_b.extend(others[idx:])
-            break
-        if mbr_a.enlargement(entry.mbr) <= mbr_b.enlargement(entry.mbr):
-            group_a.append(entry)
-            mbr_a = mbr_a.union(entry.mbr)
-        else:
-            group_b.append(entry)
-            mbr_b = mbr_b.union(entry.mbr)
-    return group_a, group_b

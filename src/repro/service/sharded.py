@@ -63,7 +63,7 @@ empty (even part way through), or drift shard sizes past
 re-tiled into fresh Hilbert shards (built off to the side, then swapped
 in under the gate) as the new epoch.
 
->>> service = ShardedEngine.generate(n_neurons=30, num_shards=4)
+>>> service = repro.create(circuit.segments(), sharded=True, num_shards=4)
 >>> hits = service.execute(RangeQuery(window))
 >>> hits.payload == sorted(hits.payload)   # canonical ordering
 True
@@ -78,7 +78,6 @@ import heapq
 import time
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from pathlib import Path
 from threading import Condition, Lock
 from typing import Any, Callable, Sequence
 
@@ -107,8 +106,7 @@ from repro.errors import (
 )
 from repro.geometry.aabb import AABB
 from repro.hilbert.curve import HilbertEncoder3D
-from repro.neuro.circuit import Circuit, generate_circuit
-from repro.neuro.persistence import load_circuit
+from repro.neuro.circuit import Circuit
 from repro.obs import trace
 from repro.obs.slowlog import SlowQueryLog
 from repro.objects import SpatialObject
@@ -352,31 +350,6 @@ class ShardedEngine:
             )
             planner = self._planner = Planner(profile)
         return planner
-
-    # -- constructors ----------------------------------------------------------
-    @classmethod
-    def from_circuit(cls, circuit: Circuit, **kwargs: Any) -> "ShardedEngine":
-        """Bind a service to a circuit's flattened segment dataset."""
-        return cls(circuit.segments(), circuit=circuit, **kwargs)
-
-    @classmethod
-    def from_objects(
-        cls, objects: Sequence[SpatialObject], **kwargs: Any
-    ) -> "ShardedEngine":
-        """Bind a service to an arbitrary set of spatial objects."""
-        return cls(objects, **kwargs)
-
-    @classmethod
-    def generate(
-        cls, n_neurons: int = 40, seed: int = 0, **kwargs: Any
-    ) -> "ShardedEngine":
-        """Generate a synthetic circuit and bind a service to it."""
-        return cls.from_circuit(generate_circuit(n_neurons=n_neurons, seed=seed), **kwargs)
-
-    @classmethod
-    def open(cls, path: str | Path, **kwargs: Any) -> "ShardedEngine":
-        """Open a circuit saved with :func:`repro.save_circuit`."""
-        return cls.from_circuit(load_circuit(path), **kwargs)
 
     # -- lifecycle -------------------------------------------------------------
     @property

@@ -530,6 +530,7 @@ class TestDeprecatedShims:
 
     def test_removed_entry_points_are_gone(self):
         import repro.durability
+        import repro.neuro
 
         for name in (
             "durable_sharded",
@@ -541,6 +542,15 @@ class TestDeprecatedShims:
         ):
             assert not hasattr(repro, name), name
             assert not hasattr(repro.durability, name), name
+        # One way in: no circuit-directory model format, and no second
+        # constructor family beside repro.create / repro.open.
+        for name in ("save_circuit", "load_circuit"):
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.neuro, name), name
+        for cls in (repro.SpatialEngine, repro.ShardedEngine):
+            for name in ("from_circuit", "from_objects", "generate", "open"):
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+        assert not hasattr(repro.SpatialEngine, "save")
 
     def test_front_door_is_warning_free(self, tmp_path, recwarn):
         import warnings

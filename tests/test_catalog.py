@@ -580,7 +580,9 @@ class TestDatasetsCli:
         assert "unknown dataset" in err and "Traceback" not in err
 
     def test_query_on_missing_circuit_fails_cleanly(self, capsys, tmp_path):
-        code = cli_main(["query", "range", "--circuit", str(tmp_path / "none")])
+        """A saved model is a durable root; querying a missing one is a
+        clean ``error:`` line, not a traceback."""
+        code = cli_main(["query", "range", "--root", str(tmp_path / "none")])
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err

@@ -26,7 +26,9 @@ class TestParser:
     def test_circuit_defaults(self):
         args = build_parser().parse_args(["circuit"])
         assert args.neurons == 20
-        assert args.out is None
+        assert args.seed == 0
+        with pytest.raises(SystemExit):  # no export: a saved model is a durable root
+            build_parser().parse_args(["circuit", "--out", "model"])
 
     def test_report_options(self):
         args = build_parser().parse_args(["report", "--full", "--out", "r.txt"])
@@ -174,17 +176,6 @@ class TestCircuitCommand:
         assert "projection" in out
         assert "+--" in out  # canvas frame
 
-    def test_export(self, capsys, tmp_path):
-        code = main(
-            ["circuit", "--neurons", "3", "--seed", "5", "--no-figures",
-             "--out", str(tmp_path / "model")]
-        )
-        assert code == 0
-        assert (tmp_path / "model" / "circuit.json").exists()
-        assert (tmp_path / "model" / "neuron_0.swc").exists()
-        out = capsys.readouterr().out
-        assert "exported" in out
-
 
 class TestDemoCommand:
     def test_scout_station_quick(self, capsys):
@@ -266,16 +257,24 @@ class TestQueryCommand:
         assert "at epoch 4" in capsys.readouterr().out
         assert wal_bytes(root) == before
 
-    def test_saved_circuit_round_trip(self, capsys, tmp_path):
-        assert main(
-            ["circuit", "--neurons", "4", "--seed", "9", "--no-figures",
-             "--out", str(tmp_path / "model")]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["query", "range", "--circuit", str(tmp_path / "model"), "--extent", "120"]
-        )
+    @pytest.mark.parametrize("kind", ["knn", "join"])
+    def test_root_knn_and_join_are_read_only_on_a_damaged_root(self, capsys, tmp_path, kind):
+        """The knn and join kinds on ``--root`` run through the same query
+        builder as in-process queries (a join is a self-join of the live
+        dataset) and leave the damaged root's WAL byte-identical."""
+        import repro
+        from tests.test_durability import diverged_tip_root, wal_bytes
+
+        root = tmp_path / "svc"
+        diverged_tip_root(root, sharded=True, num_shards=2)
+        before = wal_bytes(root)
+        with repro.open(root, sharded=True, durable=False) as recovered:
+            objects = recovered.objects
+        if kind == "knn":
+            expected = 8  # the default --k; the root holds more objects
+        else:
+            expected = len(repro.nested_loop_join(objects, objects, eps=3.0).pairs)
+        code = main(["query", kind, "--root", str(root)])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "SpatialEngine over" in out
-        assert "engine result" in out
+        assert f"{kind}: {expected} results at epoch 4" in capsys.readouterr().out
+        assert wal_bytes(root) == before

@@ -884,7 +884,9 @@ class TestNonFiniteIngress:
     def test_sharded_service_rejects_before_the_wal(self):
         bad = crafted_segment(uid=31337, radius=float("nan"))
         circuit = generate_circuit(n_neurons=6, seed=99)
-        with ShardedEngine.from_circuit(circuit, num_shards=3, max_queued=64) as service:
+        with ShardedEngine(
+            circuit.segments(), circuit=circuit, num_shards=3, max_queued=64
+        ) as service:
             epoch = service.epoch
             with pytest.raises(EngineError, match="non-finite"):
                 service.apply_many([Insert(bad)])
@@ -1082,7 +1084,7 @@ class TestRecoveredEngineDifferential:
         with kernels.use_backend(backend):
             seed = derive_seed(2013, "engine-diff", backend)
             script = MutationScript(seed=seed, n_objects=48)
-            oracle = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
+            oracle = SpatialEngine(script.initial_objects(), page_capacity=12)
             durable = repro.create(script.initial_objects(), tmp_path / "d", page_capacity=12)
             for _ in range(5):
                 batch = script.next_batch(5)

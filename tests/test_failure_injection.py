@@ -117,7 +117,7 @@ class TestResourcePressure:
     def test_shard_fault_surfaces_clean_engine_error(self):
         """A shard worker raising mid-query becomes one ServiceError that
         names the shard and chains the original cause."""
-        with ShardedEngine.from_objects(grid_boxes(6), num_shards=4) as service:
+        with ShardedEngine(grid_boxes(6), num_shards=4) as service:
             victim = service.shards[1].engine
             original = victim.execute
 
@@ -141,7 +141,7 @@ class TestResourcePressure:
     def test_shard_fault_leaves_pool_reusable_across_kinds(self):
         """After a mid-query crash the same pool serves every query kind."""
         objects = grid_boxes(5)
-        with ShardedEngine.from_objects(objects, num_shards=3) as service:
+        with ShardedEngine(objects, num_shards=3) as service:
             victim = service.shards[0].engine
             original = victim.execute
             def crash(query):

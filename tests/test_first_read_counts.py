@@ -62,7 +62,7 @@ def warm(engine: SpatialEngine, world: AABB) -> None:
 
 
 def test_first_read_after_a_batch_materializes_no_objects(small_circuit, count_live_objects):
-    engine = SpatialEngine.from_circuit(small_circuit)
+    engine = SpatialEngine(small_circuit.segments(), circuit=small_circuit)
     batches, world = write_batches(engine.objects)
     warm(engine, world)
     window = RangeQuery(AABB.from_center_extent(world.center(), 60.0))
@@ -85,7 +85,7 @@ def test_sharded_planner_profile_materializes_no_objects(small_circuit, count_li
 
 
 def test_seed_tree_is_touched_only_when_a_page_mbr_changes(small_circuit, monkeypatch):
-    engine = SpatialEngine.from_circuit(small_circuit)
+    engine = SpatialEngine(small_circuit.segments(), circuit=small_circuit)
     batches, world = write_batches(engine.objects, count=6)
     warm(engine, world)
     flat = engine.flat_index()
@@ -150,7 +150,7 @@ def net_calls(before: set[int], after: set[int], touched: set[int]) -> list[tupl
 
 
 def test_a_range_read_repairs_only_the_rtree(small_circuit, monkeypatch):
-    engine = SpatialEngine.from_circuit(small_circuit)
+    engine = SpatialEngine(small_circuit.segments(), circuit=small_circuit)
     batches, world = write_batches(engine.objects, count=3)
     warm(engine, world)
     maintenance = []
@@ -205,7 +205,7 @@ class CountingSlices(list):
 
 
 def test_a_profile_rebuild_converts_only_the_appended_rows(small_circuit):
-    engine = SpatialEngine.from_circuit(small_circuit)
+    engine = SpatialEngine(small_circuit.segments(), circuit=small_circuit)
     batches, world = write_batches(engine.objects, count=3)
     warm(engine, world)
     converted: list[int] = []

@@ -238,9 +238,7 @@ class TestEngineOracle:
     def test_mutation_interleaving(self, backend, kind):
         with kernels.use_backend(backend):
             script = MutationScript(seed=derive_seed(2013, "engine", backend, kind))
-            engine = SpatialEngine.from_objects(
-                script.initial_objects(), page_capacity=12, pool_capacity=16
-            )
+            engine = SpatialEngine(script.initial_objects(), page_capacity=12, pool_capacity=16)
             # Warm every structure so the interleaving exercises incremental
             # maintenance (page rewrites, splits, node packs, pool frames),
             # never a cold rebuild.
@@ -307,7 +305,7 @@ class TestShardedOracle:
             script = MutationScript(
                 seed=derive_seed(2013, "sharded", backend, shards, kind)
             )
-            with ShardedEngine.from_objects(
+            with ShardedEngine(
                 script.initial_objects(),
                 num_shards=shards,
                 page_capacity=12,
@@ -351,7 +349,7 @@ class TestShardedOracle:
 class TestMetamorphicRelations:
     def test_insert_appears_everywhere_it_should(self):
         script = MutationScript(seed=7)
-        engine = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
+        engine = SpatialEngine(script.initial_objects(), page_capacity=12)
         obj = BoxObject(uid=10_000, box=AABB.from_center_extent((30.0, 30.0, 30.0), 4.0))
         covering = AABB.from_center_extent((30.0, 30.0, 30.0), 20.0)
         before = engine.execute(RangeQuery(covering)).payload
@@ -362,7 +360,7 @@ class TestMetamorphicRelations:
 
     def test_delete_vanishes_from_every_window(self):
         script = MutationScript(seed=8)
-        engine = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
+        engine = SpatialEngine(script.initial_objects(), page_capacity=12)
         victim = script.initial_objects()[0]
         whole = AABB.from_center_extent((WORLD / 2,) * 3, WORLD * 3)
         assert victim.uid in engine.execute(RangeQuery(whole)).payload
@@ -373,7 +371,7 @@ class TestMetamorphicRelations:
 
     def test_move_relocates_atomically(self):
         script = MutationScript(seed=9)
-        engine = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
+        engine = SpatialEngine(script.initial_objects(), page_capacity=12)
         victim = script.initial_objects()[3]
         target = BoxObject(
             uid=victim.uid, box=AABB.from_center_extent((200.0, 200.0, 200.0), 2.0)
@@ -388,7 +386,7 @@ class TestMetamorphicRelations:
 
     def test_invalid_mutations_are_rejected(self):
         script = MutationScript(seed=10)
-        engine = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
+        engine = SpatialEngine(script.initial_objects(), page_capacity=12)
         with pytest.raises(EngineError):
             engine.apply(Insert(script.initial_objects()[0]))  # duplicate uid
         with pytest.raises(EngineError):
@@ -400,7 +398,7 @@ class TestMetamorphicRelations:
 
     def test_single_engine_batch_is_all_or_nothing(self):
         script = MutationScript(seed=11)
-        engine = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
+        engine = SpatialEngine(script.initial_objects(), page_capacity=12)
         whole = AABB.from_center_extent((WORLD / 2,) * 3, WORLD * 3)
         before = engine.execute(RangeQuery(whole)).payload
         fresh = BoxObject(uid=5_000, box=AABB.from_center_extent((5.0, 5.0, 5.0), 2.0))
@@ -413,9 +411,7 @@ class TestMetamorphicRelations:
 
     def test_sharded_batch_is_all_or_nothing(self):
         script = MutationScript(seed=11)
-        with ShardedEngine.from_objects(
-            script.initial_objects(), num_shards=2, page_capacity=12
-        ) as service:
+        with ShardedEngine(script.initial_objects(), num_shards=2, page_capacity=12) as service:
             whole = AABB.from_center_extent((WORLD / 2,) * 3, WORLD * 3)
             before = service.execute(RangeQuery(whole)).payload
             epoch_before = service.epoch
@@ -428,7 +424,7 @@ class TestMetamorphicRelations:
     def test_sharded_rebalance_retiles_after_drain(self):
         script = MutationScript(seed=12)
         objects = script.initial_objects()
-        with ShardedEngine.from_objects(
+        with ShardedEngine(
             objects, num_shards=4, page_capacity=12, rebalance_threshold=1.5
         ) as service:
             # Drain one shard completely: its uids all get deleted.
@@ -455,7 +451,7 @@ class TestServiceGrowthAndAccounting:
             BoxObject(uid=uid, box=AABB(2.0 * uid, 0, 0, 2.0 * uid + 1, 1, 1))
             for uid in range(2)
         ]
-        with ShardedEngine.from_objects(
+        with ShardedEngine(
             objects, num_shards=4, page_capacity=4, rebalance_threshold=1.5
         ) as service:
             assert service.num_shards == 2  # clamped to the dataset size
@@ -473,7 +469,7 @@ class TestServiceGrowthAndAccounting:
     def test_rebalance_counts_every_rebuilt_shard(self):
         script = MutationScript(seed=13)
         objects = script.initial_objects()
-        with ShardedEngine.from_objects(
+        with ShardedEngine(
             objects, num_shards=4, page_capacity=12, rebalance_threshold=1.5
         ) as service:
             victim_uids = [o.uid for o in service.shards[0].engine.objects]

@@ -45,7 +45,8 @@ WORLD = AABB(-600.0, -600.0, -600.0, 600.0, 600.0, 600.0)
 def _fresh_service(**kwargs):
     kwargs.setdefault("num_shards", 2)
     kwargs.setdefault("max_queued", 64)
-    return ShardedEngine.generate(n_neurons=6, seed=11, **kwargs)
+    circuit = repro.generate_circuit(n_neurons=6, seed=11)
+    return ShardedEngine(circuit.segments(), circuit=circuit, **kwargs)
 
 
 # -- the registry --------------------------------------------------------------
@@ -332,7 +333,7 @@ class TestTraceOverhead:
         ``trace.span`` stubbed out (no instrumentation at all), then through
         the real disabled path; the best round's overhead must stay < 5%."""
         circuit = circuit_dataset(n_neurons=60)
-        engine = SpatialEngine.from_circuit(circuit, page_capacity=512)
+        engine = SpatialEngine(circuit.segments(), circuit=circuit, page_capacity=512)
         queries = [
             RangeQuery(box, strategy="flat")
             for box in density_stratified_queries(

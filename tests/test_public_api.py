@@ -49,7 +49,7 @@ class TestEngineSurface:
     def test_engine_quickstart_flow(self):
         """The package-docstring quickstart, executed on the engine."""
         circuit = repro.generate_circuit(n_neurons=6, seed=42)
-        engine = repro.SpatialEngine.from_circuit(circuit, page_capacity=48)
+        engine = repro.SpatialEngine(circuit.segments(), circuit=circuit, page_capacity=48)
         window = repro.AABB.from_center_extent(circuit.bounding_box().center(), 100.0)
 
         hits = engine.execute(repro.RangeQuery(window))

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
 from repro.rtree.node import Entry
-from repro.rtree.split import linear_split, quadratic_split
+from repro.rtree.split import quadratic_split
 from repro.rtree.tree import RTree
 
 
@@ -22,7 +22,7 @@ def entries_at(positions: list[tuple[float, float, float]], size: float = 1.0) -
     ]
 
 
-@pytest.mark.parametrize("split", [quadratic_split, linear_split])
+@pytest.mark.parametrize("split", [quadratic_split])
 class TestSplitContracts:
     def test_partition_preserves_entries(self, split):
         entries = entries_at([(0, 0, 0), (10, 0, 0), (0.5, 0, 0), (10.5, 0, 0), (5, 5, 5)])

@@ -42,7 +42,8 @@ WORLD = AABB(-600.0, -600.0, -600.0, 600.0, 600.0, 600.0)
 
 @pytest.fixture(scope="module")
 def service():
-    svc = ShardedEngine.generate(n_neurons=8, seed=3, num_shards=2, max_queued=64)
+    circuit = repro.generate_circuit(n_neurons=8, seed=3)
+    svc = ShardedEngine(circuit.segments(), circuit=circuit, num_shards=2, max_queued=64)
     yield svc
 
 
@@ -62,7 +63,8 @@ def client(server):
 def _fresh_service(**kwargs):
     kwargs.setdefault("num_shards", 2)
     kwargs.setdefault("max_queued", 64)
-    return ShardedEngine.generate(n_neurons=6, seed=11, **kwargs)
+    circuit = repro.generate_circuit(n_neurons=6, seed=11)
+    return ShardedEngine(circuit.segments(), circuit=circuit, **kwargs)
 
 
 class TestProtocol:
@@ -237,7 +239,7 @@ class TestWritePath:
 
     def test_acked_write_is_journaled_before_the_ack(self, tmp_path):
         svc = repro.create(
-            ShardedEngine.generate(n_neurons=5, seed=2, num_shards=2).objects,
+            repro.generate_circuit(n_neurons=5, seed=2).segments(),
             tmp_path / "wal",
             sharded=True,
             num_shards=2,
@@ -508,7 +510,7 @@ class TestGracefulClose:
 
     def test_close_flushes_group_committed_acked_writes(self, tmp_path):
         svc = repro.create(
-            ShardedEngine.generate(n_neurons=5, seed=2, num_shards=2).objects,
+            repro.generate_circuit(n_neurons=5, seed=2).segments(),
             tmp_path,
             sharded=True,
             num_shards=2,
@@ -562,7 +564,7 @@ class TestEpochListeners:
 
     def test_wal_listener_sees_newly_durable_batches(self, tmp_path):
         svc = repro.create(
-            ShardedEngine.generate(n_neurons=5, seed=2, num_shards=2).objects,
+            repro.generate_circuit(n_neurons=5, seed=2).segments(),
             tmp_path,
             sharded=True,
             num_shards=2,
@@ -628,6 +630,48 @@ class TestReplicationInProcess:
                     assert time.perf_counter() - start < 1.0
                     assert not tail._thread.is_alive()
             assert tail.error is None
+
+    def test_promote_waits_for_a_batch_arriving_during_promote(self):
+        """A shipped batch that is mid-apply when promote starts finishes
+        first: promote returns only after that apply, with the tail dead
+        and the replica at the shipped epoch, and no later primary batch
+        reaches the promoted replica."""
+        primary = _fresh_service()
+        with serve_in_background(primary) as phandle:
+            replica, tail = bootstrap_replica(phandle.host, phandle.port)
+            applying, release = threading.Event(), threading.Event()
+            real_apply_many = replica.apply_many
+
+            def blocked_apply_many(batch):
+                applying.set()
+                assert release.wait(timeout=10.0)
+                return real_apply_many(batch)
+
+            replica.apply_many = blocked_apply_many
+            tail.start()
+            with serve_in_background(replica, role="replica", tail=tail) as rhandle:
+                try:
+                    shipped = primary.apply(
+                        Insert(BoxObject(uid=950_000, box=AABB(0, 0, 0, 1, 1, 1)))
+                    ).stats.epoch
+                    assert applying.wait(timeout=10.0)
+                    promoter = threading.Thread(target=rhandle.server.promote)
+                    promoter.start()
+                    promoter.join(timeout=0.3)
+                    assert promoter.is_alive()  # held by the in-flight apply
+                    assert rhandle.server.role == "replica"
+                finally:
+                    release.set()
+                promoter.join(timeout=10.0)
+                assert not promoter.is_alive()
+                assert rhandle.server.role == "primary"
+                assert not tail._thread.is_alive()
+                assert tail.error is None
+                assert replica.epoch == shipped
+                primary.apply(Insert(BoxObject(uid=950_001, box=AABB(2, 2, 2, 3, 3, 3))))
+                time.sleep(0.2)  # time the dead tail would need to apply it
+                assert replica.epoch == shipped
+                assert 950_001 not in {o.uid for o in replica.objects}
 
     def test_journaled_replica_recovers_its_own_history(self, tmp_path):
         """``wal_root`` starts the replica's journal at the snapshot epoch,

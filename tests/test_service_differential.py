@@ -41,7 +41,7 @@ def circuit():
 
 @pytest.fixture(scope="module")
 def single(circuit):
-    return SpatialEngine.from_circuit(circuit)
+    return SpatialEngine(circuit.segments(), circuit=circuit)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def canonical_knn(payload):
 
 
 def service_for(circuit, shards, fan_out="thread"):
-    service = ShardedEngine.from_circuit(circuit, num_shards=shards, max_queued=64)
+    service = ShardedEngine(circuit.segments(), circuit=circuit, num_shards=shards, max_queued=64)
     assert isinstance(service._pool, FAN_OUTS[fan_out])
     return service
 

@@ -84,7 +84,7 @@ class TestWarmEngines:
         return counts
 
     def test_apply_many_keeps_every_shard_engine_warm(self, circuit, construction_counts):
-        with ShardedEngine.from_circuit(circuit, num_shards=2) as service:
+        with ShardedEngine(circuit.segments(), circuit=circuit, num_shards=2) as service:
             service.warm()
             engines = [shard.engine for shard in service.shards]
             construction_counts.update(engines=0, arenas=0)
@@ -108,7 +108,9 @@ class TestWarmEngines:
             assert payload == live_uids(circuit, deleted=victims, inserted=[900_001])
 
     def test_only_a_retile_constructs_engines(self, circuit, construction_counts):
-        with ShardedEngine.from_circuit(circuit, num_shards=2, rebalance_threshold=1.0) as service:
+        with ShardedEngine(
+            circuit.segments(), circuit=circuit, num_shards=2, rebalance_threshold=1.0
+        ) as service:
             service.warm()
             construction_counts.update(engines=0, arenas=0)
             victims = [o.uid for o in service.shards[0].engine.objects]
@@ -121,7 +123,9 @@ class TestWarmEngines:
 
 class TestEpochGate:
     def test_writer_waits_for_reader_and_later_readers_queue_behind_it(self, circuit):
-        with ShardedEngine.from_circuit(circuit, num_shards=2, max_in_flight=4) as service:
+        with ShardedEngine(
+            circuit.segments(), circuit=circuit, num_shards=2, max_in_flight=4
+        ) as service:
             window = everything(circuit)
             held = service.shards[0].engine
             original = held.execute
@@ -186,7 +190,7 @@ class TestEpochGate:
 
         objects = [box(uid, rng) for uid in range(n_objects)]
         window = AABB(-10.0, -10.0, -10.0, 70.0, 70.0, 70.0)
-        service = ShardedEngine.from_objects(
+        service = ShardedEngine(
             objects, num_shards=4, max_in_flight=n_readers, max_queued=n_readers * 4
         )
         failures: list[str] = []
@@ -252,7 +256,7 @@ class TestEpochGate:
         assert failures == []
 
     def test_write_waits_for_a_subtask_abandoned_by_a_timeout(self, circuit):
-        with ShardedEngine.from_circuit(circuit, num_shards=2) as service:
+        with ShardedEngine(circuit.segments(), circuit=circuit, num_shards=2) as service:
             window = everything(circuit)
             slow = service.shards[0].engine
             victim = slow.objects[0].uid
@@ -285,7 +289,7 @@ class TestEpochGate:
             assert result.payload == live_uids(circuit, deleted=[victim])
 
     def test_a_query_that_raises_releases_the_gate(self, circuit):
-        with ShardedEngine.from_circuit(circuit, num_shards=2) as service:
+        with ShardedEngine(circuit.segments(), circuit=circuit, num_shards=2) as service:
             broken = service.shards[1].engine
             original = broken.execute
 

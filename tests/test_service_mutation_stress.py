@@ -101,7 +101,7 @@ def build_script():
 class TestSnapshotIsolationUnderChurn:
     def test_readers_see_only_whole_epochs(self):
         objects, windows, batches, answers = build_script()
-        service = ShardedEngine.from_objects(
+        service = ShardedEngine(
             objects,
             num_shards=4,
             page_capacity=12,
@@ -217,7 +217,7 @@ class TestSnapshotIsolationUnderChurn:
                     model[mutation.uid] = mutation.obj
             live_by_epoch.append(set(model))
 
-        service = ShardedEngine.from_objects(
+        service = ShardedEngine(
             objects,
             num_shards=2,
             page_capacity=12,

@@ -46,14 +46,15 @@ def workload(circuit):
 @pytest.fixture(scope="module")
 def expected(circuit, workload):
     """Canonical answers, computed once on a private single-client service."""
-    with ShardedEngine.from_circuit(circuit, num_shards=4, max_queued=64) as service:
+    with ShardedEngine(circuit.segments(), circuit=circuit, num_shards=4, max_queued=64) as service:
         return [result.payload for result in service.query_many(workload)]
 
 
 class TestConsistencyUnderConcurrency:
     def test_no_lost_duplicated_or_torn_results(self, circuit, workload, expected):
-        service = ShardedEngine.from_circuit(
-            circuit,
+        service = ShardedEngine(
+            circuit.segments(),
+            circuit=circuit,
             num_shards=4,
             max_workers=4,
             max_in_flight=4,
@@ -104,8 +105,9 @@ class TestConsistencyUnderConcurrency:
     def test_telemetry_counters_sum_consistently_with_rejections(self, circuit, workload):
         """With a tiny queue, every submission is either completed or
         rejected — nothing lost, nothing double-counted, no deadlock."""
-        service = ShardedEngine.from_circuit(
-            circuit,
+        service = ShardedEngine(
+            circuit.segments(),
+            circuit=circuit,
             num_shards=2,
             max_workers=2,
             max_in_flight=1,
@@ -148,8 +150,8 @@ class TestConsistencyUnderConcurrency:
 
 class TestAdmissionControl:
     def test_rejects_immediately_when_queue_full(self, circuit):
-        service = ShardedEngine.from_circuit(
-            circuit, num_shards=2, max_in_flight=1, max_queued=0
+        service = ShardedEngine(
+            circuit.segments(), circuit=circuit, num_shards=2, max_in_flight=1, max_queued=0
         )
         with service:
             # Occupy the only execution slot from the outside.
@@ -202,7 +204,7 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_close_is_idempotent_and_post_close_raises(self, circuit):
-        service = ShardedEngine.from_circuit(circuit, num_shards=3, max_queued=64)
+        service = ShardedEngine(circuit.segments(), circuit=circuit, num_shards=3, max_queued=64)
         window = circuit.bounding_box()
         assert service.execute(RangeQuery(window)).num_results > 0
         service.close()
@@ -215,7 +217,7 @@ class TestLifecycle:
 
 class TestDeadlines:
     def test_slow_shard_times_out_and_pool_stays_usable(self, circuit):
-        service = ShardedEngine.from_circuit(circuit, num_shards=2)
+        service = ShardedEngine(circuit.segments(), circuit=circuit, num_shards=2)
         with service:
             slow = service.shards[0].engine
             original = slow.execute
@@ -239,9 +241,7 @@ class TestDeadlines:
 class TestMixedKindsUnderConcurrency:
     def test_knn_and_join_agree_under_load(self, circuit):
         """KNN heaps and join merges stay exact while other threads run."""
-        service = ShardedEngine.from_circuit(
-            circuit, num_shards=4, max_queued=128
-        )
+        service = ShardedEngine(circuit.segments(), circuit=circuit, num_shards=4, max_queued=128)
         point = circuit.bounding_box().center()
         with service:
             expected_knn = service.execute(KNNQuery(point, 16)).payload

@@ -207,7 +207,7 @@ def test_sharded_service_joins_match_the_reference(fan_out):
     query = SpatialJoin(
         eps=1.0, strategy="touch", side_a=tuple(objects_a), side_b=tuple(objects_b)
     )
-    with ShardedEngine.from_objects(objects_a + objects_b, num_shards=2) as service:
+    with ShardedEngine(objects_a + objects_b, num_shards=2) as service:
         assert isinstance(service._pool, FAN_OUTS[fan_out])
         assert service.execute(query).payload == expected
 

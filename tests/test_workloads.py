@@ -230,7 +230,7 @@ class TestReadWriteWorkloads:
                 assert len(live) >= floor
             elif isinstance(op, Move):
                 assert op.uid in live
-        engine = SpatialEngine.from_objects(segments)
+        engine = SpatialEngine(segments)
         for op in ops:
             if isinstance(op, (Insert, Delete, Move)):
                 engine.apply(op)
