@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro import kernels
 from repro.core.flat import updates as _updates
 from repro.core.flat.neighborhood import build_neighbor_links, default_neighbor_eps
@@ -59,8 +61,9 @@ class FLATIndex:
     disk_params:
         Latency constants for the simulated disk backing the partitions.
     arena:
-        The arena ``objects`` were read from, if any: page bounds columns
-        then share its bounds tuples instead of holding copies.
+        The arena whose live objects, in live order, ``objects`` are, if
+        any: partitioning then reads its bounds array, and page bounds
+        columns share its bounds tuples instead of holding copies.
     """
 
     def __init__(
@@ -86,8 +89,15 @@ class FLATIndex:
             self._objects[obj.uid] = obj
 
         # Indexing phase: partition, link neighbours, build the seed tree,
-        # and lay the partitions out as pages on the simulated disk.
-        self.partitions: list[Partition] = build_partitions(list(objects), page_capacity)
+        # and lay the partitions out as pages on the simulated disk.  Each
+        # object's row is its bounds_row: the arena's tuple when there is one.
+        if arena is None:
+            rows = [obj.aabb.bounds() for obj in objects]
+            bounds = np.array(rows, dtype=float)
+        else:
+            rows = arena.live_bounds()
+            bounds = arena.bounds_array()[arena.live_rows]
+        self.partitions: list[Partition] = build_partitions(objects, page_capacity, bounds)
         self.neighbor_eps = (
             neighbor_eps if neighbor_eps is not None else default_neighbor_eps(self.partitions)
         )
@@ -98,13 +108,14 @@ class FLATIndex:
         )
         self.disk = Disk(params=disk_params if disk_params is not None else DiskParameters())
         self._partition_of_uid: dict[int, int] = {}
+        row_of_uid = dict(zip(self._objects, rows))
         for partition in self.partitions:
             self.disk.store(
                 Page(
                     page_id=partition.partition_id,
                     object_uids=partition.object_uids,
                     mbr=partition.mbr,
-                    bounds=self.page_bounds_view(partition.object_uids),
+                    bounds=BoundsView(map(row_of_uid.__getitem__, partition.object_uids)),
                 )
             )
             for uid in partition.object_uids:

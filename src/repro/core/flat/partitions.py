@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
 from repro.objects import SpatialObject
-from repro.rtree.bulk import str_chunks
+from repro.rtree.bulk import str_tiles
 
 __all__ = ["Partition", "build_partitions"]
 
@@ -35,27 +37,24 @@ class Partition:
 
 
 def build_partitions(
-    objects: Sequence[SpatialObject], page_capacity: int
+    objects: Sequence[SpatialObject], page_capacity: int, bounds: np.ndarray | None = None
 ) -> list[Partition]:
-    """STR-tile ``objects`` into partitions of at most ``page_capacity``."""
+    """STR-tile ``objects`` into partitions of at most ``page_capacity``.
+
+    ``bounds`` is the objects' float64 ``(n, 6)`` bounds array, row for
+    row, when the caller already holds one (an arena's bounds column);
+    otherwise it is built from the objects.
+    """
     if not objects:
         raise IndexError_("cannot partition an empty dataset")
     if page_capacity < 1:
         raise IndexError_("page capacity must be >= 1")
+    if bounds is None:
+        bounds = np.array([o.aabb.bounds() for o in objects], dtype=float)
 
-    def center(obj: SpatialObject) -> tuple[float, float, float]:
-        c = obj.aabb.center()
-        return (c.x, c.y, c.z)
-
-    chunks = str_chunks(list(objects), page_capacity, center)
-    partitions = []
-    for pid, chunk in enumerate(chunks):
-        mbr = AABB.union_all(o.aabb for o in chunk)
-        partitions.append(
-            Partition(
-                partition_id=pid,
-                mbr=mbr,
-                object_uids=tuple(o.uid for o in chunk),
-            )
-        )
-    return partitions
+    chunks, mbrs = str_tiles(bounds, page_capacity)
+    uids = np.array([o.uid for o in objects])
+    return [
+        Partition(partition_id=pid, mbr=AABB(*mbr), object_uids=tuple(uids[chunk].tolist()))
+        for pid, (chunk, mbr) in enumerate(zip(chunks, mbrs.tolist()))
+    ]

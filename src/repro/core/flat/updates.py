@@ -35,10 +35,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.flat.partitions import Partition
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
 from repro.objects import SpatialObject
+from repro.rtree.bulk import str_tiles
 from repro.storage.arena import BoundsView
 from repro.storage.page import Page
 
@@ -62,30 +65,19 @@ def insert_object(index: "FLATIndex", obj: SpatialObject) -> None:
 
     partition = index.partitions[pid]
     uids = partition.object_uids + (obj.uid,)
+    view = index.disk.peek(pid).bounds.append_row(index.bounds_row(obj))
     if len(uids) <= index.page_capacity:
-        view = index.disk.peek(pid).bounds.append_row(index.bounds_row(obj))
         _replace_partition(index, pid, uids, view)
         return
 
     # Overflow: retile the members into two partitions with STR.
-    members = [index._objects[uid] for uid in uids]
-    from repro.rtree.bulk import str_chunks
-
-    def center(o: SpatialObject) -> tuple[float, float, float]:
-        c = o.aabb.center()
-        return (c.x, c.y, c.z)
-
-    halves = str_chunks(members, (len(members) + 1) // 2, center)
-    # str_chunks may produce >2 tiles for odd geometry; the first keeps the
+    halves, mbrs = str_tiles(np.array(view.bounds, dtype=float), (len(uids) + 1) // 2)
+    # str_tiles may produce >2 tiles for odd geometry; the first keeps the
     # id, the rest become new partitions.
-    kept = tuple(o.uid for o in halves[0])
+    kept = tuple(uids[i] for i in halves[0].tolist())
     _replace_partition(index, pid, kept, index.page_bounds_view(kept))
-    for group in halves[1:]:
-        _create_partition(
-            index,
-            tuple(o.uid for o in group),
-            AABB.union_all(o.aabb for o in group),
-        )
+    for group, mbr in zip(halves[1:], mbrs[1:].tolist()):
+        _create_partition(index, tuple(uids[i] for i in group.tolist()), AABB(*mbr))
 
 
 def delete_object(index: "FLATIndex", uid: int) -> None:

@@ -13,13 +13,10 @@ from repro.core.touch.pbsm import pbsm_join
 from repro.core.touch.plane_sweep import plane_sweep_join
 from repro.core.touch.s3 import s3_join
 from repro.core.touch.stats import JoinResult, JoinStats, segment_touch_refine
-from repro.core.touch.tree import TouchNode, build_touch_tree
 
 __all__ = [
     "JoinResult",
     "JoinStats",
-    "TouchNode",
-    "build_touch_tree",
     "nested_loop_join",
     "pbsm_join",
     "plane_sweep_join",

@@ -34,7 +34,7 @@ from repro.core.touch.stats import (
     JoinStats,
     RefineFunc,
 )
-from repro.core.touch.tree import TouchLevels, build_touch_tree, touch_levels
+from repro.core.touch.tree import TouchLevels, touch_levels
 from repro.objects import SpatialObject
 
 __all__ = ["touch_join", "join_levels", "probe_shard"]
@@ -69,9 +69,7 @@ def touch_join(
         return JoinResult(pairs=[], stats=stats)
 
     start = time.perf_counter()
-    levels = touch_levels(
-        build_touch_tree(objects_a, leaf_capacity=leaf_capacity, fanout=fanout)
-    )
+    levels = touch_levels(objects_a, leaf_capacity=leaf_capacity, fanout=fanout)
     stats.build_ms = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()

@@ -145,7 +145,12 @@ def headline_claims(quick: bool = True) -> ClaimsReport:
             holds=pbsm.slowdown_vs_touch > 1.5 and pbsm_cmp_ratio > 2.0,
         )
     )
-    sweep_small = row_of("plane-sweep", sizes[0]).slowdown_vs_touch
+    # "Widening" is read off the comparison ratio, like C3's: it is
+    # deterministic, while two single wall-clock ratios flip on noise.
+    def sweep_cmp_ratio(n: int) -> float:
+        return row_of("plane-sweep", n).comparisons / max(row_of("TOUCH", n).comparisons, 1)
+
+    sweep_cmp_small, sweep_cmp_large = sweep_cmp_ratio(sizes[0]), sweep_cmp_ratio(largest)
     nested_ratio = row_of("nested-loop", nested_n).slowdown_vs_touch
     claims.append(
         Claim(
@@ -154,15 +159,16 @@ def headline_claims(quick: bool = True) -> ClaimsReport:
                 "TOUCH is two orders of magnitude faster than approaches with an "
                 "equally small memory footprint (S3, sweep) (paper 4.1)"
             ),
-            expectation="S3/sweep slower with the gap widening; nested-loop >> 10x",
+            expectation="S3 slower; the sweep's comparison gap widening with n; nested-loop >> 10x",
             measured=(
-                f"S3 {s3.slowdown_vs_touch:.1f}x, sweep {sweep_join.slowdown_vs_touch:.1f}x "
-                f"(was {sweep_small:.1f}x at n={sizes[0]}), "
+                f"S3 {s3.slowdown_vs_touch:.1f}x, sweep {sweep_join.slowdown_vs_touch:.1f}x time; "
+                f"sweep {sweep_cmp_large:.2f}x comparisons at n={largest} "
+                f"(was {sweep_cmp_small:.2f}x at n={sizes[0]}), "
                 f"nested-loop {nested_ratio:.1f}x at n={nested_n}"
             ),
             holds=(
                 s3.slowdown_vs_touch > 1.5
-                and sweep_join.slowdown_vs_touch >= sweep_small
+                and sweep_cmp_large >= sweep_cmp_small
                 and nested_ratio > 10.0
             ),
         )

@@ -83,7 +83,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.touch.join import probe_shard
 from repro.core.touch.stats import segment_touch_refine
-from repro.core.touch.tree import build_touch_tree, touch_levels
+from repro.core.touch.tree import touch_levels
 from repro.engine.engine import SpatialEngine
 from repro.engine.executors import run_join, timed
 from repro.engine.mutations import (
@@ -946,7 +946,7 @@ class ShardedEngine:
             # Build TOUCH's level arrays over A once; workers share them
             # read-only, each joining its B chunk (phases 2+3 only).
             refine = segment_touch_refine if query.refine else None
-            levels = touch_levels(build_touch_tree(side_a))
+            levels = touch_levels(side_a)
 
             def join_chunk(chunk: tuple[SpatialObject, ...]) -> tuple[list, EngineStats]:
                 pairs, counter, elapsed_ms = probe_shard(levels, chunk, query.eps, refine)

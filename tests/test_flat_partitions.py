@@ -4,10 +4,38 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.flat.index import FLATIndex
 from repro.core.flat.neighborhood import build_neighbor_links, default_neighbor_eps
 from repro.core.flat.partitions import build_partitions
+from repro.engine.engine import SpatialEngine
 from repro.errors import IndexError_
+from repro.experiments.datasets import circuit_dataset
+from repro.geometry.aabb import AABB
+from repro.objects import BoxObject
 from tests.conftest import grid_boxes
+from tests.test_rtree_bulk import (
+    reference_str_bulk_load,
+    reference_str_chunks,
+    tied_items,
+    tree_layout,
+)
+
+
+def reference_partitions(objects, page_capacity):
+    """``(id, MBR bounds, uids)`` per partition, tiled by the ``sorted()`` STR reference."""
+
+    def center(obj):
+        c = obj.aabb.center()
+        return (c.x, c.y, c.z)
+
+    return [
+        (pid, AABB.union_all(o.aabb for o in chunk).bounds(), tuple(o.uid for o in chunk))
+        for pid, chunk in enumerate(reference_str_chunks(list(objects), page_capacity, center))
+    ]
+
+
+def layout(partitions):
+    return [(p.partition_id, p.mbr.bounds(), p.object_uids) for p in partitions]
 
 
 class TestPartitions:
@@ -48,6 +76,54 @@ class TestPartitions:
     def test_bad_capacity_raises(self):
         with pytest.raises(IndexError_):
             build_partitions(grid_boxes(2), page_capacity=0)
+
+
+class TestReferenceLayout:
+    """Partitions and the seed tree equal the ``sorted()`` reference's, page for page."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tied_centres(self, seed):
+        objects = [BoxObject(uid=uid, box=box) for uid, box in tied_items(400 + 53 * seed, seed)]
+        assert layout(build_partitions(objects, 6 + seed)) == reference_partitions(
+            objects, 6 + seed
+        )
+
+    def test_flat_index_of_the_analyze_circuit(self):
+        # The engine's FLAT index tiles the arena's bounds array.
+        circuit = circuit_dataset(n_neurons=40)
+        engine = SpatialEngine(circuit.segments(), circuit=circuit)
+        index = engine.flat_index()
+        assert layout(index.partitions) == reference_partitions(
+            engine.objects, engine.page_capacity
+        )
+        items = [(p.partition_id, p.mbr) for p in index.partitions]
+        assert tree_layout(index.seed_tree) == tree_layout(
+            reference_str_bulk_load(items, max_entries=engine.seed_fanout)
+        )
+
+    def test_overflow_splits(self):
+        # Every insert that overflows a page retiles its members plus the
+        # new object as the reference tiles them into two halves.
+        objects = [BoxObject(uid=uid, box=box) for uid, box in tied_items(90, 7)]
+        by_uid = {o.uid: o for o in objects}
+        index = FLATIndex(objects[:40], page_capacity=4)
+        splits = 0
+        for obj in objects[40:]:
+            before = [p.object_uids for p in index.partitions]
+            index.insert(obj)
+            if len(index.partitions) == len(before):
+                continue
+            splits += 1
+            pid = next(
+                pid for pid, uids in enumerate(before) if index.partitions[pid].object_uids != uids
+            )
+            members = [by_uid[uid] for uid in before[pid] + (obj.uid,)]
+            expected = reference_partitions(members, (len(members) + 1) // 2)
+            new = [index.partitions[pid], *index.partitions[len(before) :]]
+            assert [(p.mbr.bounds(), p.object_uids) for p in new] == [
+                (mbr, uids) for _pid, mbr, uids in expected
+            ]
+        assert splits > 5
 
 
 class TestNeighborhood:

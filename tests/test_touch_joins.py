@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.touch.join import touch_join
 from repro.core.touch.nested_loop import nested_loop_join
 from repro.core.touch.pbsm import pbsm_join
 from repro.core.touch.plane_sweep import plane_sweep_join
 from repro.core.touch.s3 import s3_join
-from repro.core.touch.tree import build_touch_tree
+from repro.core.touch.tree import touch_levels
 from repro.errors import JoinError
 from repro.geometry.aabb import AABB
 from repro.objects import BoxObject
@@ -151,47 +152,58 @@ class TestStatsContracts:
         assert 0.0 <= stats.selectivity <= 1.0
 
 
+def python_levels(objects, **shape):
+    """:func:`touch_levels` packed by the pure-python kernels (plain lists)."""
+    with kernels.use_backend("python"):
+        return touch_levels(objects, **shape).packed
+
+
 class TestTouchTree:
     def test_leaf_capacity_respected(self):
         a, _ = make_pair(n=100, seed=20)
-        root = build_touch_tree(a, leaf_capacity=8, fanout=4)
-        for node in root.iter_nodes():
-            if node.is_leaf:
-                assert len(node.objects) <= 8
-            else:
-                assert len(node.children) <= 4
+        packed = python_levels(a, leaf_capacity=8, fanout=4)
+        assert all(0 < hi - lo <= 8 for lo, hi in zip(packed.leaf_starts, packed.leaf_starts[1:]))
+        for starts in packed.child_starts:
+            assert all(0 < hi - lo <= 4 for lo, hi in zip(starts, starts[1:]))
 
     def test_all_objects_in_leaves(self):
         a, _ = make_pair(n=100, seed=21)
-        root = build_touch_tree(a, leaf_capacity=8, fanout=4)
-        assert root.subtree_object_count() == 100
+        levels = touch_levels(a, leaf_capacity=8, fanout=4)
+        assert sorted(o.uid for o in levels.objects) == sorted(o.uid for o in a)
+        assert python_levels(a, leaf_capacity=8, fanout=4).leaf_starts[-1] == 100
 
     def test_node_mbrs_cover_children(self):
         a, _ = make_pair(n=100, seed=22)
-        root = build_touch_tree(a, leaf_capacity=8, fanout=4)
-        for node in root.iter_nodes():
-            for child in node.children:
-                assert node.mbr.contains_box(child.mbr)
-            for obj in node.objects:
-                assert node.mbr.contains_box(obj.aabb)
+        packed = python_levels(a, leaf_capacity=8, fanout=4)
+        below_of = [*packed.nodes[1:], packed.objects]
+        starts_of = [*packed.child_starts, packed.leaf_starts]
+        for nodes, below, starts in zip(packed.nodes, below_of, starts_of):
+            for i, node in enumerate(nodes):
+                for child in below[starts[i] : starts[i + 1]]:
+                    assert AABB(*node).contains_box(AABB(*child))
 
     def test_levels_decrease_downward(self):
+        # Balanced: each depth's child offsets cover exactly the next depth,
+        # and the leaves' cover every object.
         a, _ = make_pair(n=200, seed=23)
-        root = build_touch_tree(a, leaf_capacity=8, fanout=4)
-        for node in root.iter_nodes():
-            for child in node.children:
-                assert child.level == node.level - 1
+        packed = python_levels(a, leaf_capacity=8, fanout=4)
+        assert len(packed.nodes[0]) == 1
+        for depth, starts in enumerate(packed.child_starts):
+            assert len(starts) == len(packed.nodes[depth]) + 1
+            assert starts[0] == 0 and starts[-1] == len(packed.nodes[depth + 1])
+        assert len(packed.leaf_starts) == len(packed.nodes[-1]) + 1
+        assert packed.leaf_starts[-1] == len(packed.objects)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(JoinError):
-            build_touch_tree([])
+            touch_levels([])
 
     def test_bad_parameters_raise(self):
         a, _ = make_pair(n=10, seed=24)
         with pytest.raises(JoinError):
-            build_touch_tree(a, leaf_capacity=0)
+            touch_levels(a, leaf_capacity=0)
         with pytest.raises(JoinError):
-            build_touch_tree(a, fanout=1)
+            touch_levels(a, fanout=1)
 
 
 # -- property-based agreement ---------------------------------------------

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.touch.join import probe_shard, touch_join
-from repro.core.touch.tree import build_touch_tree, touch_levels
+from repro.core.touch.tree import touch_levels
 from repro.geometry.aabb import AABB
 from repro.workloads.joins import uniform_boxes
 
@@ -33,7 +33,7 @@ def pooled_probes(a, b, eps: float, shards: int):
     thread-mode TOUCH join makes of it: one shared set of level arrays,
     each worker joining its own slice of B.
     """
-    levels = touch_levels(build_touch_tree(a))
+    levels = touch_levels(a)
     deals = [b[shard::shards] for shard in range(shards)]
     with ThreadPoolExecutor(max_workers=shards) as pool:
         outcomes = list(pool.map(lambda deal: probe_shard(levels, deal, eps, None), deals))
@@ -49,7 +49,7 @@ class TestRealPool:
         _levels, outcomes = pooled_probes(a, b, eps=2.0, shards=shards)
         # The reference: the same deals probed one after another on this
         # thread, against a hierarchy no other thread has read.
-        levels = touch_levels(build_touch_tree(a))
+        levels = touch_levels(a)
         sequential = [probe_shard(levels, b[shard::shards], 2.0, None) for shard in range(shards)]
         # Not just the same set: the same concatenation order (shard order,
         # and within a shard a pure function of its input).
@@ -73,6 +73,6 @@ class TestRealPool:
     def test_shared_tree_is_left_clean(self):
         """Concurrent workers never write to the shared level arrays."""
         a, b = make_pair(seed=10)
-        fresh = pickle.dumps(touch_levels(build_touch_tree(a)).packed)
+        fresh = pickle.dumps(touch_levels(a).packed)
         levels, _outcomes = pooled_probes(a, b, eps=2.0, shards=4)
         assert pickle.dumps(levels.packed) == fresh
