@@ -49,7 +49,7 @@ from repro.engine.mutations import (
     MutationStats,
     validate_finite_geometry,
 )
-from repro.engine.planner import DatasetProfile, Planner, QueryPlan
+from repro.engine.planner import _PROFILE_SAMPLE, DatasetProfile, Planner, QueryPlan
 from repro.engine.queries import KNNQuery, Query, RangeQuery, SpatialJoin, Walkthrough
 from repro.engine.stats import EngineResult, EngineTelemetry
 from repro.errors import EngineError
@@ -114,6 +114,9 @@ class SpatialEngine:
         self.seed_fanout = seed_fanout
         self._profile: DatasetProfile | None = None
         self._planner: Planner | None = None
+        # Live positions whose row changed since ``_profile`` was built:
+        # non-empty means the profile is stale and is patched on next read.
+        self._moved: set[int] = set()
         self.epoch = 0
         self.wal = None  # a WriteAheadLog once repro.create / repro.open attach one
         self.telemetry = EngineTelemetry()
@@ -139,11 +142,18 @@ class SpatialEngine:
 
     @property
     def profile(self) -> DatasetProfile:
-        """The dataset profile (rebuilt from the arena columns after mutations)."""
-        if self._profile is None:
-            self._profile = DatasetProfile.from_arena(self.arena, self.page_capacity)
-            self._planner = Planner(self._profile)
-        return self._profile
+        """The dataset profile (patched from the arena columns after mutations)."""
+        profile = self._profile
+        if profile is None:
+            profile = DatasetProfile.from_arena(self.arena, self.page_capacity)
+        elif self._moved:
+            profile = profile.patched(self.arena, self._moved)
+        else:
+            return profile
+        self._moved = set()
+        self._profile = profile
+        self._planner = Planner(profile)
+        return profile
 
     @property
     def planner(self) -> Planner:
@@ -230,24 +240,31 @@ class SpatialEngine:
         next access (the buffer pool, walks and FLAT kNN go through FLAT).
         Insert-then-delete churn between queries therefore costs pure
         column work and never touches an index; the dataset profile (and
-        the planner over it) is likewise rebuilt lazily.
+        the planner over it) is likewise patched lazily, at the sample rows
+        of the live positions the batch moved.
 
         The first read after a batch pays the deferred work of the index it
         reads.  A range read on the R-tree right after an 8-mutation batch,
-        on a 6.2k-segment engine with FLAT, the R-tree and the profile built
-        (median CPU ms over 379 batches, one pinned core of a 2-vCPU VM),
-        with one delta queue for both indexes -> one queue per index:
+        on one 6.2k-segment shard of the ingest benchmark with FLAT, the
+        R-tree and the profile built (CPU ms over 800 shard reads, one
+        pinned core of a 2-vCPU VM), with profiles rebuilt and R-tree nodes
+        re-packed on first read -> patched profiles, columnar R-tree
+        maintenance and carried node packs:
 
-        ===================  =====  =====
-        profile rebuild       0.79   0.17
-        FLAT flush            2.50   0
-        object R-tree flush   0.96   0.65
-        the read itself       0.52   0.52
-        ===================  =====  =====
+        ===========================  ===========  ===========
+        (p50, or p50 / p95)           rebuilt      patched
+        ===========================  ===========  ===========
+        profile rebuild / patch       0.12         0.03
+        first estimate's x-sort       0.14         0.04
+        object R-tree flush           0.31 / 1.76  0.16 / 1.14
+        first read minus warm read    0.09         0.02
+        all of it                     0.67 / 2.11  0.27 / 1.31
+        ===========================  ===========  ===========
 
-        against 0.17 ms warm.  FLAT's queue waits for the next FLAT read
-        (range, kNN or walk), which applies the net deltas of every batch
-        since its last read in one flush (1.76 ms after each batch here).
+        against 0.10 ms for the warm read.  An R-tree flush's p95 is a leaf
+        split (quadratic, ~1.3 ms for 86 entries).  FLAT's queue waits for
+        the next FLAT read (range, kNN or walk), which applies the net
+        deltas of every batch since its last read in one flush.
 
         The bound ``circuit`` (if any) is *not* edited: the engine mutates
         its flattened object dataset, so the default synapse-discovery
@@ -264,16 +281,24 @@ class SpatialEngine:
             self.wal.append(mutations)
         stats = MutationStats()
         arena = self.arena
+        moved = self._moved
         for mutation in mutations:
             if isinstance(mutation, Insert):
+                moved.add(arena.num_live)
                 arena.append(mutation.obj)
                 self._note_delta(mutation.obj.uid, None, mutation.obj)
             elif isinstance(mutation, Delete):
+                # The last live row moves into the freed position.
+                moved.add(arena.position_of(mutation.uid))
                 self._note_delta(mutation.uid, arena.tombstone(mutation.uid), None)
             else:
+                moved.add(arena.position_of(mutation.uid))
                 self._note_delta(mutation.uid, arena.replace(mutation.obj), mutation.obj)
             stats.count(mutation)
-        self._profile = None
+        if self._profile is None or len(moved) > _PROFILE_SAMPLE:
+            # Nothing to patch, or a patch would gather as much as a rebuild.
+            self._profile = None
+            moved.clear()
         arena.maybe_compact()
         self.epoch += 1
         stats.epoch = self.epoch
@@ -354,6 +379,7 @@ class SpatialEngine:
         self._pool = None
         self._profile = None
         self._planner = None
+        self._moved = set()
 
     def _flush(self, name: str, index: FLATIndex | RTree) -> None:
         """Apply index ``name``'s queued deltas to it (a traced span).

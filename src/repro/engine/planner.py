@@ -27,7 +27,7 @@ so (``overridden=True``) and keeps the planner's reasoning for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,19 +91,20 @@ class DatasetProfile:
 
     ``sample`` holds up to :data:`_PROFILE_SAMPLE` object-AABB centres taken
     with a fixed stride over the live order, so selectivity estimates are
-    deterministic regardless of dataset size.  Engines rebuild the profile
-    after each write batch as one strided gather of live rows from each
-    arena's float64 bounds array (:meth:`ColumnarArena.bounds_array`, which
-    converts only the rows appended since it was last read); nothing is
-    materialized.  ``world`` (the union of every live box, a column
-    min/max per arena) is read on first access and then kept, so read it
-    before the next write.
+    deterministic regardless of dataset size.  A profile is built as one
+    strided gather of live rows from each arena's float64 bounds array
+    (:meth:`ColumnarArena.bounds_array`, which converts only the rows
+    appended since it was last read); nothing is materialized.  After a
+    write batch an engine :meth:`patched` its profile: only the sample
+    rows the batch moved are gathered again.  ``world`` (the union of every
+    live box, a column min/max per arena) is read on first access and then
+    kept, so read it before the next write.
 
     Range estimates count over a copy of the sample sorted by x: an x
-    column and a contiguous ``(y, z)`` block, built on the first estimate
-    and kept for the profile's epoch (a profile that never estimates never
-    sorts).  A count is two binary searches for the x-slab plus a y/z mask
-    over that slab only, with the same closed comparisons as a full scan.
+    column and a ``(y, z)`` block, built on the first estimate and kept
+    for the profile's epoch (a profile that never estimates never sorts).
+    A count is two binary searches for the x-slab plus a y/z mask over
+    that slab only, with the same closed comparisons as a full scan.
     """
 
     n_objects: int
@@ -129,19 +130,43 @@ class DatasetProfile:
         n_objects = sum(arena.num_live for arena in arenas)
         if not n_objects:
             raise EngineError("cannot profile an empty dataset")
-        # Ceiling stride so the sample spans the whole dataset: a floor
-        # stride plus truncation would drop the spatial tail (objects are
-        # typically in neuron order) and blind the estimator to it.
-        stride = max(1, -(-n_objects // _PROFILE_SAMPLE))
+        stride = _stride(n_objects)
         picked = []
         offset = 0
         for arena in arenas:
             rows = arena.live_rows[-offset % stride :: stride]
             picked.append(arena.bounds_array().take(np.fromiter(rows, np.intp, len(rows)), 0))
             offset += arena.num_live
-        bounds = np.concatenate(picked)
-        sample = (bounds[:, :3] + bounds[:, 3:]) / 2.0
-        return cls(n_objects, page_capacity, sample, arenas)
+        return cls(n_objects, page_capacity, _centres(np.concatenate(picked)), arenas)
+
+    def patched(self, arena: ColumnarArena, moved: Iterable[int]) -> "DatasetProfile":
+        """This profile of ``arena`` after writes: bit-identical to a fresh
+        :meth:`from_arena`, for a fraction of its cost.
+
+        ``moved`` holds every live position whose row changed since this
+        profile was built (appended positions included).  When the stride
+        is the same, only the sample rows at moved sampled positions and
+        the ones a grown live count adds are gathered; the rest are copied,
+        and rows past a shrunk count dropped.  Otherwise (the live count
+        crossed a multiple of the sample size, or the profile spans other
+        arenas) the profile is rebuilt whole.
+        """
+        n_objects = arena.num_live
+        stride = _stride(n_objects)
+        if self.arenas != (arena,) or not n_objects or stride != _stride(self.n_objects):
+            return DatasetProfile.from_arena(arena, self.page_capacity)
+        size = len(range(0, n_objects, stride))
+        kept = min(size, len(self.sample))
+        refresh = {p // stride for p in moved if p < n_objects and p % stride == 0}
+        refresh.update(range(kept, size))
+        sample = np.empty((size, 3))
+        sample[:kept] = self.sample[:kept]
+        picked = sorted(refresh)
+        rows = [arena.live_rows[j * stride] for j in picked]
+        # Converts only the rows appended since the array was last read.
+        bounds = arena.bounds_array().take(np.array(rows, dtype=np.intp), 0)
+        sample[picked] = _centres(bounds)
+        return DatasetProfile(n_objects, self.page_capacity, sample, (arena,))
 
     @classmethod
     def from_objects(
@@ -158,10 +183,20 @@ class DatasetProfile:
         return self._world
 
     def _x_sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sample sorted by x: its x column and its ``(y, z)`` block."""
+        """The sample stably sorted by x: its x column and its ``(y, z)`` block.
+
+        Distinct keys have one sorted order, so the default (unstable)
+        sort gives the stable one unless two x values tie; only then does
+        the costlier stable sort run.
+        """
         if self._by_x is None:
-            by_x = self.sample[np.argsort(self.sample[:, 0], kind="stable")]
-            self._by_x = (np.ascontiguousarray(by_x[:, 0]), np.ascontiguousarray(by_x[:, 1:]))
+            x = np.ascontiguousarray(self.sample[:, 0])
+            order = x.argsort()
+            xs = x.take(order)
+            if (xs[1:] == xs[:-1]).any():
+                order = x.argsort(kind="stable")
+                xs = x.take(order)
+            self._by_x = (xs, self.sample.take(order, 0)[:, 1:])
         return self._by_x
 
     def _sample_hits(self, box: AABB) -> int:
@@ -191,6 +226,21 @@ class DatasetProfile:
         )
         smoothed = self._sample_hits(expanded) * per_sample / _SMOOTH_EXPANSION**3
         return max(direct, smoothed)
+
+
+def _stride(n_objects: int) -> int:
+    """The sample stride over ``n_objects`` live objects.
+
+    A ceiling stride, so the sample spans the whole dataset: a floor stride
+    plus truncation would drop the spatial tail (objects are typically in
+    neuron order) and blind the estimator to it.
+    """
+    return max(1, -(-n_objects // _PROFILE_SAMPLE))
+
+
+def _centres(bounds: np.ndarray) -> np.ndarray:
+    """Box centres ``(lo + hi) / 2.0`` of ``(n, 6)`` bounds rows."""
+    return (bounds[:, :3] + bounds[:, 3:]) / 2.0
 
 
 class Planner:

@@ -50,6 +50,8 @@ __all__ = [
     "pack_segments",
     "batch_len",
     "slice_packed",
+    "take_packed",
+    "splice_packed",
     "box_intersects",
     "box_contains",
     "box_overlap_pairs",
@@ -203,7 +205,11 @@ def pack_boxes(boxes: Sequence[Any]) -> Any:
 
 
 def pack_bounds(bounds: Sequence[tuple[float, float, float, float, float, float]]) -> Any:
-    """Pack raw ``(min_x, min_y, min_z, max_x, max_y, max_z)`` tuples."""
+    """Pack raw ``(min_x, min_y, min_z, max_x, max_y, max_z)`` rows.
+
+    ``bounds`` may be a float64 ``(n, 6)`` NumPy column; a backend whose
+    packed form is that column returns it as is, not a copy.
+    """
     return _active.pack_bounds(bounds)
 
 
@@ -225,6 +231,20 @@ def batch_len(packed: Any) -> int:
 def slice_packed(packed: Any, start: int, stop: int) -> Any:
     """Contiguous sub-batch ``[start:stop)`` of a packed bounds batch."""
     return _active.slice_packed(packed, start, stop)
+
+
+def take_packed(packed: Any, rows: Sequence[int]) -> Any:
+    """The sub-batch of ``packed``'s elements ``rows``, in that order."""
+    return _active.take_packed(packed, rows)
+
+
+def splice_packed(packed: Any, start: int, stop: int, bounds: Sequence[Any]) -> Any:
+    """``packed`` with elements ``[start:stop)`` replaced by the ``bounds`` rows.
+
+    The other elements are carried over as packed, so an edit of one slot
+    costs that slot's packing, not the batch's.
+    """
+    return _active.splice_packed(packed, start, stop, bounds)
 
 
 # -- batch predicates and distances -------------------------------------------

@@ -43,6 +43,8 @@ def pack_boxes(boxes: Sequence[Any]) -> np.ndarray:
 
 
 def pack_bounds(bounds: Sequence[Any]) -> np.ndarray:
+    if isinstance(bounds, np.ndarray) and bounds.dtype == np.float64 and bounds.ndim == 2:
+        return bounds  # a float64 (n, 6) column is its own pack
     if not len(bounds):
         return np.empty((0, 6), dtype=float)
     return np.asarray(bounds, dtype=float).reshape(len(bounds), 6)
@@ -67,6 +69,14 @@ def batch_len(packed: Any) -> int:
 
 def slice_packed(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
     return packed[start:stop]
+
+
+def take_packed(packed: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    return packed[np.asarray(rows, dtype=np.intp)]
+
+
+def splice_packed(packed: np.ndarray, start: int, stop: int, bounds: Sequence[Any]) -> np.ndarray:
+    return np.concatenate((packed[:start], pack_bounds(bounds), packed[stop:]))
 
 
 # -- batch predicates and distances -------------------------------------------

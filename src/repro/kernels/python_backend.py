@@ -31,6 +31,8 @@ def pack_boxes(boxes: Sequence[Any]) -> list[Bounds]:
 
 
 def pack_bounds(bounds: Sequence[Bounds]) -> list[Bounds]:
+    if hasattr(bounds, "tolist"):  # a NumPy column: its rows as Python floats
+        bounds = bounds.tolist()
     return [tuple(float(v) for v in b) for b in bounds]  # type: ignore[misc]
 
 
@@ -51,6 +53,14 @@ def batch_len(packed: Sequence[Any]) -> int:
 
 def slice_packed(packed: list[Any], start: int, stop: int) -> list[Any]:
     return packed[start:stop]
+
+
+def take_packed(packed: list[Any], rows: Sequence[int]) -> list[Any]:
+    return [packed[i] for i in rows]
+
+
+def splice_packed(packed: list[Any], start: int, stop: int, bounds: Sequence[Bounds]) -> list[Any]:
+    return packed[:start] + pack_bounds(bounds) + packed[stop:]
 
 
 # -- batch predicates and distances -------------------------------------------

@@ -98,15 +98,18 @@ def str_bulk_load(
 
     n = len(items)
     rows = itertools.chain.from_iterable(mbr.bounds() for _uid, mbr in items)
-    groups, boxes = str_tiles(np.fromiter(rows, float, count=6 * n).reshape(n, 6), leaf_cap)
+    bounds = np.fromiter(rows, float, count=6 * n).reshape(n, 6)
+    groups, boxes = str_tiles(bounds, leaf_cap)
     entries = [Entry(mbr=mbr, uid=uid) for uid, mbr in items]
-    nodes = [Node(level=0, entries=[entries[i] for i in group.tolist()]) for group in groups]
+    # A node's entry-bounds column is its group's rows of the level's array.
+    nodes = [Node(0, [entries[i] for i in g.tolist()], bounds=bounds[g]) for g in groups]
     # Stack STR-packed levels on top of the leaves until a single root remains.
     while len(nodes) > 1:
         entries = [Entry(mbr=AABB(*box), child=node) for box, node in zip(boxes.tolist(), nodes)]
-        groups, boxes = str_tiles(boxes, max_entries)
+        bounds = boxes
+        groups, boxes = str_tiles(bounds, max_entries)
         level = nodes[0].level + 1
-        nodes = [Node(level=level, entries=[entries[i] for i in g.tolist()]) for g in groups]
+        nodes = [Node(level, [entries[i] for i in g.tolist()], bounds=bounds[g]) for g in groups]
     return RTree._from_root(
         nodes[0],
         size=n,

@@ -8,18 +8,25 @@ entry (``uid`` set, ``child`` None) and the internal entry (``child`` set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
+from repro import kernels
 from repro.errors import InvariantViolation
 from repro.geometry.aabb import AABB
-from repro.storage.arena import BoundsView
 
-__all__ = ["Entry", "Node", "ENTRY_BYTES", "NODE_HEADER_BYTES"]
+__all__ = ["Entry", "Node", "ENTRY_BYTES", "NODE_HEADER_BYTES", "bounds_column"]
 
 #: Modelled bytes per entry: 6 float64 bounds + 8-byte pointer/uid.
 ENTRY_BYTES = 56
 #: Modelled per-node header bytes.
 NODE_HEADER_BYTES = 24
+
+
+def bounds_column(rows: Iterable[Sequence[float]]) -> np.ndarray:
+    """Bounds rows as a float64 ``(n, 6)`` column."""
+    return np.array(list(rows), dtype=float).reshape(-1, 6)
 
 
 @dataclass(slots=True)
@@ -37,64 +44,117 @@ class Entry:
 
 @dataclass(slots=True)
 class Node:
-    """An R-tree node; ``level`` 0 is a leaf, the root has the highest level."""
+    """An R-tree node; ``level`` 0 is a leaf, the root has the highest level.
+
+    ``bounds`` is the entry-bounds column: row ``i`` is
+    ``entries[i].mbr.bounds()`` as float64.  Bulk loads hand each node a
+    slice of the arrays STR tiled; a node built from entries alone derives
+    it.  A column is never written in place: every edit below installs a
+    new one and carries the memoized kernel pack over to it (edited at the
+    changed rows, or the new column itself for a backend that packs a
+    column as is), so the next read packs nothing.
+    """
 
     level: int
     entries: list[Entry] = field(default_factory=list)
     node_id: int = -1
-    # Immutable column view of the entry MBRs (None until first read).  The
-    # edits below change its row at the edited slot only, so a view in hand
-    # is always the node's current content.
-    bounds: BoundsView | None = field(default=None, repr=False, compare=False)
+    bounds: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    # (pack token, packed bounds) for the backend that last read the node.
+    _pack: tuple[str, Any] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.bounds is None:
+            self.bounds = bounds_column(e.mbr.bounds() for e in self.entries)
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
-    def view(self) -> BoundsView:
-        """The entry-bounds view (built on first use)."""
-        view = self.bounds
-        if view is None:
-            view = self.bounds = BoundsView(e.mbr.bounds() for e in self.entries)
-        return view
-
     def append(self, entry: Entry) -> None:
         """Add ``entry`` as the last slot."""
         self.entries.append(entry)
-        if self.bounds is not None:
-            self.bounds = self.bounds.append_row(entry.mbr.bounds())
+        end = len(self.bounds)
+        self._splice(end, end, (entry.mbr.bounds(),))
 
     def set_mbr(self, i: int, mbr: AABB) -> None:
         """Set slot ``i``'s box."""
         self.entries[i].mbr = mbr
-        if self.bounds is not None:
-            self.bounds = self.bounds.replace_row(i, mbr.bounds())
+        self._splice(i, i + 1, (mbr.bounds(),))
 
     def remove(self, i: int) -> None:
         """Drop slot ``i``."""
-        if self.bounds is not None:
-            self.bounds = self.bounds.remove_row(i)
         del self.entries[i]
+        self._splice(i, i + 1, ())
+
+    def split_off(self, keep: Sequence[int], move: Sequence[int]) -> "Node":
+        """Keep slots ``keep`` here and move slots ``move`` to a new sibling.
+
+        Both halves list their slots in the order given, and gather their
+        columns and packs from this node's rows.
+        """
+        entries, column = self.entries, self.bounds
+        sibling = Node(self.level, [entries[i] for i in move], bounds=column[move])
+        sibling._pack = self._carried(
+            column, sibling.bounds, lambda p: kernels.take_packed(p, move)
+        )
+        self.entries = [entries[i] for i in keep]
+        self.bounds = column[keep]
+        self._pack = self._carried(column, self.bounds, lambda p: kernels.take_packed(p, keep))
+        return sibling
+
+    def pack_like(self, other: "Node") -> None:
+        """Pack this node now if ``other`` is packed for the active backend
+        (a root born in a flush is then read without packing)."""
+        if other._pack is not None and other._pack[0] == kernels.pack_token():
+            self._pack = (other._pack[0], kernels.pack_bounds(self.bounds))
+
+    def _splice(self, start: int, stop: int, rows: tuple) -> None:
+        """Replace column rows ``[start:stop)`` by ``rows``."""
+        old = self.bounds
+        if len(rows) == stop - start == 1:
+            self.bounds = old.copy()
+            self.bounds[start] = rows[0]
+        elif rows:
+            self.bounds = np.concatenate((old[:start], bounds_column(rows), old[stop:]))
+        else:
+            self.bounds = np.concatenate((old[:start], old[stop:]))
+        self._pack = self._carried(
+            old, self.bounds, lambda p: kernels.splice_packed(p, start, stop, rows)
+        )
+
+    def _carried(
+        self, old: np.ndarray, new: np.ndarray, derive: Callable[[Any], Any]
+    ) -> tuple[str, Any] | None:
+        """The pack of column ``new``, from this node's pack of column ``old``.
+
+        A backend that packs a column as itself gets ``new`` as is;
+        otherwise ``derive`` edits the old pack.  A pack of another backend
+        than the active one is dropped.
+        """
+        pack = self._pack
+        if pack is None or pack[0] != kernels.pack_token():
+            return None
+        return pack[0], new if pack[1] is old else derive(pack[1])
 
     def entry_bounds(self) -> Any:
-        """Entry MBRs packed for :mod:`repro.kernels` (memoized per backend)."""
-        return self.view().packed()
+        """Entry MBRs packed for :mod:`repro.kernels` (memoized for the active backend)."""
+        token = kernels.pack_token()
+        pack = self._pack
+        if pack is None or pack[0] != token:
+            pack = self._pack = (token, kernels.pack_bounds(self.bounds))
+        return pack[1]
 
     @property
     def num_entries(self) -> int:
         return len(self.entries)
 
     def mbr(self) -> AABB:
-        """Tight box over the node's entries (node must be non-empty).
-
-        Reads the bounds view when the node has one (it always matches the
-        entries), so no per-entry box is touched.
-        """
+        """Tight box over the node's entries (node must be non-empty): a
+        column min/max, exact like :meth:`AABB.union_all`."""
         if not self.entries:
             raise InvariantViolation(f"node {self.node_id} is empty, has no MBR")
-        if self.bounds is None:
-            return AABB.union_all(e.mbr for e in self.entries)
-        return AABB.union_bounds(self.bounds.bounds)
+        column = self.bounds
+        return AABB(*column[:, :3].min(axis=0).tolist(), *column[:, 3:].max(axis=0).tolist())
 
     def byte_size(self) -> int:
         return NODE_HEADER_BYTES + ENTRY_BYTES * len(self.entries)

@@ -17,6 +17,8 @@ import heapq
 import itertools
 from typing import Callable, Container, Iterator, Sequence
 
+import numpy as np
+
 from repro import kernels
 from repro.errors import IndexError_, InvariantViolation
 from repro.geometry.aabb import AABB
@@ -24,11 +26,12 @@ from repro.geometry.vec import Vec3
 from repro.rtree.node import Entry, Node
 from repro.rtree.split import quadratic_split
 from repro.rtree.stats import KNNQueryStats, RangeQueryStats, SeedSearchStats
-from repro.storage.arena import BoundsView
 
 __all__ = ["RTree"]
 
-SplitFunc = Callable[[Sequence[Entry], int], tuple[list[Entry], list[Entry]]]
+#: ``split(column, min_fill) -> (kept rows, moved rows)`` over a node's
+#: entry-bounds column.
+SplitFunc = Callable[[np.ndarray, int], tuple[Sequence[int], Sequence[int]]]
 
 
 class RTree:
@@ -168,14 +171,19 @@ class RTree:
                     Entry(mbr=overflow.mbr(), child=overflow),
                 ],
             )
+            self.root.pack_like(old_root)
 
     def _insert_rec(self, node: Node, entry: Entry, level: int) -> tuple[Node | None, bool]:
         """Insert ``entry`` below ``node``: ``(split-off sibling, changed)``.
 
         ``changed`` is False only when ``node``'s entries, and so its MBR,
         are exactly what they were: the caller then leaves its slot and
-        bounds view alone, and so does every level above it.  A changed
-        node edits its bounds view only at the slots that changed.
+        column alone, and so does every level above it.  A changed node
+        edits its column only at the slots that changed.
+
+        Slot boxes are tight, so a child that did not split now covers its
+        old slot box plus ``entry``'s: that union is its MBR, and no column
+        is scanned for it.
         """
         if node.level == level:
             node.append(entry)
@@ -186,9 +194,13 @@ class RTree:
             overflow, changed = self._insert_rec(child, entry, level)
             if not changed:
                 return None, False
-            mbr = child.mbr()
-            if overflow is None and mbr == node.entries[i].mbr:
-                return None, False
+            if overflow is None:
+                slot_mbr = node.entries[i].mbr
+                if slot_mbr.contains_box(entry.mbr):
+                    return None, False
+                mbr = slot_mbr.union(entry.mbr)
+            else:
+                mbr = child.mbr()
             node.set_mbr(i, mbr)
             if overflow is not None:
                 node.append(Entry(mbr=overflow.mbr(), child=overflow))
@@ -199,22 +211,26 @@ class RTree:
     def _choose_subtree(self, node: Node, mbr: AABB) -> int:
         """Slot of the least-enlargement child; ties by volume, then by fill.
 
-        Enlargement and volume come straight from the node's bounds tuples
+        Enlargement and volume come straight from the node's column rows
         with :meth:`AABB.enlargement`'s arithmetic, so no box is built per
-        entry and the choice (first minimum wins) is the same.
+        entry and the choice (first minimum wins) is the same.  The scan is
+        a Python loop over the rows: an internal node holds at most
+        ``max_entries`` (16) of them, where one NumPy expression costs
+        about twice the loop (its per-call overhead dominates).
         """
         qx0, qy0, qz0, qx1, qy1, qz1 = mbr.bounds()
+        entries = node.entries
         best: int | None = None
         best_key: tuple[float, float, int] | None = None
-        for i, (x0, y0, z0, x1, y1, z1) in enumerate(node.view().bounds):
-            child = node.entries[i].child
-            assert child is not None
+        for i, (x0, y0, z0, x1, y1, z1) in enumerate(node.bounds.tolist()):
             volume = (x1 - x0) * (y1 - y0) * (z1 - z0)
             grown = (
                 ((qx1 if qx1 > x1 else x1) - (qx0 if qx0 < x0 else x0))
                 * ((qy1 if qy1 > y1 else y1) - (qy0 if qy0 < y0 else y0))
                 * ((qz1 if qz1 > z1 else z1) - (qz0 if qz0 < z0 else z0))
             )
+            child = entries[i].child
+            assert child is not None
             key = (grown - volume, volume, len(child.entries))
             if best_key is None or key < best_key:
                 best_key = key
@@ -224,64 +240,98 @@ class RTree:
         return best
 
     def _split_node(self, node: Node) -> Node:
-        """Split ``node`` in place; both halves' views reuse its rows."""
-        group_a, group_b = self._split_func(node.entries, self._min_fill_of(node))
-        sibling = self._new_node(level=node.level, entries=group_b)
-        if node.bounds is not None:
-            row_of = {id(e): row for e, row in zip(node.entries, node.bounds.bounds)}
-            node.bounds = BoundsView(row_of[id(e)] for e in group_a)
-            sibling.bounds = BoundsView(row_of[id(e)] for e in group_b)
-        node.entries = group_a
+        """Split ``node`` in place; both halves gather their columns and
+        packs from its rows."""
+        keep, move = self._split_func(node.bounds, self._min_fill_of(node))
+        sibling = node.split_off(keep, move)
+        sibling.node_id = self._next_node_id
+        self._next_node_id += 1
         return sibling
 
     # -- deletion -----------------------------------------------------------------
     def delete(self, uid: int, mbr: AABB | None = None) -> None:
-        """Remove object ``uid``; ``mbr`` (if given) narrows the search."""
-        path = self._find_leaf_path(self.root, uid, mbr)
-        if path is None:
+        """Remove object ``uid``.
+
+        ``mbr``, if given, must be the box ``uid`` was inserted with: the
+        search then descends only the slots whose box contains it (every
+        ancestor slot of the entry does), not every one it intersects.
+        """
+        found = self._find_leaf_path(uid, mbr)
+        if found is None:
             raise KeyError(f"uid {uid} not in tree")
+        path, slots = found
         leaf = path[-1]
-        leaf.remove(next(i for i, e in enumerate(leaf.entries) if e.uid == uid))
+        removed = leaf.entries[slots[-1]].mbr
+        leaf.remove(slots[-1])
         self._size -= 1
-        self._condense(path)
+        self._condense(path, slots, removed)
 
-    def _find_leaf_path(self, node: Node, uid: int, mbr: AABB | None) -> list[Node] | None:
-        if node.is_leaf:
-            if any(e.uid == uid for e in node.entries):
-                return [node]
-            return None
-        for slot in node.entries:
-            if mbr is not None and not slot.mbr.intersects(mbr):
-                continue
-            assert slot.child is not None
-            sub = self._find_leaf_path(slot.child, uid, mbr)
-            if sub is not None:
-                return [node, *sub]
-        return None
+    def _find_leaf_path(
+        self, uid: int, mbr: AABB | None
+    ) -> tuple[list[Node], list[int]] | None:
+        """``(nodes, slots)`` from the root to ``uid``'s leaf: ``slots[i]``
+        is the slot of ``nodes[i + 1]`` in ``nodes[i]``, and the last slot is
+        the entry's in the leaf."""
+        path: list[Node] = []
+        slots: list[int] = []
 
-    def _condense(self, path: list[Node]) -> None:
+        def descend(node: Node) -> bool:
+            path.append(node)
+            if node.is_leaf:
+                for i, entry in enumerate(node.entries):
+                    if entry.uid == uid:
+                        slots.append(i)
+                        return True
+            else:
+                for i, entry in enumerate(node.entries):
+                    if mbr is not None and not entry.mbr.contains_box(mbr):
+                        continue
+                    slots.append(i)
+                    assert entry.child is not None
+                    if descend(entry.child):
+                        return True
+                    slots.pop()
+            path.pop()
+            return False
+
+        return (path, slots) if descend(self.root) else None
+
+    def _condense(self, path: list[Node], slots: list[int], removed: AABB) -> None:
+        """Repair ``path`` bottom-up after its leaf lost the entry ``removed``.
+
+        Whether path[i] changed: once a node keeps its MBR, its parent's
+        slot and column stay as they are.  A node keeps it for sure when
+        what it lost (``removed``, then each changed level's old slot box)
+        lies strictly inside its slot box, because other entries then
+        still reach every face; only otherwise is its column scanned.  The
+        walk still goes on to the root, because bulk-loaded trees may hold
+        underfull ancestors and the condense pass dissolves every underfull
+        node on the path.  Edits below path[i - 1] never move its slots,
+        so slots[i - 1] stays path[i]'s slot throughout.
+        """
         orphan_leaf_entries: list[Entry] = []
-        # Whether path[i] changed: once a node keeps its MBR, its parent's
-        # slot and bounds stay as they are.  The walk still goes on to the
-        # root, because bulk-loaded trees may hold underfull ancestors and
-        # the condense pass dissolves every underfull node on the path.
         changed = True
         for i in range(len(path) - 1, 0, -1):
             node = path[i]
             parent = path[i - 1]
+            slot = slots[i - 1]
+            old = parent.entries[slot].mbr
             if len(node.entries) < self._min_fill_of(node):
-                parent.remove(next(k for k, s in enumerate(parent.entries) if s.child is node))
+                parent.remove(slot)
                 orphan_leaf_entries.extend(self._collect_leaf_entries(node))
             elif changed:
-                slot = next(k for k, s in enumerate(parent.entries) if s.child is node)
+                if _strictly_inside(removed, old):
+                    changed = False
+                    continue
                 mbr = node.mbr()
-                if mbr == parent.entries[slot].mbr:
+                if mbr == old:
                     changed = False
                     continue
                 parent.set_mbr(slot, mbr)
             else:
                 continue
             changed = True
+            removed = old
         # Shrink the root while it is an internal node with a single child.
         while not self.root.is_leaf and len(self.root.entries) == 1:
             child = self.root.entries[0].child
@@ -314,8 +364,8 @@ class RTree:
         """Range query plus the per-level node-access statistics of Figure 3.
 
         Each node scan is one batch kernel call over the entry MBRs (the
-        node carries an immutable bounds view, edited at every mutation
-        site), so the per-entry work runs vectorised under the NumPy
+        node's column, packed once per backend and carried over by every
+        edit), so the per-entry work runs vectorised under the NumPy
         backend.
         """
         stats = RangeQueryStats()
@@ -501,3 +551,15 @@ class RTree:
         if total_volume == 0.0:
             return 0.0
         return total_overlap / total_volume
+
+
+def _strictly_inside(inner: AABB, outer: AABB) -> bool:
+    """``inner`` lies inside ``outer`` and touches none of its faces."""
+    return (
+        outer.min_x < inner.min_x
+        and outer.min_y < inner.min_y
+        and outer.min_z < inner.min_z
+        and inner.max_x < outer.max_x
+        and inner.max_y < outer.max_y
+        and inner.max_z < outer.max_z
+    )

@@ -371,6 +371,13 @@ class ColumnarArena:
             return None
         return self.materialize(self._live_rows[pos])
 
+    def position_of(self, uid: int) -> int:
+        """``uid``'s position in the live order."""
+        pos = self._pos_of_uid.get(uid)
+        if pos is None:
+            raise EngineError(f"unknown uid {uid}")
+        return pos
+
     def aabb_of(self, uid: int) -> AABB:
         pos = self._pos_of_uid.get(uid)
         if pos is None:

@@ -10,7 +10,10 @@ batch followed by one range read must:
 * repair only the index it reads: a range read on the R-tree makes no
   FLAT maintenance call, and the next FLAT read applies each net delta
   of the batches since its last read exactly once;
-* convert only the bounds rows appended since the last profile rebuild.
+* convert only the bounds rows appended since the last profile rebuild;
+* carry every R-tree node's kernel pack through the flush: the first
+  R-tree read after it packs no node, edited or not, and neither does the
+  second.
 
 Calls are counted, not timed, so the lock holds on any host.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro import kernels
 from repro.core.flat import updates as flat_updates
 from repro.core.flat.index import FLATIndex
 from repro.engine import Delete, Insert, Move, RangeQuery, SpatialEngine
@@ -219,3 +223,33 @@ def test_a_profile_rebuild_converts_only_the_appended_rows(small_circuit):
         _ = engine.profile
         assert converted == ([appended] if appended else [])
     assert isinstance(arena.bounds, CountingSlices)  # no compaction dropped the array
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_the_first_rtree_read_after_a_flush_packs_nothing(small_circuit, monkeypatch, backend):
+    engine = SpatialEngine(small_circuit.segments(), circuit=small_circuit)
+    batches, world = write_batches(engine.objects, count=6)
+    everything = RangeQuery(world.expanded(1.0), strategy="rtree")
+    packs = []
+    original = kernels.pack_bounds
+
+    def counting(bounds):
+        packs.append(len(bounds))
+        return original(bounds)
+
+    monkeypatch.setattr(kernels, "pack_bounds", counting)
+    with kernels.use_backend(backend):
+        engine.execute(everything)  # packs every node once
+        edited = 0
+        for batch in batches:
+            tree = engine.object_rtree()
+            columns = {id(node): node.bounds for node in tree.iter_nodes()}
+            engine.apply_many(batch)
+            tree = engine.object_rtree()  # the flush
+            edited += sum(columns.get(id(n)) is not n.bounds for n in tree.iter_nodes())
+            packs.clear()
+            first = engine.execute(everything).payload
+            assert packs == [], "the first read re-packed nodes the flush edited"
+            assert engine.execute(everything).payload == first and packs == []
+            assert sorted(first) == sorted(engine.arena.live_uids())
+    assert edited > 0  # the batches did edit node columns

@@ -9,9 +9,15 @@ plan and no tree layout.
   plans from a profile built the brute-force way (a Python loop over the
   objects) inside this test;
 * a reference R-tree with Guttman's full-refresh insert/condense (every
-  level's slot and bounds recomputed) must keep the same layout, node for
-  node, as :class:`RTree` under the same operations, and every bounds
-  view :class:`RTree` edits slot by slot must equal one rebuilt whole;
+  level's slot and column recomputed) and an exhaustive delete search
+  must keep the same layout, node for node, as :class:`RTree` under the
+  same Insert/Delete/Move batches, and every column and kernel pack
+  :class:`RTree` edits slot by slot must equal one rebuilt whole;
+* a profile patched batch after batch is byte for byte a fresh one,
+  x-sorted arrays included, as the live count crosses a multiple of the
+  sample size, with and without tied x values;
+* FLAT routes each insert to the partition a seed-tree kNN picked, and
+  keeps its partition-MBR column equal to the partitions;
 * with FLAT several batches behind the R-tree (only R-tree reads between
   batches, one uid deleted then reinserted and another inserted then
   moved across them), the lagged FLAT flush answers range, kNN and walk
@@ -33,6 +39,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
+from repro.core.flat import updates as flat_updates
 from repro.core.flat.index import FLATIndex
 from repro.core.flat.updates import validate_index
 from repro.durability import wal as wal_module
@@ -52,9 +60,8 @@ from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
 from repro.objects import BoxObject
 from repro.rtree.bulk import str_bulk_load
-from repro.rtree.node import Entry
+from repro.rtree.node import Entry, bounds_column
 from repro.rtree.tree import RTree
-from repro.storage.arena import BoundsView
 from repro.utils.rng import make_rng
 
 WORLD = 40.0
@@ -215,14 +222,123 @@ def test_profile_from_arena_is_bit_identical_to_the_object_loop(medium_circuit):
         assert profile.world == AABB.union_all(o.aabb for o in segments)
 
 
+def grid_box(uid: int, x: int, y: int, z: int, ties: bool = True) -> BoxObject:
+    """A box on a coarse grid, where many objects share a centre's x (sort
+    ties), or nudged along x by its uid, where none do."""
+    return box_at(uid, 2.0 * x + (0.0 if ties else uid * 1e-4), 2.0 * y, 2.0 * z, size=1.0)
+
+
+# (kind, pick, x, y, z) on the grid; pick selects a live uid.
+grid_ops = st.tuples(
+    st.sampled_from(["insert", "delete", "move"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=19),
+    st.integers(min_value=0, max_value=19),
+    st.integers(min_value=0, max_value=19),
+)
+
+
+def reference_x_sorted(sample: np.ndarray) -> tuple[bytes, bytes]:
+    by_x = sample[np.argsort(sample[:, 0], kind="stable")]
+    return by_x[:, 0].tobytes(), by_x[:, 1:].tobytes()
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from([_PROFILE_SAMPLE - 5, _PROFILE_SAMPLE, _PROFILE_SAMPLE + 3]),
+    st.lists(st.lists(grid_ops, min_size=1, max_size=8), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_the_patched_profile_equals_a_fresh_one(start, batch_list, ties):
+    """Each batch's profile (patched from the last) is byte for byte the
+    profile a fresh ``from_arena`` builds, sample and x-sorted arrays, as
+    the live count crosses a multiple of the sample size both ways."""
+    rng = make_rng(start)
+    engine = SpatialEngine(
+        [grid_box(uid, *(int(v) for v in rng.integers(0, 20, 3)), ties) for uid in range(start)],
+        page_capacity=PAGE,
+    )
+    next_uid = start
+    for batch in batch_list:
+        _ = engine.profile
+        live = engine.arena.live_uids()
+        gone: set[int] = set()
+        mutations = []
+        for kind, pick, x, y, z in batch:
+            uid = [u for u in live if u not in gone][pick % (len(live) - len(gone))]
+            if kind == "insert":
+                mutations.append(Insert(grid_box(next_uid, x, y, z, ties)))
+                next_uid += 1
+            elif kind == "delete":
+                mutations.append(Delete(uid))
+                gone.add(uid)
+            else:
+                mutations.append(Move(uid, grid_box(uid, x, y, z, ties)))
+        engine.apply_many(mutations)
+        fresh = DatasetProfile.from_arena(engine.arena, PAGE)
+        profile = engine.profile
+        assert profile.n_objects == fresh.n_objects == engine.num_objects
+        assert profile.sample.shape == fresh.sample.shape
+        assert profile.sample.tobytes() == fresh.sample.tobytes()
+        xs, yz = profile._x_sorted()
+        assert (xs.tobytes(), yz.tobytes()) == reference_x_sorted(fresh.sample)
+
+
+# -- FLAT insert routing ---------------------------------------------------------
+def seed_tree_choice(index: FLATIndex, box: AABB) -> int | None:
+    """Insert routing as a seed-tree kNN: the least-enlargement partition
+    among the four nearest by ``(distance, pid)``."""
+    best_pid, best_key = None, None
+    for pid, _distance in index.seed_tree.knn(box.center(), k=4):
+        partition = index.partitions[pid]
+        if partition.num_objects == 0:
+            continue
+        key = (partition.mbr.enlargement(box), partition.mbr.volume())
+        if best_key is None or key < best_key:
+            best_pid, best_key = pid, key
+    return best_pid
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_flat_routes_inserts_as_the_seed_tree_knn_did(backend):
+    rng = make_rng(5)
+    objects = base_objects(240, seed=5)
+    index = FLATIndex(objects, page_capacity=PAGE, seed_fanout=4)
+    live = {o.uid: o for o in objects}
+    next_uid = 10_000
+    with kernels.use_backend(backend):
+        for step in range(300):
+            probe = random_box(rng)
+            assert flat_updates._choose_partition(index, probe) == seed_tree_choice(index, probe)
+            roll = rng.uniform()
+            uid = sorted(live)[int(rng.integers(len(live)))]
+            if roll < 0.4 and len(live) > 1:  # deletes dissolve some partitions
+                index.delete(uid)
+                del live[uid]
+            elif roll < 0.8:
+                live[next_uid] = box_at(next_uid, *(float(v) for v in rng.uniform(0, WORLD, 3)))
+                index.insert(live[next_uid])
+                next_uid += 1
+            else:
+                live[uid] = box_at(uid, *(float(v) for v in rng.uniform(0, WORLD, 3)))
+                index.move(live[uid])
+            expected = [p.mbr.bounds() for p in index.partitions]
+            assert index.partition_bounds.tolist() == [list(b) for b in expected]
+            assert index.partition_live.tolist() == [p.num_objects > 0 for p in index.partitions]
+    assert not index.partition_live.all()  # some partition was dissolved
+    validate_index(index)
+
+
 # -- R-tree layouts -------------------------------------------------------------
 def refresh_bounds(node) -> None:
-    node.bounds = BoundsView(e.mbr.bounds() for e in node.entries)
+    node.bounds = bounds_column(e.mbr.bounds() for e in node.entries)
+    node._pack = None
 
 
 class FullRefreshRTree(RTree):
     """Guttman's insert/condense, recomputing every level on the path and
-    rebuilding each touched node's whole bounds view."""
+    rebuilding each touched node's whole column; delete searches every
+    subtree whose box intersects the entry's."""
 
     def _insert_entry(self, entry: Entry, level: int) -> None:
         overflow = self._full_insert(self.root, entry, level)
@@ -260,7 +376,25 @@ class FullRefreshRTree(RTree):
             return self._split_node(node)
         return None
 
-    def _condense(self, path) -> None:
+    def delete(self, uid, mbr=None) -> None:
+        path = self._intersecting_path(self.root, uid, mbr)
+        leaf = path[-1]
+        leaf.entries = [e for e in leaf.entries if e.uid != uid]
+        refresh_bounds(leaf)
+        self._size -= 1
+        self._full_condense(path)
+
+    def _intersecting_path(self, node, uid, mbr):
+        if node.is_leaf:
+            return [node] if any(e.uid == uid for e in node.entries) else None
+        for slot in node.entries:
+            if mbr is None or slot.mbr.intersects(mbr):
+                sub = self._intersecting_path(slot.child, uid, mbr)
+                if sub is not None:
+                    return [node, *sub]
+        return None
+
+    def _full_condense(self, path) -> None:
         orphans = []
         for i in range(len(path) - 1, 0, -1):
             node, parent = path[i], path[i - 1]
@@ -289,13 +423,62 @@ def layout(tree: RTree) -> list:
     return out
 
 
+def assert_columns_and_packs_rebuild_whole(tree: RTree) -> None:
+    """Every node's column, and its pack if it has one, equal ones rebuilt
+    from its entries; a pack kept since the last read is the active
+    backend's."""
+    for node in tree.iter_nodes():
+        rebuilt = bounds_column(e.mbr.bounds() for e in node.entries)
+        assert node.bounds.dtype == np.float64 and node.bounds.shape == rebuilt.shape
+        assert node.bounds.tobytes() == rebuilt.tobytes()
+        if node._pack is not None:
+            token, pack = node._pack
+            assert token == kernels.pack_token()
+            expected = kernels.pack_bounds(rebuilt)
+            if isinstance(expected, np.ndarray):
+                assert pack.tobytes() == expected.tobytes()
+            else:
+                assert pack == expected
+
+
+def random_box(rng) -> AABB:
+    return box_at(0, *(float(v) for v in rng.uniform(0, WORLD, 3))).box
+
+
+def run_batches(rng, boxes: dict, lean: RTree, full: RTree, batches: int) -> None:
+    """Seeded Insert/Delete/Move batches of 1-8 mutations on both trees,
+    with a full-window read of ``lean`` after each batch (so the next
+    batch's edits carry packs over)."""
+    next_uid = 1000
+    everything = AABB(-1.0, -1.0, -1.0, WORLD + 2, WORLD + 2, WORLD + 2)
+    for batch in range(batches):
+        for _ in range(int(rng.integers(1, 9))):
+            roll = rng.uniform()
+            uids = sorted(boxes)
+            uid = uids[int(rng.integers(len(uids)))]
+            if roll < 0.35:  # Delete
+                for tree in (lean, full):
+                    tree.delete(uid, boxes[uid])
+                del boxes[uid]
+                continue
+            if roll < 0.7:  # Insert
+                uid, next_uid = next_uid, next_uid + 1
+            else:  # Move: delete, then insert the new box
+                for tree in (lean, full):
+                    tree.delete(uid, boxes[uid])
+            boxes[uid] = random_box(rng)
+            for tree in (lean, full):
+                tree.insert(uid, boxes[uid])
+        assert layout(lean) == layout(full), f"layouts diverge in batch {batch}"
+        assert_columns_and_packs_rebuild_whole(lean)
+        assert sorted(lean.range_query(everything)) == sorted(boxes)
+
+
 @pytest.mark.parametrize("bulk", [True, False])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rtree_layout_matches_full_refresh_maintenance(bulk, seed):
     rng = make_rng(seed)
-    boxes = {
-        uid: box_at(uid, *(float(v) for v in rng.uniform(0, WORLD, 3))).box for uid in range(500)
-    }
+    boxes = {uid: random_box(rng) for uid in range(500)}
     if bulk:
         # STR leaves trailing underfull nodes; a condense pass must still
         # dissolve every one on its path, above an unchanged level too.
@@ -308,31 +491,23 @@ def test_rtree_layout_matches_full_refresh_maintenance(bulk, seed):
         for uid, box in boxes.items():
             lean.insert(uid, box)
             full.insert(uid, box)
-    lean.range_query(AABB(0.0, 0.0, 0.0, WORLD, WORLD, WORLD))  # build bounds views
-    next_uid = 1000
-    for step in range(400):
-        roll = rng.uniform()
-        uids = sorted(boxes)
-        if roll < 0.35:
-            uid = uids[int(rng.integers(len(uids)))]
-            for tree in (lean, full):
-                tree.delete(uid, boxes[uid])
-            del boxes[uid]
-        else:
-            if roll < 0.7:
-                uid, next_uid = next_uid, next_uid + 1
-            else:
-                uid = uids[int(rng.integers(len(uids)))]
-                for tree in (lean, full):
-                    tree.delete(uid, boxes[uid])
-            boxes[uid] = box_at(uid, *(float(v) for v in rng.uniform(0, WORLD, 3))).box
-            for tree in (lean, full):
-                tree.insert(uid, boxes[uid])
-        assert layout(lean) == layout(full), f"layouts diverge at step {step}"
-        for node in lean.iter_nodes():
-            # A slot-edited view is exactly a view rebuilt from the entries.
-            if node.bounds is not None:
-                assert node.bounds.bounds == tuple(e.mbr.bounds() for e in node.entries)
+    assert_columns_and_packs_rebuild_whole(lean)
+    lean.range_query(AABB(0.0, 0.0, 0.0, WORLD, WORLD, WORLD))  # pack every node
+    run_batches(rng, boxes, lean, full, batches=80)
+    lean.validate()
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_rtree_packs_follow_edits_under_every_backend(backend):
+    rng = make_rng(7)
+    boxes = {uid: random_box(rng) for uid in range(300)}
+    items = list(boxes.items())
+    lean = str_bulk_load(items, max_entries=4, leaf_capacity=9)
+    full = str_bulk_load(items, max_entries=4, leaf_capacity=9)
+    full.__class__ = FullRefreshRTree
+    with kernels.use_backend(backend):
+        lean.range_query(AABB(0.0, 0.0, 0.0, WORLD, WORLD, WORLD))
+        run_batches(rng, boxes, lean, full, batches=40)
     lean.validate()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
-from repro.rtree.node import Entry
+from repro.rtree.node import Entry, bounds_column
 from repro.rtree.split import quadratic_split
 from repro.rtree.tree import RTree
 
@@ -22,7 +22,13 @@ def entries_at(positions: list[tuple[float, float, float]], size: float = 1.0) -
     ]
 
 
-@pytest.mark.parametrize("split", [quadratic_split])
+def split_entries(entries: list[Entry], min_entries: int) -> tuple[list[Entry], list[Entry]]:
+    """:func:`quadratic_split` over the entries' column, mapped back to entries."""
+    rows_a, rows_b = quadratic_split(bounds_column(e.mbr.bounds() for e in entries), min_entries)
+    return [entries[i] for i in rows_a], [entries[i] for i in rows_b]
+
+
+@pytest.mark.parametrize("split", [split_entries], ids=["quadratic_split"])
 class TestSplitContracts:
     def test_partition_preserves_entries(self, split):
         entries = entries_at([(0, 0, 0), (10, 0, 0), (0.5, 0, 0), (10.5, 0, 0), (5, 5, 5)])
@@ -61,7 +67,7 @@ class TestQuadraticQuality:
         cluster_a = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
         cluster_b = [(100, 100, 100), (101, 100, 100), (100, 101, 100)]
         entries = entries_at(cluster_a + cluster_b)
-        a, b = quadratic_split(entries, min_entries=2)
+        a, b = split_entries(entries, min_entries=2)
         group_of = {}
         for e in a:
             group_of[e.uid] = "a"
@@ -114,6 +120,13 @@ def reference_quadratic_split(entries, min_entries):
     return group_a, group_b
 
 
+def reference_rows_split(bounds, min_entries):
+    """The scalar reference over a node column, as :class:`RTree` calls a split."""
+    entries = [Entry(mbr=AABB(*row), uid=i) for i, row in enumerate(bounds.tolist())]
+    group_a, group_b = reference_quadratic_split(entries, min_entries)
+    return uids(group_a), uids(group_b)
+
+
 def _reference_pick_seeds(entries):
     worst = -1.0
     seeds = (0, 1)
@@ -163,7 +176,7 @@ class TestQuadraticMatchesScalarReference:
         n = int(rng.integers(5, 87))
         entries = random_entries(rng, n, duplicates=int(rng.integers(0, n // 3 + 1)))
         min_fill = int(rng.integers(1, n // 2 + 1))
-        got = quadratic_split(entries, min_fill)
+        got = split_entries(entries, min_fill)
         want = reference_quadratic_split(entries, min_fill)
         assert (uids(got[0]), uids(got[1])) == (uids(want[0]), uids(want[1]))
 
@@ -172,7 +185,7 @@ class TestQuadraticMatchesScalarReference:
         # Every pair of identical boxes of volume 8 wastes -8: no pair
         # beats -1.0, so both splits must seed on entries 0 and 1.
         entries = [Entry(mbr=AABB(0, 0, 0, 2, 2, 2), uid=uid) for uid in range(n)]
-        got = quadratic_split(entries, n // 3)
+        got = split_entries(entries, n // 3)
         want = reference_quadratic_split(entries, n // 3)
         assert uids(got[0])[0] == 0 and uids(got[1])[0] == 1
         assert (uids(got[0]), uids(got[1])) == (uids(want[0]), uids(want[1]))
@@ -186,7 +199,7 @@ class TestQuadraticMatchesScalarReference:
             Entry(mbr=AABB.from_center_extent((0.0, 0.0, 0.0), side), uid=uid)
             for uid, side in enumerate(sides)
         ]
-        got = quadratic_split(entries, 2)
+        got = split_entries(entries, 2)
         want = reference_quadratic_split(entries, 2)
         assert uids(got[0])[0] == 0 and uids(got[1])[0] == 1
         assert (uids(got[0]), uids(got[1])) == (uids(want[0]), uids(want[1]))
@@ -195,7 +208,7 @@ class TestQuadraticMatchesScalarReference:
         rng = np.random.default_rng(2013)
         trees = [
             RTree(max_entries=16, leaf_capacity=85, split=split)
-            for split in (quadratic_split, reference_quadratic_split)
+            for split in (quadratic_split, reference_rows_split)
         ]
         live: dict[int, AABB] = {}
         next_uid = 0
