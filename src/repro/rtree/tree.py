@@ -47,7 +47,8 @@ class RTree:
         Leaf fan-out when it differs from the internal one (a leaf models a
         data page, an internal node an index page).
     split:
-        Splitting policy; defaults to Guttman's quadratic split.
+        Splitting policy (a :data:`SplitFunc` over the overflowing node's
+        column); defaults to Guttman's quadratic split.
     """
 
     def __init__(
