@@ -27,7 +27,6 @@ from repro.geometry.aabb import AABB
 from repro.geometry.vec import Vec3
 from repro.objects import SpatialObject
 from repro.rtree.bulk import str_bulk_load
-from repro.rtree.node import bounds_column
 from repro.rtree.tree import RTree
 from repro.storage.arena import BoundsView, ColumnarArena
 from repro.storage.buffer_pool import BufferPool
@@ -107,10 +106,6 @@ class FLATIndex:
             [(p.partition_id, p.mbr) for p in self.partitions],
             max_entries=seed_fanout,
         )
-        # The partition-MBR column (row = pid) and which pids are live: a
-        # dissolved partition keeps its id and row but leaves the seed tree.
-        self.partition_bounds = bounds_column(p.mbr.bounds() for p in self.partitions)
-        self.partition_live = np.ones(len(self.partitions), dtype=bool)
         self.disk = Disk(params=disk_params if disk_params is not None else DiskParameters())
         self._partition_of_uid: dict[int, int] = {}
         row_of_uid = dict(zip(self._objects, rows))

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import kernels
 from repro.core.flat.partitions import Partition
 from repro.errors import IndexError_
 from repro.geometry.aabb import AABB
@@ -129,23 +128,14 @@ def move_object(index: "FLATIndex", obj: SpatialObject) -> None:
 
 
 def _choose_partition(index: "FLATIndex", box: AABB) -> int | None:
-    """Least-enlargement live partition among the four nearest.
-
-    The candidates are the four live partitions nearest ``box``'s centre
-    by ``(distance, pid)`` — the answer, in order, of a seed-tree kNN —
-    found with one point–box distance batch over the partition-MBR column.
-    """
-    distances = np.asarray(
-        kernels.point_box_distance(kernels.pack_bounds(index.partition_bounds), box.center()),
-        dtype=float,
-    )
-    distances[~index.partition_live] = np.inf
+    """Least-enlargement live partition among the nearest candidates."""
+    candidates = index.seed_tree.knn(box.center(), k=4)
     best_pid: int | None = None
     best_key: tuple[float, float] | None = None
-    for pid in np.argsort(distances, kind="stable")[:4].tolist():
-        if not index.partition_live[pid]:
-            break  # fewer than four live partitions
+    for pid, _distance in candidates:
         partition = index.partitions[pid]
+        if partition.num_objects == 0:
+            continue
         key = (partition.mbr.enlargement(box), partition.mbr.volume())
         if best_key is None or key < best_key:
             best_key = key
@@ -165,7 +155,6 @@ def _replace_partition(
         index._partition_of_uid[uid] = pid
     if mbr == old.mbr:
         return  # seed tree, links and world depend on partition MBRs only
-    index.partition_bounds[pid] = mbr.bounds()
     index.seed_tree.delete(pid, old.mbr)
     index.seed_tree.insert(pid, mbr)
     _relink_neighbors(index, pid)
@@ -176,8 +165,6 @@ def _create_partition(index: "FLATIndex", uids: tuple[int, ...], mbr: AABB) -> N
     pid = len(index.partitions)
     index.partitions.append(Partition(partition_id=pid, mbr=mbr, object_uids=uids))
     index.neighbors.append([])
-    index.partition_bounds = np.vstack((index.partition_bounds, mbr.bounds()))
-    index.partition_live = np.append(index.partition_live, True)
     index.disk.store(
         Page(page_id=pid, object_uids=uids, mbr=mbr, bounds=index.page_bounds_view(uids))
     )
@@ -200,8 +187,6 @@ def _dissolve_partition(index: "FLATIndex", pid: int) -> None:
     # Keep the id slot (stable page ids) but mark it as empty.
     empty_box = AABB.from_center_extent(old.mbr.center(), 0.0)
     index.partitions[pid] = Partition(partition_id=pid, mbr=empty_box, object_uids=())
-    index.partition_bounds[pid] = empty_box.bounds()
-    index.partition_live[pid] = False
     index.disk.store(
         Page(page_id=pid, object_uids=(), mbr=empty_box, bounds=index.page_bounds_view(()))
     )

@@ -49,7 +49,7 @@ from repro.engine.mutations import (
     MutationStats,
     validate_finite_geometry,
 )
-from repro.engine.planner import _PROFILE_SAMPLE, DatasetProfile, Planner, QueryPlan
+from repro.engine.planner import DatasetProfile, Planner, QueryPlan
 from repro.engine.queries import KNNQuery, Query, RangeQuery, SpatialJoin, Walkthrough
 from repro.engine.stats import EngineResult, EngineTelemetry
 from repro.errors import EngineError
@@ -114,8 +114,9 @@ class SpatialEngine:
         self.seed_fanout = seed_fanout
         self._profile: DatasetProfile | None = None
         self._planner: Planner | None = None
-        # Live positions whose row changed since ``_profile`` was built:
-        # non-empty means the profile is stale and is patched on next read.
+        # Live positions whose row changed since ``_profile`` was built (at
+        # most one entry per position): non-empty means the profile is
+        # stale and is patched on next read.
         self._moved: set[int] = set()
         self.epoch = 0
         self.wal = None  # a WriteAheadLog once repro.create / repro.open attach one
@@ -247,21 +248,21 @@ class SpatialEngine:
         reads.  A range read on the R-tree right after an 8-mutation batch,
         on one 6.2k-segment shard of the ingest benchmark with FLAT, the
         R-tree and the profile built (CPU ms over 800 shard reads, one
-        pinned core of a 2-vCPU VM), with profiles rebuilt and R-tree nodes
-        re-packed on first read -> patched profiles, columnar R-tree
-        maintenance and carried node packs:
+        pinned core of a 2-vCPU VM), with profiles rebuilt and edited R-tree
+        nodes packed from tuples -> patched profiles and R-tree nodes that
+        carry their entry-bounds column (under NumPy it is their pack):
 
         ===========================  ===========  ===========
         (p50, or p50 / p95)           rebuilt      patched
         ===========================  ===========  ===========
-        profile rebuild / patch       0.12         0.03
-        first estimate's x-sort       0.14         0.04
-        object R-tree flush           0.31 / 1.76  0.16 / 1.14
-        first read minus warm read    0.09         0.02
-        all of it                     0.67 / 2.11  0.27 / 1.31
+        profile rebuild / patch       0.27         0.07
+        first estimate's x-sort       0.22         0.08
+        object R-tree flush           0.52 / 3.21  0.28 / 1.66
+        first read minus warm read    0.17         0.06
+        all of it                     1.22 / 3.97  0.50 / 1.90
         ===========================  ===========  ===========
 
-        against 0.10 ms for the warm read.  An R-tree flush's p95 is a leaf
+        against 0.16 ms for the warm read.  An R-tree flush's p95 is a leaf
         split (quadratic, ~1.3 ms for 86 entries).  FLAT's queue waits for
         the next FLAT read (range, kNN or walk), which applies the net
         deltas of every batch since its last read in one flush.
@@ -288,17 +289,12 @@ class SpatialEngine:
                 arena.append(mutation.obj)
                 self._note_delta(mutation.obj.uid, None, mutation.obj)
             elif isinstance(mutation, Delete):
-                # The last live row moves into the freed position.
-                moved.add(arena.position_of(mutation.uid))
-                self._note_delta(mutation.uid, arena.tombstone(mutation.uid), None)
+                self._note_delta(mutation.uid, arena.tombstone(mutation.uid, moved), None)
             else:
-                moved.add(arena.position_of(mutation.uid))
-                self._note_delta(mutation.uid, arena.replace(mutation.obj), mutation.obj)
+                self._note_delta(mutation.uid, arena.replace(mutation.obj, moved), mutation.obj)
             stats.count(mutation)
-        if self._profile is None or len(moved) > _PROFILE_SAMPLE:
-            # Nothing to patch, or a patch would gather as much as a rebuild.
-            self._profile = None
-            moved.clear()
+        if self._profile is None:
+            moved.clear()  # nothing to patch: the next read builds a profile
         arena.maybe_compact()
         self.epoch += 1
         stats.epoch = self.epoch

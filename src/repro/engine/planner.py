@@ -27,7 +27,7 @@ so (``overridden=True``) and keeps the planner's reasoning for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class DatasetProfile:
             offset += arena.num_live
         return cls(n_objects, page_capacity, _centres(np.concatenate(picked)), arenas)
 
-    def patched(self, arena: ColumnarArena, moved: Iterable[int]) -> "DatasetProfile":
+    def patched(self, arena: ColumnarArena, moved: Collection[int]) -> "DatasetProfile":
         """This profile of ``arena`` after writes: bit-identical to a fresh
         :meth:`from_arena`, for a fraction of its cost.
 
@@ -148,12 +148,18 @@ class DatasetProfile:
         is the same, only the sample rows at moved sampled positions and
         the ones a grown live count adds are gathered; the rest are copied,
         and rows past a shrunk count dropped.  Otherwise (the live count
-        crossed a multiple of the sample size, or the profile spans other
-        arenas) the profile is rebuilt whole.
+        crossed a multiple of the sample size, more positions moved than a
+        sample holds, or the profile spans other arenas) the profile is
+        rebuilt whole.
         """
         n_objects = arena.num_live
         stride = _stride(n_objects)
-        if self.arenas != (arena,) or not n_objects or stride != _stride(self.n_objects):
+        if (
+            self.arenas != (arena,)
+            or not n_objects
+            or stride != _stride(self.n_objects)
+            or len(moved) > _PROFILE_SAMPLE
+        ):
             return DatasetProfile.from_arena(arena, self.page_capacity)
         size = len(range(0, n_objects, stride))
         kept = min(size, len(self.sample))

@@ -50,8 +50,6 @@ __all__ = [
     "pack_segments",
     "batch_len",
     "slice_packed",
-    "take_packed",
-    "splice_packed",
     "box_intersects",
     "box_contains",
     "box_overlap_pairs",
@@ -231,20 +229,6 @@ def batch_len(packed: Any) -> int:
 def slice_packed(packed: Any, start: int, stop: int) -> Any:
     """Contiguous sub-batch ``[start:stop)`` of a packed bounds batch."""
     return _active.slice_packed(packed, start, stop)
-
-
-def take_packed(packed: Any, rows: Sequence[int]) -> Any:
-    """The sub-batch of ``packed``'s elements ``rows``, in that order."""
-    return _active.take_packed(packed, rows)
-
-
-def splice_packed(packed: Any, start: int, stop: int, bounds: Sequence[Any]) -> Any:
-    """``packed`` with elements ``[start:stop)`` replaced by the ``bounds`` rows.
-
-    The other elements are carried over as packed, so an edit of one slot
-    costs that slot's packing, not the batch's.
-    """
-    return _active.splice_packed(packed, start, stop, bounds)
 
 
 # -- batch predicates and distances -------------------------------------------

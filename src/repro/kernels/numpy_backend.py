@@ -71,14 +71,6 @@ def slice_packed(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
     return packed[start:stop]
 
 
-def take_packed(packed: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    return packed[np.asarray(rows, dtype=np.intp)]
-
-
-def splice_packed(packed: np.ndarray, start: int, stop: int, bounds: Sequence[Any]) -> np.ndarray:
-    return np.concatenate((packed[:start], pack_bounds(bounds), packed[stop:]))
-
-
 # -- batch predicates and distances -------------------------------------------
 def box_intersects(packed: np.ndarray, box: Any, eps: float = 0.0) -> np.ndarray:
     # Column-at-a-time with in-place combination: one temporary per axis

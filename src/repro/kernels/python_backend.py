@@ -55,14 +55,6 @@ def slice_packed(packed: list[Any], start: int, stop: int) -> list[Any]:
     return packed[start:stop]
 
 
-def take_packed(packed: list[Any], rows: Sequence[int]) -> list[Any]:
-    return [packed[i] for i in rows]
-
-
-def splice_packed(packed: list[Any], start: int, stop: int, bounds: Sequence[Bounds]) -> list[Any]:
-    return packed[:start] + pack_bounds(bounds) + packed[stop:]
-
-
 # -- batch predicates and distances -------------------------------------------
 def box_intersects(packed: list[Bounds], box: Any, eps: float = 0.0) -> list[bool]:
     q_min_x = box.min_x - eps

@@ -8,7 +8,7 @@ entry (``uid`` set, ``child`` None) and the internal entry (``child`` set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -50,9 +50,8 @@ class Node:
     ``entries[i].mbr.bounds()`` as float64.  Bulk loads hand each node a
     slice of the arrays STR tiled; a node built from entries alone derives
     it.  A column is never written in place: every edit below installs a
-    new one and carries the memoized kernel pack over to it (edited at the
-    changed rows, or the new column itself for a backend that packs a
-    column as is), so the next read packs nothing.
+    new one and drops the memoized kernel pack, which the next read packs
+    again from the column (under NumPy the pack is the column itself).
     """
 
     level: int
@@ -90,23 +89,14 @@ class Node:
         """Keep slots ``keep`` here and move slots ``move`` to a new sibling.
 
         Both halves list their slots in the order given, and gather their
-        columns and packs from this node's rows.
+        columns from this node's rows.
         """
         entries, column = self.entries, self.bounds
         sibling = Node(self.level, [entries[i] for i in move], bounds=column[move])
-        sibling._pack = self._carried(
-            column, sibling.bounds, lambda p: kernels.take_packed(p, move)
-        )
         self.entries = [entries[i] for i in keep]
         self.bounds = column[keep]
-        self._pack = self._carried(column, self.bounds, lambda p: kernels.take_packed(p, keep))
+        self._pack = None
         return sibling
-
-    def pack_like(self, other: "Node") -> None:
-        """Pack this node now if ``other`` is packed for the active backend
-        (a root born in a flush is then read without packing)."""
-        if other._pack is not None and other._pack[0] == kernels.pack_token():
-            self._pack = (other._pack[0], kernels.pack_bounds(self.bounds))
 
     def _splice(self, start: int, stop: int, rows: tuple) -> None:
         """Replace column rows ``[start:stop)`` by ``rows``."""
@@ -118,23 +108,7 @@ class Node:
             self.bounds = np.concatenate((old[:start], bounds_column(rows), old[stop:]))
         else:
             self.bounds = np.concatenate((old[:start], old[stop:]))
-        self._pack = self._carried(
-            old, self.bounds, lambda p: kernels.splice_packed(p, start, stop, rows)
-        )
-
-    def _carried(
-        self, old: np.ndarray, new: np.ndarray, derive: Callable[[Any], Any]
-    ) -> tuple[str, Any] | None:
-        """The pack of column ``new``, from this node's pack of column ``old``.
-
-        A backend that packs a column as itself gets ``new`` as is;
-        otherwise ``derive`` edits the old pack.  A pack of another backend
-        than the active one is dropped.
-        """
-        pack = self._pack
-        if pack is None or pack[0] != kernels.pack_token():
-            return None
-        return pack[0], new if pack[1] is old else derive(pack[1])
+        self._pack = None
 
     def entry_bounds(self) -> Any:
         """Entry MBRs packed for :mod:`repro.kernels` (memoized for the active backend)."""

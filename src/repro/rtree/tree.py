@@ -172,7 +172,6 @@ class RTree:
                     Entry(mbr=overflow.mbr(), child=overflow),
                 ],
             )
-            self.root.pack_like(old_root)
 
     def _insert_rec(self, node: Node, entry: Entry, level: int) -> tuple[Node | None, bool]:
         """Insert ``entry`` below ``node``: ``(split-off sibling, changed)``.
@@ -365,7 +364,7 @@ class RTree:
         """Range query plus the per-level node-access statistics of Figure 3.
 
         Each node scan is one batch kernel call over the entry MBRs (the
-        node's column, packed once per backend and carried over by every
+        node's column, packed on first read per backend and again after an
         edit), so the per-entry work runs vectorised under the NumPy
         backend.
         """

@@ -228,15 +228,18 @@ class ColumnarArena:
         self._live_rows.append(row)
         self._bump()
 
-    def tombstone(self, uid: int) -> SpatialObject:
+    def tombstone(self, uid: int, moved: set[int] | None = None) -> SpatialObject:
         """Remove ``uid`` from the live set (swap-remove on live order).
 
         The row's column data stays in place until :meth:`compact`; only the
-        live-order bookkeeping changes, so this is O(1).
+        live-order bookkeeping changes, so this is O(1).  ``moved``, if
+        given, gains the freed live position (the last live row fills it).
         """
         pos = self._pos_of_uid.get(uid)
         if pos is None:
             raise EngineError(f"cannot delete unknown uid {uid}")
+        if moved is not None:
+            moved.add(pos)
         old = self.materialize(self._live_rows[pos])
         last = self._live_rows.pop()
         if pos < len(self._live_rows):
@@ -247,12 +250,17 @@ class ColumnarArena:
         self._bump()
         return old
 
-    def replace(self, obj: SpatialObject) -> SpatialObject:
-        """Replace the geometry of ``obj.uid`` in place (live position kept)."""
+    def replace(self, obj: SpatialObject, moved: set[int] | None = None) -> SpatialObject:
+        """Replace the geometry of ``obj.uid`` in place (live position kept).
+
+        ``moved``, if given, gains that live position.
+        """
         uid = obj.uid
         pos = self._pos_of_uid.get(uid)
         if pos is None:
             raise EngineError(f"cannot move unknown uid {uid}")
+        if moved is not None:
+            moved.add(pos)
         row = self._live_rows[pos]
         old = self.materialize(row)
         # Appending a fresh row and retargeting the live slot keeps rows
@@ -370,13 +378,6 @@ class ColumnarArena:
         if pos is None:
             return None
         return self.materialize(self._live_rows[pos])
-
-    def position_of(self, uid: int) -> int:
-        """``uid``'s position in the live order."""
-        pos = self._pos_of_uid.get(uid)
-        if pos is None:
-            raise EngineError(f"unknown uid {uid}")
-        return pos
 
     def aabb_of(self, uid: int) -> AABB:
         pos = self._pos_of_uid.get(uid)

@@ -11,13 +11,12 @@ plan and no tree layout.
 * a reference R-tree with Guttman's full-refresh insert/condense (every
   level's slot and column recomputed) and an exhaustive delete search
   must keep the same layout, node for node, as :class:`RTree` under the
-  same Insert/Delete/Move batches, and every column and kernel pack
-  :class:`RTree` edits slot by slot must equal one rebuilt whole;
+  same Insert/Delete/Move batches (checked after every mutation), and
+  every column :class:`RTree` edits slot by slot, and every kernel pack a
+  node keeps, must equal one rebuilt whole;
 * a profile patched batch after batch is byte for byte a fresh one,
   x-sorted arrays included, as the live count crosses a multiple of the
   sample size, with and without tied x values;
-* FLAT routes each insert to the partition a seed-tree kNN picked, and
-  keeps its partition-MBR column equal to the partitions;
 * with FLAT several batches behind the R-tree (only R-tree reads between
   batches, one uid deleted then reinserted and another inserted then
   moved across them), the lagged FLAT flush answers range, kNN and walk
@@ -40,7 +39,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.flat import updates as flat_updates
 from repro.core.flat.index import FLATIndex
 from repro.core.flat.updates import validate_index
 from repro.durability import wal as wal_module
@@ -284,51 +282,6 @@ def test_the_patched_profile_equals_a_fresh_one(start, batch_list, ties):
         assert (xs.tobytes(), yz.tobytes()) == reference_x_sorted(fresh.sample)
 
 
-# -- FLAT insert routing ---------------------------------------------------------
-def seed_tree_choice(index: FLATIndex, box: AABB) -> int | None:
-    """Insert routing as a seed-tree kNN: the least-enlargement partition
-    among the four nearest by ``(distance, pid)``."""
-    best_pid, best_key = None, None
-    for pid, _distance in index.seed_tree.knn(box.center(), k=4):
-        partition = index.partitions[pid]
-        if partition.num_objects == 0:
-            continue
-        key = (partition.mbr.enlargement(box), partition.mbr.volume())
-        if best_key is None or key < best_key:
-            best_pid, best_key = pid, key
-    return best_pid
-
-
-@pytest.mark.parametrize("backend", kernels.available_backends())
-def test_flat_routes_inserts_as_the_seed_tree_knn_did(backend):
-    rng = make_rng(5)
-    objects = base_objects(240, seed=5)
-    index = FLATIndex(objects, page_capacity=PAGE, seed_fanout=4)
-    live = {o.uid: o for o in objects}
-    next_uid = 10_000
-    with kernels.use_backend(backend):
-        for step in range(300):
-            probe = random_box(rng)
-            assert flat_updates._choose_partition(index, probe) == seed_tree_choice(index, probe)
-            roll = rng.uniform()
-            uid = sorted(live)[int(rng.integers(len(live)))]
-            if roll < 0.4 and len(live) > 1:  # deletes dissolve some partitions
-                index.delete(uid)
-                del live[uid]
-            elif roll < 0.8:
-                live[next_uid] = box_at(next_uid, *(float(v) for v in rng.uniform(0, WORLD, 3)))
-                index.insert(live[next_uid])
-                next_uid += 1
-            else:
-                live[uid] = box_at(uid, *(float(v) for v in rng.uniform(0, WORLD, 3)))
-                index.move(live[uid])
-            expected = [p.mbr.bounds() for p in index.partitions]
-            assert index.partition_bounds.tolist() == [list(b) for b in expected]
-            assert index.partition_live.tolist() == [p.num_objects > 0 for p in index.partitions]
-    assert not index.partition_live.all()  # some partition was dissolved
-    validate_index(index)
-
-
 # -- R-tree layouts -------------------------------------------------------------
 def refresh_bounds(node) -> None:
     node.bounds = bounds_column(e.mbr.bounds() for e in node.entries)
@@ -447,12 +400,12 @@ def random_box(rng) -> AABB:
 
 def run_batches(rng, boxes: dict, lean: RTree, full: RTree, batches: int) -> None:
     """Seeded Insert/Delete/Move batches of 1-8 mutations on both trees,
-    with a full-window read of ``lean`` after each batch (so the next
-    batch's edits carry packs over)."""
+    layouts compared after every mutation, with a full-window read of
+    ``lean`` after each batch (so the next batch edits packed nodes)."""
     next_uid = 1000
     everything = AABB(-1.0, -1.0, -1.0, WORLD + 2, WORLD + 2, WORLD + 2)
     for batch in range(batches):
-        for _ in range(int(rng.integers(1, 9))):
+        for step in range(int(rng.integers(1, 9))):
             roll = rng.uniform()
             uids = sorted(boxes)
             uid = uids[int(rng.integers(len(uids)))]
@@ -460,16 +413,16 @@ def run_batches(rng, boxes: dict, lean: RTree, full: RTree, batches: int) -> Non
                 for tree in (lean, full):
                     tree.delete(uid, boxes[uid])
                 del boxes[uid]
-                continue
-            if roll < 0.7:  # Insert
-                uid, next_uid = next_uid, next_uid + 1
-            else:  # Move: delete, then insert the new box
+            else:
+                if roll < 0.7:  # Insert
+                    uid, next_uid = next_uid, next_uid + 1
+                else:  # Move: delete, then insert the new box
+                    for tree in (lean, full):
+                        tree.delete(uid, boxes[uid])
+                boxes[uid] = random_box(rng)
                 for tree in (lean, full):
-                    tree.delete(uid, boxes[uid])
-            boxes[uid] = random_box(rng)
-            for tree in (lean, full):
-                tree.insert(uid, boxes[uid])
-        assert layout(lean) == layout(full), f"layouts diverge in batch {batch}"
+                    tree.insert(uid, boxes[uid])
+            assert layout(lean) == layout(full), f"layouts diverge at batch {batch}, step {step}"
         assert_columns_and_packs_rebuild_whole(lean)
         assert sorted(lean.range_query(everything)) == sorted(boxes)
 

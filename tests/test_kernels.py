@@ -172,21 +172,6 @@ class TestBoxKernelParity:
                 sliced = [bool(v) for v in kernels.box_intersects(window, query)]
                 assert sliced == full[10:30]
 
-    def test_take_and_splice_packed_match_packing_the_edited_rows(self, rng):
-        rows = [random_box(rng).bounds() for _ in range(12)]
-        new = [random_box(rng).bounds() for _ in range(2)]
-        edits = [(3, 4, new[:1]), (12, 12, new[:1]), (5, 6, []), (0, 2, new), (2, 2, [])]
-        for backend in BACKENDS:
-            with kernels.use_backend(backend):
-                packed = kernels.pack_bounds(rows)
-                for start, stop, rows_in in edits:
-                    got = kernels.splice_packed(packed, start, stop, rows_in)
-                    want = kernels.pack_bounds(rows[:start] + rows_in + rows[stop:])
-                    assert [tuple(map(float, r)) for r in got] == [tuple(r) for r in want]
-                picked = [7, 0, 11, 7]
-                got = kernels.take_packed(packed, picked)
-                assert [tuple(map(float, r)) for r in got] == [rows[i] for i in picked]
-
     def test_a_float64_column_packs_as_itself_or_as_its_rows(self):
         column = np.arange(18, dtype=float).reshape(3, 6)
         for backend in BACKENDS:
