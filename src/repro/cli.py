@@ -155,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "primary's tiling)",
     )
     server.add_argument(
-        "--workers", type=int, default=None, help="pool threads (default: one per shard)"
-    )
-    server.add_argument(
         "--max-in-flight", type=int, default=None,
         help="admission: concurrent queries (default: shard count)",
     )
@@ -583,7 +580,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
             catalog = repro.Catalog(args.catalog, create=False)
         service_kwargs = dict(
-            max_workers=args.workers,
             max_in_flight=args.max_in_flight,
             max_queued=args.max_queued,
             default_timeout_s=args.timeout,
@@ -843,7 +839,7 @@ def _run_recover(args: argparse.Namespace) -> int:
         return _fail(error)
     finally:
         if args.sharded and engine is not None:
-            engine.close()  # shut the recovered service's worker pool down
+            engine.close()
     return 0
 
 

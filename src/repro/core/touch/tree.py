@@ -30,7 +30,7 @@ class TouchLevels:
     active kernel backend's :func:`repro.kernels.pack_hierarchy` of the
     node bounds per level, the child offsets between levels, each leaf's
     range into ``objects`` and the objects' bounds.  Nothing writes to it
-    after :func:`touch_levels`, so concurrent joins of B slices share one.
+    after :func:`touch_levels`: joins only read it.
     """
 
     objects: list[SpatialObject]

@@ -173,7 +173,7 @@ def recover_engine(
                 f"plus the durable WAL only reaches epoch {epoch}"
             )
     except BaseException:
-        engine.close()  # don't leak a sharded worker pool on a failed recovery
+        engine.close()
         raise
     return Recovery(
         engine=engine,
@@ -308,7 +308,7 @@ def open_durable(
             )
         wal = WriteAheadLog(wal_path(root), **{"anchor_seq": anchor, **(wal_kwargs or {})})
     except BaseException:
-        recovery.engine.close()  # no worker pool outlives a refused open
+        recovery.engine.close()
         raise
     recovery.engine.wal = wal
     return recovery.engine

@@ -145,7 +145,7 @@ class EngineTelemetry:
 
     Backed by :mod:`repro.obs.metrics` primitives: every total is a
     per-instance :class:`~repro.obs.metrics.Counter` whose per-thread
-    cells make ``record`` lock-free — shard worker threads can feed one
+    cells make ``record`` lock-free — concurrent client threads can feed one
     telemetry object without losing an increment to a read-modify-write
     race.  :meth:`snapshot` is the one
     reader; it sums the cells, exact at any quiescent point (no in-flight

@@ -60,7 +60,7 @@ class EngineError(ReproError):
 
 class ServiceError(EngineError):
     """Raised by the :class:`~repro.service.ShardedEngine` query service
-    (shard worker failures, bad service configuration).  Deriving from
+    (shard subtask failures, bad service configuration).  Deriving from
     :class:`EngineError` keeps one ``except`` clause sufficient for callers
     that treat the service as just another engine."""
 
@@ -132,6 +132,6 @@ class ServiceOverloadError(ServiceError):
 
 
 class ServiceTimeoutError(ServiceError):
-    """Raised when an admitted query misses its per-query deadline.  Shard
-    subtasks already running are not interrupted (threads cannot be killed);
-    their results are discarded and the worker pool stays reusable."""
+    """Raised when an admitted query misses its per-query deadline.  A shard
+    subtask already running is not interrupted; it finishes, its result is
+    discarded and no later subtask of the query starts."""

@@ -84,8 +84,8 @@ class KernelCounters:
     Each thread accumulates (and reads) its own totals, so a
     before/after delta around a query — :func:`repro.engine.executors.timed`
     does exactly this — counts only that thread's kernel calls even while
-    the :class:`~repro.service.ShardedEngine` worker pool runs other
-    queries concurrently.  ``reset`` clears the calling thread's slot only.
+    other client threads run queries on the same
+    :class:`~repro.service.ShardedEngine` concurrently.  ``reset`` clears the calling thread's slot only.
     """
 
     def __init__(self) -> None:

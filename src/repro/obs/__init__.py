@@ -2,8 +2,8 @@
 
 Three surfaces, one package:
 
-* :mod:`repro.obs.trace` — nested span trees with contextvar propagation
-  across the thread pool and wire-serialisable trace trees
+* :mod:`repro.obs.trace` — nested span trees carried by a contextvar
+  and wire-serialisable trace trees
   (``repro query --trace``);
 * :mod:`repro.obs.metrics` — named counters / gauges / histograms with a
   lock-free hot path, registered by every layer (engine, service, WAL,

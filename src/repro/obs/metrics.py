@@ -20,7 +20,7 @@ only it mutates, registered once under the family lock on the thread's
 first touch.  Reads sum the cells — exact at any quiescent point (no
 in-flight updates), which is the conservation contract the stress tests
 assert — and the per-thread layout means server executor threads and
-shard workers can all hammer the same metric without a single lost
+client threads can all hammer the same metric without a single lost
 increment.
 
 **Labels.**  A metric created with ``label_names`` is a *family*:

@@ -14,11 +14,13 @@ allocation, no timestamps.  Only when a caller has opened
 
 Propagation:
 
-* **threads** — the current span lives in a :class:`ContextVar`, so
-  wrapping pool thunks with ``contextvars.copy_context().run`` (the
-  service fan-out does) carries the parent span into worker threads;
-  children append to the shared parent (list append is atomic under the
-  GIL).
+* **threads** — the current span lives in a :class:`ContextVar`, so a
+  span opened on one thread parents only spans on that thread (the
+  service runs a query's shard subtasks on the calling thread, so they
+  nest under its ``service.execute``); a thunk handed to another thread
+  inherits the parent when run under ``contextvars.copy_context().run``,
+  and children append to the shared parent (list append is atomic under
+  the GIL).
 * **the wire** — the server serialises the root span into the result
   frame (``to_dict`` is strict-JSON-safe), so a remote ``Client`` query
   receives the full server-side trace.

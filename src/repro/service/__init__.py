@@ -1,8 +1,9 @@
 """The service layer: a concurrent, admission-controlled query front.
 
 :class:`ShardedEngine` spatially partitions one dataset into N Hilbert
-shards, owns one :class:`~repro.engine.SpatialEngine` per shard, and fans
-queries out across a real worker pool with deterministic result merging.
+shards, owns one :class:`~repro.engine.SpatialEngine` per shard, and runs
+each query's shard subtasks on the calling thread with deterministic
+result merging.
 The supporting pieces:
 
 * :mod:`repro.service.sharding` — the Hilbert-order partitioner,
@@ -15,7 +16,7 @@ The supporting pieces:
 
 from repro.service.admission import AdmissionController, AdmissionSnapshot
 from repro.service.sharded import ShardedEngine
-from repro.service.sharding import ShardSpec, hilbert_shards, round_robin_split
+from repro.service.sharding import ShardSpec, hilbert_shards
 from repro.service.stats import (
     ServiceResult,
     ServiceStats,
@@ -33,5 +34,4 @@ __all__ = [
     "ShardWork",
     "ShardedEngine",
     "hilbert_shards",
-    "round_robin_split",
 ]

@@ -23,7 +23,7 @@ from repro.geometry.aabb import AABB
 from repro.hilbert.curve import HilbertEncoder3D
 from repro.objects import SpatialObject
 
-__all__ = ["ShardSpec", "hilbert_shards", "round_robin_split"]
+__all__ = ["ShardSpec", "hilbert_shards"]
 
 
 @dataclass
@@ -104,20 +104,3 @@ def hilbert_shards(
 def _cover(members: Sequence[SpatialObject]) -> AABB:
     return AABB.union_all(o.aabb for o in members)
 
-
-def round_robin_split(
-    objects: Sequence[SpatialObject], num_shards: int
-) -> list[tuple[SpatialObject, ...]]:
-    """Deal ``objects`` round-robin into up to ``num_shards`` non-empty groups.
-
-    Used for join fan-out, where the probe side needs balanced *work*, not
-    spatial coherence (every group is joined against the full build side, so
-    no pair can be lost to a boundary or found twice).
-    """
-    if num_shards < 1:
-        raise ServiceError("need at least one shard")
-    num_shards = max(1, min(num_shards, len(objects)))
-    groups: list[list[SpatialObject]] = [[] for _ in range(num_shards)]
-    for position, obj in enumerate(objects):
-        groups[position % num_shards].append(obj)
-    return [tuple(group) for group in groups]

@@ -5,9 +5,11 @@ Every time the service reports is a clock reading on a real run:
 * **wall time** (``elapsed_ms``) — what this process actually spent on a
   query, fan-out and merge included, admission wait excluded; each
   shard subtask's own wall time is its :attr:`ShardWork.elapsed_ms`, and
-* **CPU time** (:attr:`ShardWork.cpu_ms`) — the worker thread's own CPU
-  clock for one subtask, which excludes GIL waits and preemption, summed
-  per shard by the telemetry's ``per_shard_cpu_ms``.
+* **CPU time** (:attr:`ShardWork.cpu_ms`) — the calling thread's own CPU
+  clock for one subtask (every subtask runs on the thread that called
+  :meth:`~repro.service.ShardedEngine.execute`), which excludes GIL waits
+  and preemption, summed per shard by the telemetry's
+  ``per_shard_cpu_ms``.
 
 The service keeps no modelled clock: a shard engine's simulated-disk
 ``io_time_ms`` (the paper's page/I/O model) stays in that engine's own
@@ -46,12 +48,12 @@ class ShardWork:
 
     shard_id: int
     strategy: str  # strategy the shard's engine actually ran
-    elapsed_ms: float  # real wall time on the worker thread
+    elapsed_ms: float  # real wall time of the subtask
     pages_read: int
     comparisons: int
     num_results: int
-    cpu_ms: float = 0.0  # CPU time the subtask burned on its worker
-    # ``cpu_ms`` is measured with the worker thread's own CPU clock, so
+    cpu_ms: float = 0.0  # CPU time the subtask burned
+    # ``cpu_ms`` is measured with the calling thread's own CPU clock, so
     # it excludes GIL waits and scheduler preemption — the same subtask
     # costs the same CPU no matter how contended the host is; the
     # telemetry's ``per_shard_cpu_ms`` sums it per shard.
@@ -133,7 +135,7 @@ _S_ADMISSION = _REGISTRY.histogram(
 )
 _S_SUBTASK_CPU = _REGISTRY.histogram(
     "repro_service_subtask_cpu_ms",
-    "CPU-clock time of one shard subtask on its worker thread (ms)",
+    "CPU-clock time of one shard subtask on the calling thread (ms)",
     buckets=LATENCY_BUCKETS_MS,
 )
 _S_MUTATIONS = _REGISTRY.counter(

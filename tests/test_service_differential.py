@@ -14,8 +14,6 @@ engines.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro import kernels
@@ -28,9 +26,9 @@ from repro.workloads.walks import branch_walk
 
 BACKENDS = kernels.available_backends()
 SHARD_COUNTS = (1, 2, 4, 7)
-# The service's fan-out, named in each cell's id, and the pool type that
-# ``service_for`` checks the engine under test really fans out on.
-FAN_OUTS = {"thread": ThreadPoolExecutor}
+# Named in each cell's id: the service's one fan-out, which runs every
+# shard subtask on the calling thread.
+FAN_OUTS = ("thread",)
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +60,8 @@ def canonical_knn(payload):
     return sorted(((round(d, 9), uid) for uid, d in payload))
 
 
-def service_for(circuit, shards, fan_out="thread"):
-    service = ShardedEngine(circuit.segments(), circuit=circuit, num_shards=shards, max_queued=64)
-    assert isinstance(service._pool, FAN_OUTS[fan_out])
-    return service
+def service_for(circuit, shards):
+    return ShardedEngine(circuit.segments(), circuit=circuit, num_shards=shards, max_queued=64)
 
 
 @pytest.mark.parametrize("fan_out", FAN_OUTS)
@@ -74,7 +70,7 @@ def service_for(circuit, shards, fan_out="thread"):
 class TestDifferential:
     def test_range_matches(self, circuit, single, windows, shards, backend, fan_out):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 for window in windows:
                     expected = sorted(single.execute(RangeQuery(window)).payload)
                     got = service.execute(RangeQuery(window))
@@ -90,7 +86,7 @@ class TestDifferential:
         self, circuit, single, windows, shards, backend, fan_out
     ):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 for strategy in ("flat", "rtree"):
                     query = RangeQuery(windows[0], strategy=strategy)
                     expected = sorted(single.execute(query).payload)
@@ -99,7 +95,7 @@ class TestDifferential:
     def test_knn_matches(self, circuit, single, windows, shards, backend, fan_out):
         points = [w.center() for w in windows]
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 for point in points:
                     for k in (1, 7, 64):
                         expected = single.execute(KNNQuery(point, k)).payload
@@ -122,14 +118,14 @@ class TestDifferential:
         point = circuit.bounding_box().center()
         k = len(circuit.segments()) + 10
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 got = service.execute(KNNQuery(point, k)).payload
         assert len(got) == len(circuit.segments())
         assert sorted(uid for uid, _ in got) == sorted(o.uid for o in circuit.segments())
 
     def test_join_matches(self, circuit, single, shards, backend, fan_out):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 for eps in (0.5, 3.0):
                     expected = sorted(single.execute(SpatialJoin(eps=eps)).payload)
                     got = service.execute(SpatialJoin(eps=eps))
@@ -140,7 +136,7 @@ class TestDifferential:
         self, circuit, single, shards, backend, fan_out
     ):
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 for strategy in ("touch", "plane-sweep", "pbsm"):
                     query = SpatialJoin(eps=2.0, strategy=strategy)
                     expected = sorted(single.execute(query).payload)
@@ -149,7 +145,7 @@ class TestDifferential:
     def test_join_refined_matches(self, circuit, single, shards, backend, fan_out):
         query = SpatialJoin(eps=1.0, refine=True)
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 expected = sorted(single.execute(query).payload)
                 assert service.execute(query).payload == expected
 
@@ -157,7 +153,7 @@ class TestDifferential:
         walk = branch_walk(circuit, window_extent=80.0, seed=5)
         query = Walkthrough(tuple(walk.queries))
         with kernels.use_backend(backend):
-            with service_for(circuit, shards, fan_out) as service:
+            with service_for(circuit, shards) as service:
                 got = service.execute(query)
         metrics = single.execute(query).payload
         assert [len(step) for step in got.payload] == [
@@ -172,7 +168,7 @@ class TestDifferential:
 def test_traffic_workload_differential(circuit, single, shards, fan_out):
     """A whole mixed traffic batch answers identically through the service."""
     queries = traffic_workload(circuit.segments(), 20, extent=100.0, seed=11)
-    with service_for(circuit, shards, fan_out) as service:
+    with service_for(circuit, shards) as service:
         results = service.query_many(queries)
     for query, result in zip(queries, results):
         expected = single.execute(query)

@@ -12,7 +12,11 @@ fan-out inside a single epoch.  This file pins:
   subtask abandoned by a missed deadline; a query that raises releases
   the gate;
 * **committed batches** — a batch that drains a shard part way through
-  (and refills it) applies whole and replays on recovery.
+  (and refills it) applies whole and replays on recovery;
+* **one thread per query** — shard subtasks run in order on the calling
+  thread: a missed deadline waits for the running subtask and starts no
+  later one, a failing shard stops the fan-out, and no query of any kind
+  starts a thread.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import time
 import pytest
 
 import repro
-from repro.engine import Delete, Insert, Move, RangeQuery
+from repro.engine import Delete, Insert, KNNQuery, Move, RangeQuery, SpatialJoin, Walkthrough
 from repro.engine.engine import SpatialEngine
 from repro.errors import ServiceError, ServiceTimeoutError
 from repro.geometry.aabb import AABB
@@ -345,3 +349,66 @@ class TestCommittedBatches:
             assert recovered.execute(RangeQuery(world)).payload == expected
         finally:
             recovered.close()
+
+
+class TestCallerThreadFanOut:
+    @staticmethod
+    def logged(engine, log: list[str], name: str, before=None) -> None:
+        """Log each ``engine.execute`` call as ``name`` start and end."""
+        original = engine.execute
+
+        def execute(query):
+            log.append(f"{name}-start")
+            if before is not None:
+                before()
+            result = original(query)
+            log.append(f"{name}-end")
+            return result
+
+        engine.execute = execute
+
+    def test_a_missed_deadline_waits_for_the_running_subtask(self, circuit):
+        with ShardedEngine(circuit.segments(), circuit=circuit, num_shards=2) as service:
+            log: list[str] = []
+            self.logged(service.shards[0].engine, log, "shard0", lambda: time.sleep(0.25))
+            self.logged(service.shards[1].engine, log, "shard1")
+            with pytest.raises(ServiceTimeoutError):
+                service.execute(RangeQuery(everything(circuit)), timeout_s=0.05)
+            # Shard 0's call returned before the raise; shard 1 never ran.
+            assert log == ["shard0-start", "shard0-end"]
+            assert service.telemetry.snapshot()["timed_out"] == 1
+
+    def test_a_failing_shard_stops_the_fan_out(self, circuit):
+        with ShardedEngine(circuit.segments(), circuit=circuit, num_shards=2) as service:
+            log: list[str] = []
+
+            def fail():
+                time.sleep(0.1)  # time enough for a concurrent shard 1 to start
+                raise RuntimeError("injected shard fault")
+
+            self.logged(service.shards[0].engine, log, "shard0", fail)
+            self.logged(service.shards[1].engine, log, "shard1")
+            with pytest.raises(ServiceError, match="injected shard fault") as raised:
+                service.execute(RangeQuery(everything(circuit)))
+            assert raised.value.shard_id == 0
+            assert log == ["shard0-start"]
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_no_query_starts_a_thread(self, circuit, shards):
+        world = everything(circuit)
+        centre = world.center()
+        windows = tuple(
+            AABB.from_center_extent((centre.x + step * 20.0, centre.y, centre.z), 60.0)
+            for step in range(3)
+        )
+        queries = [
+            RangeQuery(world),
+            KNNQuery(centre, 8),
+            SpatialJoin(eps=2.0),
+            Walkthrough(windows),
+        ]
+        with ShardedEngine(circuit.segments(), circuit=circuit, num_shards=shards) as service:
+            results = service.query_many(queries)
+            names = [thread.name for thread in threading.enumerate()]
+        assert [r.stats.kind for r in results] == ["range", "knn", "join", "walk"]
+        assert not [name for name in names if name.startswith("repro-shard")]

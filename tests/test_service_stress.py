@@ -56,7 +56,6 @@ class TestConsistencyUnderConcurrency:
             circuit.segments(),
             circuit=circuit,
             num_shards=4,
-            max_workers=4,
             max_in_flight=4,
             max_queued=N_THREADS * len(workload),
         )
@@ -109,7 +108,6 @@ class TestConsistencyUnderConcurrency:
             circuit.segments(),
             circuit=circuit,
             num_shards=2,
-            max_workers=2,
             max_in_flight=1,
             max_queued=1,
             queue_timeout_s=5.0,

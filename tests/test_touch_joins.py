@@ -6,16 +6,19 @@ oracle's pair set, on any input.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.touch.join import touch_join
+from repro.core.touch.join import join_levels, touch_join
 from repro.core.touch.nested_loop import nested_loop_join
 from repro.core.touch.pbsm import pbsm_join
 from repro.core.touch.plane_sweep import plane_sweep_join
 from repro.core.touch.s3 import s3_join
+from repro.core.touch.stats import JoinStats
 from repro.core.touch.tree import touch_levels
 from repro.errors import JoinError
 from repro.geometry.aabb import AABB
@@ -193,6 +196,16 @@ class TestTouchTree:
             assert starts[0] == 0 and starts[-1] == len(packed.nodes[depth + 1])
         assert len(packed.leaf_starts) == len(packed.nodes[-1]) + 1
         assert packed.leaf_starts[-1] == len(packed.objects)
+
+    def test_join_levels_leaves_the_level_arrays_clean(self):
+        """A join only reads the level arrays: they pickle the same after it."""
+        a, b = make_pair(n=200, seed=10)
+        levels = touch_levels(a)
+        fresh = pickle.dumps(levels.packed)
+        stats, pairs = JoinStats(algorithm="TOUCH", n_a=len(a), n_b=len(b)), []
+        join_levels(levels, b, 2.0, None, True, stats, pairs)
+        assert pairs
+        assert pickle.dumps(levels.packed) == fresh
 
     def test_empty_dataset_raises(self):
         with pytest.raises(JoinError):

@@ -4,8 +4,7 @@ The join assigns and probes all of B level by level through batch kernels
 (:func:`repro.kernels.touch_assign` / :func:`repro.kernels.touch_probe`).
 The reference below is the per-object descent those kernels replace, one
 ``AABB.intersects_expanded`` call per test: every path to a TOUCH answer —
-:func:`touch_join`, :func:`probe_shard` over any deal of B and the sharded
-service's join, which fans those probes out on its pool — must return its
+:func:`touch_join` and the sharded service's join — must return its
 pairs, and the join its ``comparisons``, ``filtered``, ``candidates`` and
 ``memory_bytes``, under every kernel backend.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 import pickle
 import random
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -24,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.touch.join import probe_shard, touch_join
+from repro.core.touch.join import touch_join
 from repro.core.touch.stats import BOX_BYTES, REF_BYTES, JoinStats
 from repro.core.touch.tree import TouchLevels, touch_levels
 from repro.engine.queries import SpatialJoin
@@ -246,10 +244,9 @@ def random_objects(rng: random.Random, n: int, uid_offset: int) -> list[BoxObjec
     leaf_capacity=st.integers(min_value=1, max_value=9),
     fanout=st.integers(min_value=2, max_value=5),
     filtering=st.booleans(),
-    shards=st.integers(min_value=1, max_value=4),
 )
 def test_every_path_matches_the_scalar_reference(
-    boxes_a, boxes_b, eps, leaf_capacity, fanout, filtering, shards
+    boxes_a, boxes_b, eps, leaf_capacity, fanout, filtering
 ):
     objects_a, objects_b = as_objects(boxes_a), as_objects(boxes_b, uid_offset=1000)
     expected, ref = reference_join(objects_a, objects_b, eps, leaf_capacity, fanout, filtering)
@@ -269,11 +266,6 @@ def test_every_path_matches_the_scalar_reference(
 
             levels = touch_levels(objects_a, leaf_capacity=leaf_capacity, fanout=fanout)
             assert_same_levels(levels, reference_levels(root))
-            deals = [objects_b[i::shards] for i in range(shards)]
-            outcomes = [probe_shard(levels, deal, eps, None, filtering) for deal in deals]
-            assert sorted(p for pairs, _c, _ms in outcomes for p in pairs) == expected
-            assert sum(c.comparisons for _p, c, _ms in outcomes) == ref.comparisons
-            assert sum(c.filtered for _p, c, _ms in outcomes) == ref.filtered
 
 
 def test_backends_return_pairs_in_the_same_order():
@@ -286,12 +278,7 @@ def test_backends_return_pairs_in_the_same_order():
     assert len(orders) == 1
 
 
-# The service's fan-out, named in the cell id, and the pool type it must use.
-FAN_OUTS = {"thread": ThreadPoolExecutor}
-
-
-@pytest.mark.parametrize("fan_out", FAN_OUTS)
-def test_sharded_service_joins_match_the_reference(fan_out):
+def test_sharded_service_joins_match_the_reference():
     rng = random.Random(11)
     objects_a, objects_b = random_objects(rng, 300, 0), random_objects(rng, 350, 10_000)
     expected, _ref = reference_join(objects_a, objects_b, eps=1.0)
@@ -299,7 +286,6 @@ def test_sharded_service_joins_match_the_reference(fan_out):
         eps=1.0, strategy="touch", side_a=tuple(objects_a), side_b=tuple(objects_b)
     )
     with ShardedEngine(objects_a + objects_b, num_shards=2) as service:
-        assert isinstance(service._pool, FAN_OUTS[fan_out])
         assert service.execute(query).payload == expected
 
 
