@@ -54,7 +54,7 @@ def create(
     is acknowledged.  The directory must hold no prior state; resume an
     existing one with :func:`open`.  Extra keyword arguments pass through to
     the underlying engine (``page_capacity=...``, ``circuit=...``, the
-    sharded service's pool knobs, ...).
+    sharded service's admission knobs such as ``max_in_flight=...``, ...).
     """
     if num_shards is not None and not sharded:
         raise DurabilityError("num_shards requires sharded=True")

@@ -473,30 +473,16 @@ class Catalog:
         )
 
     # -- reclamation (tag-aware) -------------------------------------------
-    def pin_floor(self, name: str) -> int:
-        """The WAL fold position pruning must not cross.
-
-        For each tag, the checkpoint that would seed its open is the
-        newest one at or below the tagged epoch; everything after that
-        checkpoint's ``wal_seq`` is replay the tag still needs.  The floor
-        is the minimum of those anchors and the newest checkpoint's own —
-        pruning strictly below it can never strand a tag or the tip.
-        """
-        root = self.dataset_root(name)
-        anchors = [latest_manifest(checkpoints_path(root)).wal_seq]
-        for epoch in self.tags(name).values():
-            anchors.append(
-                latest_manifest(checkpoints_path(root), at_epoch=epoch).wal_seq
-            )
-        return min(anchors)
-
     def prune(self, name: str) -> PruneReport:
         """Reclaim checkpoints and WAL segments no tag (and no tip) needs.
 
         Keeps the newest checkpoint plus, for every tag, the newest
         checkpoint at or below its epoch; removes the rest; then prunes
-        leading WAL segments fully below the pin floor.  Requires
-        exclusive access to the dataset (no engine holding its WAL).
+        leading WAL segments fully below the pin floor: the smallest
+        ``wal_seq`` among the kept checkpoints that seed the tip's and
+        each tag's open, so pruning can never strand a tag or the tip.
+        Requires exclusive access to the dataset (no engine holding its
+        WAL).
         """
         root = self.dataset_root(name)
         newest = latest_manifest(checkpoints_path(root))

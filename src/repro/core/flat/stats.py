@@ -30,8 +30,3 @@ class FLATQueryStats:
     @property
     def pages_read(self) -> int:
         return self.seed_nodes_visited + self.partitions_fetched
-
-    @property
-    def crawl_components(self) -> int:
-        """How many disjoint crawls the query needed (1 = fully connected)."""
-        return max(0, self.reseeds + (1 if self.partitions_fetched else 0))

@@ -125,9 +125,6 @@ class Skeleton:
     def structure_of(self, segment_uid: int) -> int:
         return self._structure_of_segment[segment_uid]
 
-    def segments_at_node(self, node: int) -> list[int]:
-        return self._adjacency.get(node, [])
-
     # -- exit detection -------------------------------------------------------
     def find_exits(self, box: AABB, smooth_steps: int = 4) -> list[ExitEdge]:
         """Detect edges leaving ``box`` and attach them to their structures.

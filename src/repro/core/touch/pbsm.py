@@ -150,8 +150,3 @@ def _assign(
             cells.setdefault(cell_id, []).append(obj)
             assignments += 1
     return assignments
-
-
-def expected_grid_cells(n_objects: int, target_per_cell: int = 64) -> int:
-    """Helper mirroring the default grid sizing (exposed for tests)."""
-    return max(1, round((n_objects / target_per_cell) ** (1.0 / 3.0))) ** 3

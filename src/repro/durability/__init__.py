@@ -7,8 +7,8 @@ crash loses the in-progress build.  This subsystem makes every
 acknowledged mutation batch reconstructible:
 
 * :mod:`repro.durability.wal` — an append-only, CRC-checksummed,
-  segment-rotated log of serialised mutation batches with group-commit
-  buffering and torn-tail detection/repair;
+  segment-rotated log of serialised mutation batches, each written and
+  flushed before ``append`` returns, with torn-tail detection/repair;
 * :mod:`repro.durability.checkpoint` — epoch-stamped, Hilbert-packed
   snapshots of the object set, committed atomically by directory rename;
 * :mod:`repro.durability.recovery` — checkpoint + WAL-suffix replay back

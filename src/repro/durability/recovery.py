@@ -321,10 +321,10 @@ def checkpoint(root: str | Path, engine: Any) -> Path:
     ``snapshot_objects()``, which a batch publishing on another thread
     cannot tear), and the checkpoint claims exactly the first ``epoch``
     WAL batches — the batch seq == epoch invariant of the durability
-    layout.  Each of those was appended before it published, so flushing
-    an attached WAL after the snapshot makes them durable; a later batch
-    lands only in the replayed WAL suffix.  A recovered (WAL-less) engine
-    is checkpointed the same way.
+    layout.  Each of those was on disk before it published (``append``
+    returns only once its record is flushed); a later batch lands only in
+    the replayed WAL suffix.  A recovered (WAL-less) engine is
+    checkpointed the same way.
     """
     if isinstance(engine, SpatialEngine):
         # Columns dump straight to the binary format.
@@ -333,8 +333,6 @@ def checkpoint(root: str | Path, engine: Any) -> Path:
     else:
         epoch, data = engine.snapshot_objects()
         num_shards, page_capacity = engine.num_shards, None
-    if engine.wal is not None:
-        engine.wal.flush()
     return write_checkpoint(
         checkpoints_path(root),
         data,

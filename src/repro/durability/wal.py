@@ -21,13 +21,12 @@ of mutations (:mod:`repro.durability.serde`).  Batch sequence numbers are
 contiguous from 1, so "the WAL suffix after checkpoint ``S``" is exactly
 the records with ``seq > S``.
 
-Group commit
-------------
-``append`` buffers encoded records in memory and flushes when the batch
-count or byte budget is reached (``flush_batches`` / ``flush_bytes``) —
-the classic throughput/durability-window trade.  The default is
-``flush_batches=1``: every acknowledged batch is durable.  ``flush()``
-forces the window closed at any time; only flushed records are recoverable.
+Write contract
+--------------
+``append`` encodes a batch's record, writes it to the segment file and
+flushes it to the operating system before it returns (with ``fsync=True``
+it also calls ``os.fsync``), so every acknowledged batch is on disk: the
+log holds no in-memory window that a crash could lose.
 
 Torn-tail detection
 -------------------
@@ -52,12 +51,12 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.durability.serde import decode_batch, encode_batch
 from repro.engine.mutations import Mutation
 from repro.errors import DurabilityError, WalCorruptionError
-from repro.obs.metrics import LATENCY_BUCKETS_MS, SIZE_BUCKETS, global_registry
+from repro.obs.metrics import LATENCY_BUCKETS_MS, global_registry
 
 __all__ = ["WriteAheadLog", "WalStats", "WalScan", "read_wal"]
 
@@ -67,11 +66,6 @@ _W_FSYNC = _REGISTRY.histogram(
     "repro_wal_fsync_ms",
     "Wall time of one WAL flush (write + flush + optional fsync), ms",
     buckets=LATENCY_BUCKETS_MS,
-)
-_W_BATCH_SIZE = _REGISTRY.histogram(
-    "repro_wal_group_commit_batches",
-    "Records per group-commit flush",
-    buckets=SIZE_BUCKETS,
 )
 _W_ROTATIONS = _REGISTRY.counter(
     "repro_wal_segment_rotations_total", "WAL segment files closed by rotation"
@@ -348,15 +342,11 @@ class WriteAheadLog:
         Where segment files live; created if missing.  Opening over an
         existing log repairs any torn tail and resumes the batch sequence
         after the last durable record.
-    flush_batches, flush_bytes:
-        The group-commit window: buffered records are flushed to disk when
-        either threshold is reached.  ``flush_batches=1`` (the default)
-        makes every ``append`` durable before it returns.
     segment_bytes:
         Rotation threshold: a segment that reaches this size is closed and
-        a fresh one started (checked at flush boundaries).
+        a fresh one started (checked after each record is written).
     fsync:
-        Also ``os.fsync`` on every flush.  Off by default: the tests and
+        Also ``os.fsync`` on every append.  Off by default: the tests and
         benchmarks model crash-at-batch-boundary, and the simulated-device
         repo convention is to keep timing deterministic.
     anchor_seq:
@@ -365,47 +355,35 @@ class WriteAheadLog:
         records at or below the anchor — a bit flip in long-checkpointed
         history must not destroy the valid suffix behind it.
 
-    The log is thread-safe: ``append`` / ``flush`` / ``tail`` / ``scan`` /
-    ``prune`` / ``close`` serialise on one internal lock, so a reader
-    shipping the tail (replication catch-up) can never interleave with a
-    writer's group-commit flush.
+    The log is thread-safe: ``append`` / ``tail`` / ``scan`` / ``prune`` /
+    ``close`` serialise on one internal lock, so a reader shipping the
+    tail (replication catch-up) can never interleave with a writer's
+    record.
     """
 
     def __init__(
         self,
         directory: str | Path,
-        flush_batches: int = 1,
-        flush_bytes: int = 256 * 1024,
         segment_bytes: int = 4 * 1024 * 1024,
         fsync: bool = False,
         anchor_seq: int = 0,
     ) -> None:
-        if flush_batches < 1:
-            raise DurabilityError("flush_batches must be >= 1")
-        if flush_bytes < 1 or segment_bytes < len(_FILE_HEADER) + 1:
-            raise DurabilityError("flush_bytes and segment_bytes must be positive")
+        if segment_bytes < len(_FILE_HEADER) + 1:
+            raise DurabilityError("segment_bytes must be positive")
         if anchor_seq < 0:
             raise DurabilityError("anchor_seq must be >= 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.flush_batches = flush_batches
-        self.flush_bytes = flush_bytes
         self.segment_bytes = segment_bytes
         self.fsync = fsync
         self.anchor_seq = anchor_seq
         self.stats = WalStats()
         # Writers serialise on the engine's mutation lock, but readers
         # (replication catch-up tails) may arrive on any thread — every
-        # state-touching method below takes this lock.  Reentrant because
-        # append/close drive flush internally.
-        self._lock = threading.RLock()
-        self._buffer: list[bytes] = []
-        self._buffered_bytes = 0
-        self._listeners: list[Callable[[list[tuple[int, list[Mutation]]]], None]] = []
-        self._pending_batches: list[tuple[int, list[Mutation]]] = []
+        # state-touching method below takes this lock.
+        self._lock = threading.Lock()
         self._closed = False
-        self._last_durable_seq = self._repair_tail()
-        self._next_seq = self._last_durable_seq + 1
+        self._next_seq = self._repair_tail() + 1
         existing = _segments(self.directory)
         self._segment_index = _segment_index(existing[-1]) + 1 if existing else 1
         self._handle: io.BufferedWriter | None = None
@@ -443,24 +421,18 @@ class WriteAheadLog:
     # -- appending ----------------------------------------------------------
     @property
     def last_seq(self) -> int:
-        """Seq of the newest appended batch (durable or still buffered)."""
+        """Seq of the newest batch on disk (every appended batch is)."""
         return self._next_seq - 1
-
-    @property
-    def last_durable_seq(self) -> int:
-        """Seq of the newest batch guaranteed to survive a crash."""
-        return self._last_durable_seq
 
     @property
     def num_segments(self) -> int:
         return len(_segments(self.directory))
 
     def append(self, mutations: Sequence[Mutation]) -> int:
-        """Buffer one batch; flush if the group-commit window closed.
+        """Log one batch: encode its record, write it and flush it.
 
-        Returns the batch's sequence number.  The batch is durable once
-        ``last_durable_seq`` reaches that number (immediately with the
-        default ``flush_batches=1``).
+        Returns the batch's sequence number.  The batch is on disk when
+        this returns, so an acknowledged batch survives a crash.
         """
         with self._lock:
             if self._closed:
@@ -469,49 +441,41 @@ class WriteAheadLog:
                 raise DurabilityError("refusing to log an empty mutation batch")
             seq = self._next_seq
             record = _encode_record(seq, mutations)
+            try:
+                self.flush(record)
+            except BaseException:
+                # A failed write or fsync may leave part or all of this
+                # record in the segment.  Reusing its seq would break the
+                # sequence and tail repair would cut every later
+                # acknowledged batch, so the log takes no further appends;
+                # reopening it repairs the tail.
+                self._closed = True
+                raise
             self._next_seq += 1
-            if self._listeners:
-                self._pending_batches.append((seq, list(mutations)))
-            self._buffer.append(record)
-            self._buffered_bytes += len(record)
             self.stats.batches_appended += 1
             self.stats.mutations_appended += len(mutations)
             _W_APPENDS.inc()
-            if (
-                len(self._buffer) >= self.flush_batches
-                or self._buffered_bytes >= self.flush_bytes
-            ):
-                self.flush()
             return seq
 
-    def flush(self) -> None:
-        """Write every buffered record to the current segment, durably."""
-        with self._lock:
-            if self._closed:
-                raise DurabilityError("write-ahead log is closed")
-            if not self._buffer:
-                return
-            _W_BATCH_SIZE.observe(len(self._buffer))
-            flush_start = time.perf_counter()
-            handle = self._current_handle()
-            for record in self._buffer:
-                handle.write(record)
-                self._segment_size += len(record)
-                self.stats.bytes_written += len(record)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-            _W_FSYNC.observe((time.perf_counter() - flush_start) * 1000.0)
-            self._last_durable_seq = self.last_seq
-            self._buffer.clear()
-            self._buffered_bytes = 0
-            self.stats.flushes += 1
-            if self._pending_batches:
-                newly_durable, self._pending_batches = self._pending_batches, []
-                for listener in list(self._listeners):
-                    listener(newly_durable)
-            if self._segment_size >= self.segment_bytes:
-                self._rotate()
+    def flush(self, record: bytes) -> None:
+        """Write one encoded record to the current segment, durably.
+
+        The write step of :meth:`append`, which calls it under the log's
+        lock: write, flush, ``os.fsync`` with ``fsync=True``, then rotate
+        a segment that reached ``segment_bytes``.
+        """
+        flush_start = time.perf_counter()
+        handle = self._current_handle()
+        handle.write(record)
+        self._segment_size += len(record)
+        self.stats.bytes_written += len(record)
+        handle.flush()
+        if self.fsync:
+            os.fsync(handle.fileno())
+        _W_FSYNC.observe((time.perf_counter() - flush_start) * 1000.0)
+        self.stats.flushes += 1
+        if self._segment_size >= self.segment_bytes:
+            self._rotate()
 
     def _current_handle(self) -> io.BufferedWriter:
         if self._handle is None:
@@ -533,50 +497,22 @@ class WriteAheadLog:
 
     # -- reading back --------------------------------------------------------
     def scan(self, strict: bool = False) -> WalScan:
-        """The durable batches currently on disk (buffered ones excluded)."""
+        """The batches currently on disk."""
         with self._lock:
             return read_wal(self.directory, strict=strict, anchor_seq=self.anchor_seq)
 
-    def batches_after(self, after_seq: int) -> Iterator[tuple[int, list[Mutation]]]:
-        """Durable ``(seq, batch)`` pairs with ``seq > after_seq``."""
-        return self.scan().suffix(after_seq)
-
     # -- shipping ------------------------------------------------------------
     def tail(self, after_seq: int) -> Iterator[tuple[int, list[Mutation]]]:
-        """The durable suffix after ``after_seq`` — the WAL-shipping read.
+        """The ``(seq, batch)`` pairs after ``after_seq`` — the WAL-shipping read.
 
         This is the catch-up half of replication: a follower at epoch ``E``
         asks for ``tail(E)`` and replays the returned batches in order.
-        Only flushed records are visible (group-commit buffers are not);
-        ``flush()`` first if you need the tip included.  Live shipping —
-        batches that become durable *after* this call — is the listener
-        API's job (:meth:`add_listener`).
+        Every acknowledged batch is already on disk, so the suffix reaches
+        the tip.  Live shipping — batches published *after* this call — is
+        the service's epoch listeners' job
+        (:meth:`~repro.service.ShardedEngine.add_epoch_listener`).
         """
-        return self.batches_after(after_seq)
-
-    def add_listener(
-        self, listener: Callable[[list[tuple[int, list[Mutation]]]], None]
-    ) -> None:
-        """Call ``listener(newly_durable)`` at every flush, in seq order.
-
-        ``newly_durable`` is the list of ``(seq, batch)`` pairs that this
-        flush made durable — the live half of WAL shipping.  Listeners run
-        on the flushing thread (under the engine's mutation lock when the
-        engine drives the flush): keep them fast and never call back into
-        the log or the engine from one.  Batches appended before the first
-        listener registered are not replayed — pair with :meth:`tail` for
-        history.
-        """
-        with self._lock:
-            self._listeners.append(listener)
-
-    def remove_listener(
-        self, listener: Callable[[list[tuple[int, list[Mutation]]]], None]
-    ) -> None:
-        """Detach a listener added by :meth:`add_listener` (idempotent)."""
-        with self._lock:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
+        return self.scan().suffix(after_seq)
 
     # -- reclamation ---------------------------------------------------------
     def prune(self, up_to_seq: int) -> int:
@@ -624,11 +560,8 @@ class WriteAheadLog:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Flush the group-commit window and release the file handle."""
+        """Release the file handle; later appends raise (idempotent)."""
         with self._lock:
-            if self._closed:
-                return
-            self.flush()
             self._closed = True
             if self._handle is not None:
                 self._handle.close()

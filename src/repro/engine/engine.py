@@ -516,7 +516,7 @@ class SpatialEngine:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Flush and close the attached WAL, if any (idempotent)."""
+        """Close the attached WAL, if any (idempotent)."""
         if self.wal is not None:
             self.wal.close()
 

@@ -170,7 +170,3 @@ class MutationResult:
     stats: MutationStats
     num_objects: int = 0  # dataset size after the batch
     applied: list[Mutation] = field(default_factory=list)
-
-    @property
-    def num_applied(self) -> int:
-        return self.stats.applied

@@ -105,11 +105,6 @@ def segments_touch(seg_a: Segment, seg_b: Segment, eps: float = 0.0) -> bool:
     return axis_distance <= seg_a.radius + seg_b.radius + eps + 1e-12
 
 
-def aabb_aabb_distance(a: AABB, b: AABB) -> float:
-    """Minimum distance between two boxes (0 when they intersect)."""
-    return a.min_distance_to_box(b)
-
-
 def brute_force_closest_pair(points: Sequence[Vec3]) -> tuple[int, int, float]:
     """O(n^2) closest pair of points; small-scale test oracle.
 

@@ -7,8 +7,8 @@ Three metric kinds cover all of it:
 * :class:`Counter` — a monotone sum (queries served, busy rejections);
 * :class:`Gauge` — a point-in-time value, either set directly or computed
   by a callback at read time (replica lag, live epoch);
-* :class:`Histogram` — fixed-bucket distributions (fsync latency,
-  per-frame latency, group-commit batch size).
+* :class:`Histogram` — fixed-bucket distributions (WAL flush latency,
+  per-frame latency).
 
 Per-object lifetime views (the engine and service telemetry) group
 unregistered counters with :class:`Totals` (fixed names) and
@@ -47,7 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "LATENCY_BUCKETS_MS",
-    "SIZE_BUCKETS",
     "Totals",
     "global_registry",
 ]
@@ -57,8 +56,6 @@ LATENCY_BUCKETS_MS = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0,
     50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
 )
-#: Small-integer size buckets (batch sizes, queue depths).
-SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0)
 DEFAULT_BUCKETS = LATENCY_BUCKETS_MS
 
 

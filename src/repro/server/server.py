@@ -563,7 +563,7 @@ class ReproServer:
         ):
             wal = self.service.wal
             batches = await self._run_blocking(
-                lambda: (wal.flush(), list(wal.tail(int(from_epoch))))[1]
+                lambda: list(wal.tail(int(from_epoch)))
             )
             sent_through = int(from_epoch)
             for seq, mutations in batches:
@@ -669,13 +669,13 @@ class ReproServer:
             await self._shutdown(server)
 
     async def _shutdown(self, server: asyncio.base_events.Server) -> None:
-        """Graceful drain: new work refused, queued work finished, WAL flushed.
+        """Graceful drain: new work refused, queued work finished, WAL closed.
 
         Order matters: stop accepting, stop the tail, let every session
         finish its queued requests (bounded by ``drain_timeout_s``), tear
         the connections down, and only then close the engine — which
-        itself drains in-flight fan-outs and flushes the WAL, so every
-        acknowledged write is durable when the process exits.
+        itself drains in-flight fan-outs and closes the WAL (every
+        acknowledged write is on disk before its ack).
         """
         self._draining = True
         server.close()

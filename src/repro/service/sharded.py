@@ -406,14 +406,14 @@ class ShardedEngine:
                 self._lifecycle.notify_all()
 
     def close(self) -> None:
-        """Drain in-flight work, then flush and close the WAL.
+        """Drain in-flight work, then close the WAL.
 
         Closing is graceful: new queries and mutations are refused
         immediately (:class:`ServiceError`), but everything already past
         admission — including queries still waiting in the admission queue
-        — runs to completion first.  The attached WAL is flushed and
-        closed last, so a clean shutdown leaves every acknowledged batch
-        durable and never abandons a query mid-fan-out.
+        — runs to completion first.  The attached WAL is closed last (every
+        acknowledged batch is already on disk), so a clean shutdown never
+        abandons a query mid-fan-out.
         Idempotent and safe to call concurrently with queries from other
         threads.
         """

@@ -189,8 +189,3 @@ def random_walk(
         centers.append(center)
     queries = [AABB.from_center_extent(c, window_extent) for c in centers]
     return BranchWalk(queries=queries, followed_branch=-1, path=centers)
-
-
-def walk_length(walk: BranchWalk) -> float:
-    """Total path length of a walk (diagnostics)."""
-    return _polyline_length(walk.path)

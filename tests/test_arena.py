@@ -474,7 +474,7 @@ class TestFrontDoorAPI:
             for batch in history:
                 assert single.apply_many(batch).stats.epoch == service.apply_many(batch).stats.epoch
             assert single.epoch == service.epoch == 2  # the empty batch is no epoch
-            assert single.wal.last_durable_seq == service.wal.last_durable_seq == 2
+            assert single.wal.last_seq == service.wal.last_seq == 2
         finally:
             single.close()
             service.close()

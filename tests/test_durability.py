@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import threading
 
@@ -237,33 +238,6 @@ class TestWriteAheadLog:
         assert [seq for seq, _ in scan.batches] == [1, 2]
         assert [batch for _, batch in scan.batches] == batches
 
-    def test_group_commit_window_by_batch_count(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal", flush_batches=3)
-        wal.append(sample_mutations(2))
-        wal.append(sample_mutations(2))
-        assert wal.last_seq == 2
-        assert wal.last_durable_seq == 0  # still buffered
-        assert read_wal(tmp_path / "wal").batches == []
-        wal.append(sample_mutations(2))  # third append closes the window
-        assert wal.last_durable_seq == 3
-        assert len(read_wal(tmp_path / "wal").batches) == 3
-        wal.close()
-
-    def test_group_commit_window_by_byte_budget(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal", flush_batches=1000, flush_bytes=512)
-        wal.append(sample_mutations(1))
-        assert wal.last_durable_seq == 0
-        while wal.last_durable_seq == 0:
-            wal.append(sample_mutations(6))  # records accumulate past 512 bytes
-        assert wal.last_durable_seq == wal.last_seq
-        wal.close()
-
-    def test_close_flushes_the_window(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal", flush_batches=100)
-        wal.append(sample_mutations(3))
-        wal.close()
-        assert len(read_wal(tmp_path / "wal").batches) == 1
-
     def test_segment_rotation_bounds_files(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal", segment_bytes=600)
         for _ in range(12):
@@ -279,7 +253,7 @@ class TestWriteAheadLog:
             wal.append(sample_mutations(2))
             wal.append(sample_mutations(2))
         with WriteAheadLog(tmp_path / "wal") as wal:
-            assert wal.last_durable_seq == 2
+            assert wal.last_seq == 2
             assert wal.append(sample_mutations(2)) == 3
         assert [seq for seq, _ in read_wal(tmp_path / "wal").batches] == [1, 2, 3]
 
@@ -292,6 +266,52 @@ class TestWriteAheadLog:
         assert scan.last_seq == 4
         assert not scan.truncated
 
+    def test_fsync_runs_once_per_append(self, tmp_path, monkeypatch):
+        calls: list[int] = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd: int) -> None:
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.durability.wal.os.fsync", counting_fsync)
+        with WriteAheadLog(tmp_path / "plain") as wal:
+            wal.append(sample_mutations(2))
+        assert calls == []  # fsync is off by default
+        with WriteAheadLog(tmp_path / "wal", fsync=True) as wal:
+            for expected in range(1, 4):
+                wal.append(sample_mutations(2))
+                assert len(calls) == expected
+        assert len(calls) == 3  # close() adds none
+        assert len(read_wal(tmp_path / "wal").batches) == 3
+
+    def test_a_failed_append_closes_the_log_and_keeps_acked_batches(
+        self, tmp_path, monkeypatch
+    ):
+        """An fsync error may leave the failed record on disk.  Appending
+        again under its seq would break the sequence and tail repair would
+        cut every batch acknowledged after it, so the log refuses."""
+        real_fsync = os.fsync
+
+        def failing_fsync(fd: int) -> None:
+            monkeypatch.setattr("repro.durability.wal.os.fsync", real_fsync)
+            raise OSError("injected fsync error")
+
+        wal = WriteAheadLog(tmp_path / "wal", fsync=True)
+        assert wal.append(sample_mutations(1)) == 1
+        monkeypatch.setattr("repro.durability.wal.os.fsync", failing_fsync)
+        with pytest.raises(OSError):
+            wal.append(sample_mutations(2))
+        with pytest.raises(DurabilityError):
+            wal.append(sample_mutations(3))
+        wal.close()
+        with WriteAheadLog(tmp_path / "wal") as reopened:
+            # The unacknowledged record reached the file; the log resumes after it.
+            assert reopened.last_seq == 2
+            assert reopened.append(sample_mutations(3)) == 3
+        scan = read_wal(tmp_path / "wal", strict=True)
+        assert [seq for seq, _ in scan.batches] == [1, 2, 3]
+
     def test_empty_batch_and_closed_log_are_rejected(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
         with pytest.raises(DurabilityError):
@@ -299,21 +319,18 @@ class TestWriteAheadLog:
         wal.close()
         with pytest.raises(DurabilityError):
             wal.append(sample_mutations(1))
-        with pytest.raises(DurabilityError):
-            WriteAheadLog(tmp_path / "bad", flush_batches=0)
 
     def test_concurrent_tail_reads_never_corrupt_the_log(self, tmp_path):
-        """The WAL-shipping catch-up path (flush + tail from a server
-        thread) races the writing thread's group-commit flushes; the
-        log's internal lock must keep the record stream exact."""
-        wal = WriteAheadLog(tmp_path / "wal", flush_batches=4)
+        """The WAL-shipping catch-up path (tail from a server thread)
+        races the writing thread's appends; the log's internal lock must
+        keep the record stream exact."""
+        wal = WriteAheadLog(tmp_path / "wal")
         stop = threading.Event()
         failures: list[BaseException] = []
 
         def tail_loop() -> None:
             try:
                 while not stop.is_set():
-                    wal.flush()
                     seqs = [seq for seq, _ in wal.tail(0)]
                     assert seqs == sorted(set(seqs)), f"duplicated seqs: {seqs}"
             except BaseException as error:
@@ -370,7 +387,7 @@ class TestTornTail:
         segment.write_bytes(segment.read_bytes()[:-3])
         with WriteAheadLog(tmp_path / "wal") as wal:
             assert wal.stats.tail_repaired
-            assert wal.last_durable_seq == 3
+            assert wal.last_seq == 3
             assert wal.append(sample_mutations(2)) == 4
         scan = read_wal(tmp_path / "wal")
         assert not scan.truncated  # the torn bytes are physically gone
@@ -401,7 +418,7 @@ class TestTornTail:
         with WriteAheadLog(tmp_path / "wal") as wal:
             assert wal.stats.tail_repaired
             assert not segment.exists()
-            assert wal.last_durable_seq == 0
+            assert wal.last_seq == 0
 
 
 class TestCheckpointAnchoredDamage:
@@ -436,7 +453,7 @@ class TestCheckpointAnchoredDamage:
         data[len(data) // 2] ^= 0x10
         segments[0].write_bytes(bytes(data))
         with WriteAheadLog(tmp_path / "wal", anchor_seq=4) as wal:
-            assert wal.last_durable_seq == 9  # nothing durable was cut
+            assert wal.last_seq == 9  # nothing durable was cut
             assert wal.append(sample_mutations(2)) == 10
         anchored = read_wal(tmp_path / "wal", anchor_seq=4)
         assert anchored.last_seq == 10
@@ -504,7 +521,7 @@ class TestCheckpointAnchoredDamage:
                 wal.append(sample_mutations(4))
         flip_payload_bit(tmp_path / "wal", target_seq=5)
         with WriteAheadLog(tmp_path / "wal", anchor_seq=8) as wal:
-            assert wal.last_durable_seq == 12  # nothing durable was cut
+            assert wal.last_seq == 12  # nothing durable was cut
             assert wal.append(sample_mutations(2)) == 13
         anchored = read_wal(tmp_path / "wal", anchor_seq=8)
         assert anchored.last_seq == 13
@@ -526,7 +543,7 @@ class TestCheckpointAnchoredDamage:
         assert [seq for seq, _ in anchored.suffix(8)] == [9, 10, 11, 12]
         # Opening for writing keeps the suffix too.
         with WriteAheadLog(tmp_path / "wal", anchor_seq=8) as wal:
-            assert wal.last_durable_seq == 12
+            assert wal.last_seq == 12
 
     def test_covered_damage_at_the_tail_never_reuses_a_seq(self, tmp_path):
         """Damage in the last record, covered by the anchor: repair cuts
@@ -539,7 +556,7 @@ class TestCheckpointAnchoredDamage:
         flip_payload_bit(tmp_path / "wal", target_seq=8)
         with WriteAheadLog(tmp_path / "wal", anchor_seq=8) as wal:
             assert wal.stats.tail_repaired
-            assert wal.last_durable_seq == 8  # clamped to the anchor
+            assert wal.last_seq == 8  # clamped to the anchor
             assert wal.append(sample_mutations(2)) == 9  # not a recycled 8
         anchored = read_wal(tmp_path / "wal", anchor_seq=8)
         assert anchored.last_seq == 9
@@ -638,8 +655,8 @@ class TestDurableEngine:
     def test_log_apply_ack_ordering(self, tmp_path):
         durable = repro.create(grid_boxes(3), tmp_path / "d")
         result = durable.apply_many(sample_mutations(6))
-        # By ack time the batch is durable (default flush_batches=1) ...
-        assert durable.wal.last_durable_seq == 1
+        # By ack time the batch is durable ...
+        assert durable.wal.last_seq == 1
         assert result.stats.epoch == durable.epoch == 1
         # ... and what is on disk is exactly what was applied.
         scan = read_wal(wal_path(tmp_path / "d"))
@@ -746,29 +763,6 @@ class TestDurableEngine:
         reopened = repro.open(root, page_capacity=12)
         assert reopened.epoch == 12
         reopened.close()
-
-    def test_group_commit_window_defers_durability_until_flush(self, tmp_path):
-        """With flush_batches > 1 an acknowledged epoch may still be
-        buffered: wal.last_durable_seq reports the durable frontier and
-        wal.flush() closes the window."""
-        script = MutationScript(seed=82, n_objects=24)
-        durable = repro.create(
-            script.initial_objects(),
-            tmp_path / "d",
-            page_capacity=12,
-            wal_kwargs={"flush_batches": 3},
-        )
-        for _ in range(2):
-            durable.apply_many(script.next_batch(3))
-        assert durable.epoch == 2
-        assert durable.wal.last_durable_seq == 0  # acknowledged, not yet durable
-        # A crash here loses the buffered epochs — that is the documented
-        # group-commit trade, visible through the durable frontier.
-        assert recover_engine(tmp_path / "d", page_capacity=12).epoch == 0
-        durable.wal.flush()
-        assert durable.wal.last_durable_seq == 2
-        assert recover_engine(tmp_path / "d", page_capacity=12).epoch == 2
-        durable.close()
 
     def test_covered_tail_damage_never_loses_the_next_acked_epoch(self, tmp_path):
         """Checkpoint at epoch 8, then the freshly-folded-in tail record 8
@@ -1137,10 +1131,33 @@ class TestShardedWalHook:
         try:
             result = service.apply_many(sample_mutations(4))
             assert result.stats.epoch == 1
-            assert service.wal.last_durable_seq == 1
+            assert service.wal.last_seq == 1
             assert read_wal(wal_path(tmp_path / "d")).batches[0][1] == sample_mutations(4)
         finally:
             service.close()
+
+    def test_epoch_listener_runs_after_the_batch_is_on_disk(self, tmp_path):
+        """The contract ``add_epoch_listener`` documents, and replication
+        streams on: by the time a listener sees an epoch, a fresh scan of
+        the log already holds that epoch's batch."""
+        script = MutationScript(seed=61, n_objects=24)
+        root = tmp_path / "d"
+        service = repro.create(
+            script.initial_objects(), root, sharded=True, num_shards=2, page_capacity=12
+        )
+        seen: list[tuple[int, int, bool]] = []
+
+        def listener(epoch, mutations):
+            scan = read_wal(root / "wal")
+            seen.append((epoch, scan.last_seq, dict(scan.batches).get(epoch) == list(mutations)))
+
+        service.add_epoch_listener(listener)
+        try:
+            for _ in range(3):
+                service.apply_many(script.next_batch(3))
+        finally:
+            service.close()
+        assert seen == [(1, 1, True), (2, 2, True), (3, 3, True)]
 
     def test_invalid_batches_never_reach_the_log(self, tmp_path):
         service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
@@ -1193,7 +1210,7 @@ class TestShardedWalHook:
             assert resumed.epoch == 1
             resumed.apply_many(script.next_batch(3))
             assert resumed.epoch == 2
-            assert resumed.wal.last_durable_seq == 2
+            assert resumed.wal.last_seq == 2
         finally:
             resumed.close()
         scan = read_wal(wal_path(tmp_path / "d"))
@@ -1231,26 +1248,25 @@ class TestShardedWalHook:
         from one snapshot."""
         script = MutationScript(seed=59, n_objects=30)
         root = tmp_path / "d"
-        # Group commit: a published batch need not be durable yet.
         service = repro.create(
             script.initial_objects(),
             root,
             sharded=True,
             num_shards=2,
             page_capacity=12,
-            wal_kwargs={"flush_batches": 8},
         )
         try:
             service.apply_many(script.next_batch(3))
             racing_batch = script.next_batch(3)
-            real_flush = service.wal.flush
+            real_snapshot = service.snapshot_objects
 
-            def flush_then_publish():
-                service.wal.flush = real_flush  # one shot
-                real_flush()
-                service.apply_many(racing_batch)
+            def snapshot_then_publish():
+                service.snapshot_objects = real_snapshot  # one shot
+                taken = real_snapshot()
+                service.apply_many(racing_batch)  # publishes right after the read
+                return taken
 
-            service.wal.flush = flush_then_publish
+            service.snapshot_objects = snapshot_then_publish
             checkpoint(root, service)
             assert service.epoch == 2
         finally:
